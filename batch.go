@@ -129,12 +129,15 @@ func runReadBatch[Q, R any](c *Cluster, qs []Q, origins []HostID, do func(q Q, o
 }
 
 // stripeGroups partitions batch indices by target stripe, preserving
-// input order within each group. A nil return means everything routes
-// to stripe 0 (the unsharded case) and callers take the direct serial
-// path with no grouping allocation.
+// input order within each group; an unsharded structure gets the one
+// group holding every index.
 func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 	if st.n() == 1 {
-		return nil
+		all := make([]int, len(xs))
+		for i := range all {
+			all[i] = i
+		}
+		return [][]int{all}
 	}
 	groups := make([][]int, st.n())
 	for i := range xs {
@@ -144,28 +147,36 @@ func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 	return groups
 }
 
-// runInsertBatchKeys is runWriteBatch specialized for uint64-keyed
-// inserts with a sorted-run fast path. Operations still apply strictly
-// in input order within their stripe (single writer per stripe), but
-// maximal input-consecutive stretches that share an origin and a stripe
-// and carry strictly ascending keys are dispatched to the origin's
-// worker as one run instead of one rendezvous per operation, and
-// executed through the structure's run inserter, which shares the
-// uncharged parts of consecutive descents (hyperlink resolutions, index
-// splices). Because execution order and every charged visit are
-// unchanged, per-operation hop counts and the cluster's counters are
-// identical to per-op inserts, counter for counter. Callers that want
-// the fast path to engage should group a batch by origin and sort each
-// group's keys; the default round-robin origins yield runs of length
-// one, which fall back to per-op dispatch. A sorted run whose keys
-// straddle a stripe boundary splits at the separator into one run per
-// stripe — same accounting, now updating both stripes in parallel.
-func runInsertBatchKeys(c *Cluster, keys []uint64, origins []HostID, st *stripeSet,
-	do func(k uint64, origin HostID) (int, error),
-	doRun func(stripe int, ks []uint64, origin HostID, hops []int, errs []error),
-) ([]int, error) {
-	hops := make([]int, len(keys))
-	errs := make([]error, len(keys))
+// runWriteBatch executes one update per element of xs — one dedicated
+// dispatcher goroutine per write stripe (none for an unsharded
+// structure), each applying its stripe's updates strictly in input order
+// on their origin hosts' workers, with the per-update stripe writer lock
+// taken inside do (the structures' insert/delete methods). Remaining
+// updates still run after one fails, and the returned error joins the
+// per-operation errors. The hop cost of each update is returned in input
+// order. codeOf maps an update to its stripe code; it must agree with
+// the routing the structure's synchronous path uses, and is a pure
+// function, so the stripe schedule of a batch is deterministic.
+//
+// A non-nil doRun engages the sorted-run fast path: maximal
+// input-consecutive stretches that share an origin and a stripe and
+// carry strictly ascending codes are dispatched to the origin's worker
+// as one run instead of one rendezvous per operation, and executed
+// through doRun, which may share the uncharged parts of consecutive
+// descents (hyperlink resolutions, index splices). Because execution
+// order and every charged visit are unchanged, per-operation hop counts
+// and the cluster's counters are identical to per-op updates, counter
+// for counter. Callers that want the fast path to engage should group a
+// batch by origin and sort each group's keys; the default round-robin
+// origins yield runs of length one, which fall back to per-op dispatch.
+// A sorted run whose keys straddle a stripe boundary splits at the
+// separator into one run per stripe — same accounting, now updating both
+// stripes in parallel.
+func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
+	codeOf func(X) uint64, do func(x X, origin HostID) (int, error),
+	doRun func(stripe int, xs []X, origin HostID, hops []int, errs []error)) ([]int, error) {
+	hops := make([]int, len(xs))
+	errs := make([]error, len(xs))
 	// Validation must run under the lock; see runReadBatch. Writers hold
 	// the read lock: churn still excludes them (it takes the write
 	// lock), while stripes provide writer-writer and writer-reader
@@ -175,7 +186,7 @@ func runInsertBatchKeys(c *Cluster, keys []uint64, origins []HostID, st *stripeS
 	if err := c.checkOrigins(origins); err != nil {
 		return nil, err
 	}
-	if len(keys) == 0 {
+	if len(xs) == 0 {
 		return hops, nil
 	}
 	cl := c.cluster()
@@ -184,34 +195,30 @@ func runInsertBatchKeys(c *Cluster, keys []uint64, origins []HostID, st *stripeS
 			i0 := idx[a]
 			origin := c.originAt(origins, i0)
 			b := a + 1
-			for b < len(idx) && idx[b] == idx[b-1]+1 && keys[idx[b]] > keys[idx[b]-1] &&
-				c.originAt(origins, idx[b]) == origin {
+			for doRun != nil && b < len(idx) && idx[b] == idx[b-1]+1 &&
+				codeOf(xs[idx[b]]) > codeOf(xs[idx[b]-1]) && c.originAt(origins, idx[b]) == origin {
 				b++
 			}
 			j0 := idx[b-1] + 1
+			var task func()
 			if j0-i0 > 1 {
-				if err := cl.Do(origin, func() { doRun(stripe, keys[i0:j0], origin, hops[i0:j0], errs[i0:j0]) }); err != nil {
-					// The origin died mid-rendezvous (a crash racing the
-					// batch); the whole run failed fast without executing.
-					for k := i0; k < j0; k++ {
-						errs[k] = err
-					}
-				}
+				task = func() { doRun(stripe, xs[i0:j0], origin, hops[i0:j0], errs[i0:j0]) }
 			} else {
-				if err := cl.Do(origin, func() { hops[i0], errs[i0] = do(keys[i0], origin) }); err != nil {
-					errs[i0] = err
+				task = func() { hops[i0], errs[i0] = do(xs[i0], origin) }
+			}
+			if err := cl.Do(origin, task); err != nil {
+				// The origin died mid-rendezvous (a crash racing the
+				// batch): the ops failed fast, typed, without executing.
+				for k := i0; k < j0; k++ {
+					errs[k] = err
 				}
 			}
 			a = b
 		}
 	}
-	groups := stripeGroups(st, keys, func(k uint64) uint64 { return k })
-	if groups == nil {
-		idx := make([]int, len(keys))
-		for i := range idx {
-			idx[i] = i
-		}
-		runStripe(0, idx)
+	groups := stripeGroups(st, xs, codeOf)
+	if len(groups) == 1 {
+		runStripe(0, groups[0])
 		return hops, errors.Join(errs...)
 	}
 	var wg sync.WaitGroup
@@ -224,63 +231,6 @@ func runInsertBatchKeys(c *Cluster, keys []uint64, origins []HostID, st *stripeS
 			defer wg.Done()
 			runStripe(s, idx)
 		}(s, idx)
-	}
-	wg.Wait()
-	return hops, errors.Join(errs...)
-}
-
-// runWriteBatch executes one update per element of xs — one dedicated
-// dispatcher goroutine per write stripe, each applying its stripe's
-// updates strictly in input order on their origin hosts' workers, with
-// the per-update stripe writer lock taken inside do (the structures'
-// Insert/Delete methods). Remaining updates still run after one fails,
-// and the returned error joins the per-operation errors. The hop cost
-// of each update is returned in input order. codeOf maps an update to
-// its stripe code; it must agree with the routing the structure's
-// synchronous path uses, and is a pure function, so the stripe schedule
-// of a batch is deterministic.
-func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
-	codeOf func(X) uint64, do func(x X, origin HostID) (int, error)) ([]int, error) {
-	hops := make([]int, len(xs))
-	errs := make([]error, len(xs))
-	// Validation must run under the lock; see runInsertBatchKeys for why
-	// writers hold the read lock.
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.checkOrigins(origins); err != nil {
-		return nil, err
-	}
-	if len(xs) == 0 {
-		return hops, nil
-	}
-	cl := c.cluster()
-	runOne := func(i int) {
-		origin := c.originAt(origins, i)
-		if err := cl.Do(origin, func() {
-			hops[i], errs[i] = do(xs[i], origin)
-		}); err != nil {
-			errs[i] = err // origin crashed: the op failed fast, typed
-		}
-	}
-	groups := stripeGroups(st, xs, codeOf)
-	if groups == nil {
-		for i := range xs {
-			runOne(i)
-		}
-		return hops, errors.Join(errs...)
-	}
-	var wg sync.WaitGroup
-	for _, idx := range groups {
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(idx []int) {
-			defer wg.Done()
-			for _, i := range idx {
-				runOne(i)
-			}
-		}(idx)
 	}
 	wg.Wait()
 	return hops, errors.Join(errs...)

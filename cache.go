@@ -43,7 +43,8 @@ import (
 // full (correct) descent. One asymmetry is deliberate: a bloom negative
 // during a crash answers (false, 0 msgs) where the control would fail
 // fast with ErrHostDown — the filter knows the key was never stored, so
-// it answers without needing the dead host.
+// it answers without needing the dead host
+// (TestBloomNegativeDuringCrash).
 
 // CacheStats reports the read-path cache counters of one host or an
 // aggregate of hosts (see Cluster.CacheStatsByHost and Cluster.Stats).
@@ -164,8 +165,8 @@ func (s *cacheShard) pushFront(i int) {
 
 // readCache is one structure's finger/descent cache: a per-origin-host
 // shard map plus the structure's churn counter. st is the structure's
-// stripe set (nil for Planar, whose data is static and whose epochs are
-// churn-only).
+// stripe set (Planar's single stripe never sees a writer, so its epochs
+// are churn-only).
 type readCache struct {
 	st     *stripeSet
 	churn  atomic.Uint64
@@ -201,10 +202,8 @@ func (rc *readCache) churnNow() uint64 { return rc.churn.Load() }
 // loads, no locks.
 func (rc *readCache) current(lo, hi int) uint64 {
 	cur := rc.churn.Load()
-	if rc.st != nil {
-		for i := lo; i <= hi; i++ {
-			cur += uint64(rc.st.writeCount(i))
-		}
+	for i := lo; i <= hi; i++ {
+		cur += uint64(rc.st.writeCount(i))
 	}
 	return cur
 }
@@ -274,6 +273,30 @@ func (rc *readCache) put(origin HostID, key cacheKey, val any, lo, hi int, sum u
 	sh.pushFront(i)
 }
 
+// probe and memo are the one cache protocol every query method follows.
+// probe returns the memoized answer for key at origin when its epoch
+// check passes; otherwise it returns the churn epoch captured before the
+// descent, to which the caller adds the write epoch of every stripe it
+// reads (striped.rlock returns it) before handing the sum to memo. Both
+// are no-ops on a nil cache, and generic so that nothing is boxed then:
+// with caches off the query path stays allocation-free.
+func probe[R any](rc *readCache, origin HostID, key cacheKey) (val R, sum uint64, hit bool) {
+	if rc == nil {
+		return val, 0, false
+	}
+	if v, ok := rc.get(origin, key); ok {
+		return v.(R), 0, true
+	}
+	return val, rc.churnNow(), false
+}
+
+// memo stores val, computed from stripes [lo, hi] at epoch sum.
+func memo[R any](rc *readCache, origin HostID, key cacheKey, val R, lo, hi int, sum uint64) {
+	if rc != nil {
+		rc.put(origin, key, val, lo, hi, sum)
+	}
+}
+
 // bloomCounts are one origin host's negative-bloom counters.
 type bloomCounts struct {
 	tn atomic.Int64
@@ -325,34 +348,35 @@ func (nb *negBloom) definitelyAbsent(origin HostID, stripe int, h uint64) bool {
 // falsePositive records that the bloom let an absent key through.
 func (nb *negBloom) falsePositive(origin HostID) { nb.counts(origin).fp.Add(1) }
 
-// readPath is the cache layer every structure embeds: a finger cache
-// (rc) and a negative bloom (nb), either or both nil when the
-// corresponding Option is off. The promoted methods give the Cluster a
-// uniform way to aggregate stats and bump churn epochs.
+// readPath is the cache layer every structure carries (embedded in
+// striped): a finger cache (rc) and a negative bloom (nb), either or both
+// nil when the corresponding Option is off.
 type readPath struct {
 	rc *readCache
 	nb *negBloom
 }
 
 // newReadPath builds the cache layer for a structure: a finger cache
-// when opts.CacheFingers, and per-stripe negative blooms sized to
-// stripeKeys when opts.NegativeBloom (structures without a membership
-// query — Planar — pass nil stripeKeys and get no bloom). Constructors
-// seed the blooms with their build keys.
-func newReadPath(opts Options, st *stripeSet, stripeKeys []int) readPath {
+// when opts.CacheFingers and, when opts.NegativeBloom, one negative bloom
+// per stripe, sized to and seeded with the hashes of that stripe's build
+// items (structures without a membership query — Planar — pass a nil
+// hash and get no bloom).
+func newReadPath[T any](opts Options, st *stripeSet, parts [][]T, hash func(T) uint64) readPath {
 	var rp readPath
 	if opts.CacheFingers {
 		rp.rc = &readCache{st: st, shards: make(map[HostID]*cacheShard)}
 	}
-	if opts.NegativeBloom && stripeKeys != nil {
-		nb := &negBloom{
-			filters: make([]*bloom.Filter, len(stripeKeys)),
+	if opts.NegativeBloom && hash != nil {
+		rp.nb = &negBloom{
+			filters: make([]*bloom.Filter, len(parts)),
 			byHost:  make(map[HostID]*bloomCounts),
 		}
-		for i, n := range stripeKeys {
-			nb.filters[i] = bloom.New(n)
+		for i, part := range parts {
+			rp.nb.filters[i] = bloom.New(len(part))
+			for _, x := range part {
+				rp.nb.add(i, hash(x))
+			}
 		}
-		rp.nb = nb
 	}
 	return rp
 }
@@ -366,59 +390,35 @@ func (rp readPath) bumpChurn() {
 	}
 }
 
-// cacheStats aggregates the structure's counters across all origin
-// hosts. Cluster.Stats type-asserts for this.
-func (rp readPath) cacheStats() CacheStats {
-	var cs CacheStats
-	rp.cacheStatsByHost(nil, &cs)
-	return cs
-}
-
 // cacheStatsByHost merges the structure's per-origin counters into
 // byHost (when non-nil) and the aggregate into total (when non-nil).
 func (rp readPath) cacheStatsByHost(byHost map[HostID]CacheStats, total *CacheStats) {
+	merge := func(h HostID, cs CacheStats) {
+		if byHost != nil {
+			m := byHost[h]
+			m.add(cs)
+			byHost[h] = m
+		}
+		if total != nil {
+			total.add(cs)
+		}
+	}
 	if rp.rc != nil {
 		rp.rc.mu.RLock()
 		for h, sh := range rp.rc.shards {
 			sh.mu.Lock()
-			cs := CacheStats{Hits: sh.hits, Misses: sh.misses, Invalidations: sh.inval}
+			merge(h, CacheStats{Hits: sh.hits, Misses: sh.misses, Invalidations: sh.inval})
 			sh.mu.Unlock()
-			if byHost != nil {
-				m := byHost[h]
-				m.add(cs)
-				byHost[h] = m
-			}
-			if total != nil {
-				total.add(cs)
-			}
 		}
 		rp.rc.mu.RUnlock()
 	}
 	if rp.nb != nil {
 		rp.nb.mu.RLock()
 		for h, bc := range rp.nb.byHost {
-			cs := CacheStats{BloomTrueNegatives: bc.tn.Load(), BloomFalsePositives: bc.fp.Load()}
-			if byHost != nil {
-				m := byHost[h]
-				m.add(cs)
-				byHost[h] = m
-			}
-			if total != nil {
-				total.add(cs)
-			}
+			merge(h, CacheStats{BloomTrueNegatives: bc.tn.Load(), BloomFalsePositives: bc.fp.Load()})
 		}
 		rp.nb.mu.RUnlock()
 	}
-}
-
-// partSizes returns the per-stripe build-key counts the bloom filters
-// are sized from.
-func partSizes[T any](parts [][]T) []int {
-	ns := make([]int, len(parts))
-	for i, p := range parts {
-		ns[i] = len(p)
-	}
-	return ns
 }
 
 // hashKey64 mixes a uint64 key (or Morton code) into the hash the bloom

@@ -1,6 +1,7 @@
 package skipwebs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -659,5 +660,122 @@ func TestCacheRacesChurn(t *testing.T) {
 		if err != nil || ok {
 			t.Fatalf("post-churn Contains(absent %d) = %v, %v", k, ok, err)
 		}
+	}
+}
+
+// TestBloomNegativeDuringCrash pins the one place the negative bloom
+// changes an outcome rather than a cost: after a crash beyond the
+// replication tolerance (k = 1), a membership query for a never-stored
+// key whose bloom-free control descent fails with ErrHostDown answers
+// (false, 0 messages, nil) with NegativeBloom on — the filter needs no
+// remote host to prove absence — while a stored key on a lost unit
+// still fails fast on both twins: the filter never vouches for presence.
+// This is a decision, not an accident: "definitely absent" is correct
+// whatever the hosts' state, and refusing to say so would only turn a
+// right answer into an error.
+func TestBloomNegativeDuringCrash(t *testing.T) {
+	rng := xrand.New(37)
+	keys := distinctKeys(rng, 400)
+	t.Run("onedim", func(t *testing.T) {
+		bloomCrashRow(t, keys, xrand.AbsentKeys(37, keys, 200, 1<<40),
+			func(c *Cluster, o Options) (func(uint64, HostID) (bool, int, error), error) {
+				w, err := NewOneDim(c, keys, o)
+				return w.Contains, err
+			})
+	})
+	t.Run("blocked", func(t *testing.T) {
+		bloomCrashRow(t, keys, xrand.AbsentKeys(37, keys, 200, 1<<40),
+			func(c *Cluster, o Options) (func(uint64, HostID) (bool, int, error), error) {
+				w, err := NewBlocked(c, keys, o)
+				return w.Contains, err
+			})
+	})
+	t.Run("bucketed", func(t *testing.T) {
+		bloomCrashRow(t, keys, xrand.AbsentKeys(37, keys, 200, 1<<40),
+			func(c *Cluster, o Options) (func(uint64, HostID) (bool, int, error), error) {
+				w, err := NewBucketed(c, keys, o)
+				return w.Contains, err
+			})
+	})
+	t.Run("points", func(t *testing.T) {
+		raw := experiments.UniformPoints(rng, 2, 600, 1<<30)
+		pts := make([]Point, len(raw))
+		for i, p := range raw {
+			pts[i] = Point(p)
+		}
+		bloomCrashRow(t, pts[:400], pts[400:],
+			func(c *Cluster, o Options) (func(Point, HostID) (bool, int, error), error) {
+				w, err := NewPoints(c, 2, pts[:400], o)
+				return w.Contains, err
+			})
+	})
+	t.Run("strings", func(t *testing.T) {
+		strs := experiments.UniformStrings(rng, 400, "acgt", 6, 20)
+		bloomCrashRow(t, strs, xrand.AbsentStrings(37, strs, 200),
+			func(c *Cluster, o Options) (func(string, HostID) (bool, int, error), error) {
+				w, err := NewStrings(c, strs, o)
+				return w.Contains, err
+			})
+	})
+}
+
+// bloomCrashRow builds bloom-on and bloom-off twins of one structure,
+// crashes the same host of each at k = 1, and compares their membership
+// answers on the lost part of the key space.
+func bloomCrashRow[T any](t *testing.T, present, absent []T,
+	build func(c *Cluster, o Options) (func(T, HostID) (bool, int, error), error)) {
+	twin := func(bloom bool) (*Cluster, func(T, HostID) (bool, int, error)) {
+		c := NewCluster(8)
+		// Small buckets, so that every host holds some of Bucketed's too.
+		contains, err := build(c, Options{Seed: 37, WriteStripes: 2, NegativeBloom: bloom, BucketSize: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dl *DataLossError
+		if err := c.Crash(c.HostAt(2)); !errors.As(err, &dl) || dl.Units <= 0 {
+			t.Fatalf("k=1 crash returned %v, want DataLossError with positive units", err)
+		}
+		return c, contains
+	}
+	cb, withBloom := twin(true)
+	cc, control := twin(false)
+	provedAbsent, lostPresent := 0, 0
+	for i, q := range absent {
+		origin := cc.HostAt(i)
+		_, _, cerr := control(q, origin)
+		found, hops, err := withBloom(q, origin)
+		switch {
+		case cerr == nil:
+			// The control's descent survived; the parity suite covers it.
+		case !errors.Is(cerr, ErrHostDown):
+			t.Fatalf("control Contains(absent %v): %v, want ErrHostDown", q, cerr)
+		case err == nil:
+			if found || hops != 0 {
+				t.Fatalf("bloom answered Contains(absent %v) = (%v, %d msgs) where the control hit a dead host", q, found, hops)
+			}
+			provedAbsent++
+		case !errors.Is(err, ErrHostDown): // a bloom false positive descends and fails like the control
+			t.Fatalf("bloom twin Contains(absent %v): %v, want ErrHostDown", q, err)
+		}
+	}
+	for i, q := range present {
+		origin := cc.HostAt(i)
+		_, _, cerr := control(q, origin)
+		_, _, err := withBloom(q, origin)
+		if (cerr == nil) != (err == nil) {
+			t.Fatalf("Contains(present %v): bloom twin %v, control %v", q, err, cerr)
+		}
+		if cerr != nil {
+			if !errors.Is(cerr, ErrHostDown) || !errors.Is(err, ErrHostDown) {
+				t.Fatalf("Contains(present %v) failed with %v / %v, want ErrHostDown on both", q, err, cerr)
+			}
+			lostPresent++
+		}
+	}
+	if provedAbsent == 0 || lostPresent == 0 {
+		t.Fatalf("%d absent keys answered past a dead host, %d present keys lost; the row needs both", provedAbsent, lostPresent)
+	}
+	if tn := cb.Stats().BloomTrueNegatives; tn < int64(provedAbsent) {
+		t.Fatalf("%d bloom true negatives counted, %d observed", tn, provedAbsent)
 	}
 }

@@ -792,7 +792,7 @@ func runBench(out io.Writer, jsonPath, baselinePath string, keyN, hosts int, see
 		}))
 	}
 
-	// --- Local search: binary-search Locate vs the pre-PR2 head walk. ---
+	// --- Local search: ListLevel's binary-search Locate. ---
 	{
 		lrng := xrand.New(seed + 5)
 		lkeys := experiments.Keys(lrng, listN, 1<<40)
@@ -804,20 +804,6 @@ func runBench(out io.Writer, jsonPath, baselinePath string, keyN, hosts int, see
 		doc.Results = append(doc.Results, measure("local/listlevel-locate-binary", nil, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lvl.Locate(qrng.Uint64n(1 << 40))
-			}
-		}))
-		doc.Results = append(doc.Results, measure("local/listlevel-locate-walk", nil, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// The old implementation: Step from the head sentinel.
-				q := qrng.Uint64n(1 << 40)
-				r := lvl.Head()
-				for {
-					nx := lvl.Step(r, q)
-					if nx == core.NoRange {
-						break
-					}
-					r = nx
-				}
 			}
 		}))
 	}
@@ -887,18 +873,6 @@ func runBench(out io.Writer, jsonPath, baselinePath string, keyN, hosts int, see
 			fmt.Fprintf(out, " %8.2f msgs/op", r.MsgsOp)
 		}
 		fmt.Fprintln(out)
-	}
-	var binaryNs, walkNs float64
-	for _, r := range doc.Results {
-		switch r.Name {
-		case "local/listlevel-locate-binary":
-			binaryNs = r.NsPerOp
-		case "local/listlevel-locate-walk":
-			walkNs = r.NsPerOp
-		}
-	}
-	if binaryNs > 0 {
-		fmt.Fprintf(out, "listlevel locate speedup (walk/binary, %d keys): %.0fx\n", listN, walkNs/binaryNs)
 	}
 	if seqBuild > 0 {
 		fmt.Fprintf(out, "bulk construction speedup at n=262144 (seq-insert/bulk): %.1fx (%v vs %v)\n",

@@ -442,11 +442,11 @@ type campaignFixture struct {
 }
 
 func buildCampaignFixture(hosts, keyN, k int, model skipwebs.CostModel, seed uint64) (*campaignFixture, error) {
-	f := &campaignFixture{c: skipwebs.NewCluster(hosts)}
+	f := &campaignFixture{c: skipwebs.NewCluster(hosts, skipwebs.WithLatency(model))}
 	rng := xrand.New(seed)
 	f.keys = scaleKeys(rng, keyN)
 	opts := func(d uint64) skipwebs.Options {
-		return skipwebs.Options{Seed: seed + d, Replicas: k, Durable: true, Latency: model}
+		return skipwebs.Options{Seed: seed + d, Replicas: k, Durable: true}
 	}
 	var err error
 	if f.oned, err = skipwebs.NewOneDim(f.c, f.keys, opts(0)); err != nil {

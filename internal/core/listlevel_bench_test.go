@@ -27,10 +27,8 @@ func benchLevel(b *testing.B) (*ListLevel, []uint64) {
 	return l, keys
 }
 
-// BenchmarkListLevelLocate compares the maintained-sorted-order binary
-// search against the pre-refactor head walk on a 100k-key list. The
-// acceptance bar for PR 2 is binary >= 100x faster than walk; in
-// practice the gap is ~4 orders of magnitude.
+// BenchmarkListLevelLocate measures the maintained-sorted-order binary
+// search on a 100k-key list.
 func BenchmarkListLevelLocate(b *testing.B) {
 	l, _ := benchLevel(b)
 	qrng := xrand.New(100)
@@ -38,12 +36,6 @@ func BenchmarkListLevelLocate(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l.Locate(qrng.Uint64n(1 << 40))
-		}
-	})
-	b.Run("walk", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l.locateWalk(qrng.Uint64n(1 << 40))
 		}
 	})
 }

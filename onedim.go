@@ -1,13 +1,6 @@
 package skipwebs
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-
-	"github.com/skipwebs/skipwebs/internal/core"
-	"github.com/skipwebs/skipwebs/internal/sim"
-)
+import "github.com/skipwebs/skipwebs/internal/core"
 
 // Options tunes structure construction.
 type Options struct {
@@ -80,26 +73,14 @@ type Options struct {
 	// at the origin without any descent. Filters are supersets of the
 	// stored set — Insert adds, Delete removes nothing, churn moves
 	// placement not membership — so "definitely absent" is always
-	// correct and "maybe present" at worst runs the full descent. One
-	// documented asymmetry: a bloom negative can answer during a crash
-	// where the control would fail with ErrHostDown, since the filter
-	// needs no remote host to prove absence. False (the default) leaves
-	// membership queries bit-identical to filter-free builds.
+	// correct and "maybe present" at worst runs the full descent. By
+	// decision (pinned by TestBloomNegativeDuringCrash), a bloom negative
+	// also answers during a crash where the filter-free descent would
+	// fail with ErrHostDown: the filter needs no remote host to prove
+	// absence, and it never vouches for presence, so a stored key on a
+	// lost unit still fails fast. False (the default) leaves membership
+	// queries bit-identical to filter-free builds.
 	NegativeBloom bool
-	// Latency installs a per-link latency model on the cluster (model
-	// plus seed, e.g. LogNormalLatency(seed, mu, sigma) or
-	// TwoLevelLatency): every charged message then also accumulates its
-	// sampled link cost onto the operation's critical path — replicated
-	// write-throughs pay the max over mirrors, not the sum — and query
-	// results and Cluster.Stats report latency alongside hops. Like
-	// Durable, the model is cluster-wide: the first structure built with
-	// one installs it for every host and structure (equivalent to
-	// passing WithLatency to NewCluster). Nil (the default) is the
-	// zero-latency model, whose accounting — every counter, every hop —
-	// is bit-identical to pre-latency builds. Models must be installed
-	// before traffic flows; structures built later on the same cluster
-	// must pass the same model or nil.
-	Latency CostModel
 }
 
 // FloorResult is the answer to a one-dimensional nearest-neighbor query.
@@ -111,8 +92,7 @@ type FloorResult struct {
 	// Hops is the number of messages the query cost.
 	Hops int
 	// Latency is the query's modeled critical-path latency under the
-	// cluster's latency model (Options.Latency / WithLatency), in model
-	// units. Zero without a model, and zero on cache hits — a cached
+	// cluster's latency model (WithLatency), in model units. Zero without a model, and zero on cache hits — a cached
 	// answer is served at the origin without touching the network.
 	Latency int64
 }
@@ -122,10 +102,27 @@ type FloorResult struct {
 // messages, matching skip graphs while using the level-partition
 // hierarchy of Figure 2.
 type OneDim struct {
-	c  *Cluster
-	st *stripeSet
-	ws []*core.Web[*core.ListLevel, uint64, uint64]
-	readPath
+	sortedSet[listWeb]
+}
+
+// listWeb adapts the generic core.Web over a sorted list to the
+// keyEngine contract: a floor query is a point query whose terminal
+// range is either the list head (no key at or below q) or the answer.
+// A failed core.Web descent reports no cost.
+type listWeb struct {
+	*core.Web[*core.ListLevel, uint64, uint64]
+}
+
+func (w listWeb) QueryCost(q uint64, origin HostID) (uint64, bool, core.Cost, error) {
+	res, err := w.Query(q, origin)
+	if err != nil {
+		return 0, false, core.Cost{}, err
+	}
+	c := core.Cost{Hops: res.Hops, Latency: res.Latency}
+	if g := w.GroundStructure(); !g.IsHead(res.Range) {
+		return g.Key(res.Range), true, c, nil
+	}
+	return 0, false, c, nil
 }
 
 // NewOneDim builds a general 1-d skip-web over keys (distinct).
@@ -134,42 +131,23 @@ type OneDim struct {
 // Options.WriteStripes > 1 it builds one independent sub-web per key
 // stripe (see the Options.WriteStripes doc).
 func NewOneDim(c *Cluster, keys []uint64, opts Options) (*OneDim, error) {
-	st, parts := splitKeysByStripe(keys, opts.WriteStripes)
-	done := c.beginBuild(opts)
-	ws := make([]*core.Web[*core.ListLevel, uint64, uint64], st.n())
-	for i, part := range parts {
-		w, err := core.NewWeb[*core.ListLevel, uint64, uint64](
-			core.NewListOps(), c.network(), part,
-			core.Config{Seed: stripeSeed(opts.Seed, i, st.n()), Replicas: opts.Replicas})
-		if err != nil {
-			done()
-			return nil, fmt.Errorf("skipwebs: %w", err)
-		}
-		ws[i] = w
+	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	d := &OneDim{}
+	err := buildStriped(&d.striped, c, "onedim", opts, st, parts, hashKey64,
+		func(w listWeb) []uint64 { return w.GroundStructure().Keys() },
+		func(part []uint64, seed uint64) (listWeb, error) {
+			w, err := core.NewWeb[*core.ListLevel, uint64, uint64](core.NewListOps(), c.network(), part,
+				core.Config{Seed: seed, Replicas: opts.Replicas})
+			return listWeb{w}, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	done()
-	d := &OneDim{c: c, st: st, ws: ws, readPath: newReadPath(opts, st, partSizes(parts))}
-	if d.nb != nil {
-		for i, part := range parts {
-			for _, k := range part {
-				d.nb.add(i, hashKey64(k))
-			}
-		}
-	}
-	c.attach(d)
 	return d, nil
 }
 
 // Len returns the number of stored keys.
-func (d *OneDim) Len() int {
-	n := 0
-	for i := range d.ws {
-		d.st.rlock(i)
-		n += d.ws[i].Len()
-		d.st.runlock(i)
-	}
-	return n
-}
+func (d *OneDim) Len() int { return d.size() }
 
 // Floor answers a nearest-neighbor (floor) query from the given host in
 // O(log n) expected messages (Theorem 2): one hyperlink hop plus an
@@ -183,95 +161,14 @@ func (d *OneDim) Len() int {
 // pooled, range enumeration uses the core iterator, and all local
 // searches are O(log n) binary searches over each level's maintained
 // sorted order. Message accounting is unaffected by any of this.
-func (d *OneDim) Floor(q uint64, origin HostID) (FloorResult, error) {
-	key := cacheKey{op: opFloor, code: q}
-	var sum uint64
-	if d.rc != nil {
-		if v, ok := d.rc.get(origin, key); ok {
-			return v.(FloorResult), nil
-		}
-		sum = d.rc.churnNow()
-	}
-	i0 := d.st.of(q)
-	hops := 0
-	var lat int64
-	for i := i0; ; i-- {
-		d.st.rlock(i)
-		if d.rc != nil {
-			sum += uint64(d.st.writeCount(i))
-		}
-		res, err := d.ws[i].Query(q, origin)
-		if err != nil {
-			d.st.runlock(i)
-			return FloorResult{}, fmt.Errorf("skipwebs: %w", err)
-		}
-		g := d.ws[i].GroundStructure()
-		if !g.IsHead(res.Range) {
-			out := FloorResult{Key: g.Key(res.Range), Found: true,
-				Hops: hops + res.Hops, Latency: lat + res.Latency}
-			d.st.runlock(i)
-			if d.rc != nil {
-				// The answer depends only on stripes [i, i0]: lower stripes
-				// hold strictly smaller codes the found key supersedes.
-				d.rc.put(origin, key, FloorResult{Key: out.Key, Found: true}, i, i0, sum)
-			}
-			return out, nil
-		}
-		d.st.runlock(i)
-		hops += res.Hops
-		lat += res.Latency
-		if i == 0 {
-			if d.rc != nil {
-				d.rc.put(origin, key, FloorResult{}, 0, i0, sum)
-			}
-			return FloorResult{Found: false, Hops: hops, Latency: lat}, nil
-		}
-	}
-}
+func (d *OneDim) Floor(q uint64, origin HostID) (FloorResult, error) { return d.floor(q, origin) }
 
 // Contains reports whether key is stored, with the query's message cost
 // — O(log n) expected messages, the same bound as Floor. Exact
 // membership needs only the stripe owning the key, so no cross-stripe
 // fallback is charged.
 func (d *OneDim) Contains(key uint64, origin HostID) (bool, int, error) {
-	found, c, err := d.containsCost(key, origin)
-	return found, c.Hops, err
-}
-
-// containsCost is Contains returning the full hop/latency cost pair —
-// the variant ContainsBatch surfaces per-query latency through.
-func (d *OneDim) containsCost(key uint64, origin HostID) (bool, core.Cost, error) {
-	i := d.st.of(key)
-	if d.nb != nil && d.nb.definitelyAbsent(origin, i, hashKey64(key)) {
-		return false, core.Cost{}, nil
-	}
-	ck := cacheKey{op: opContains, code: key}
-	var sum uint64
-	if d.rc != nil {
-		if v, ok := d.rc.get(origin, ck); ok {
-			return v.(bool), core.Cost{}, nil
-		}
-		sum = d.rc.churnNow()
-	}
-	d.st.rlock(i)
-	if d.rc != nil {
-		sum += uint64(d.st.writeCount(i))
-	}
-	res, err := d.ws[i].Query(key, origin)
-	if err != nil {
-		d.st.runlock(i)
-		return false, core.Cost{}, fmt.Errorf("skipwebs: %w", err)
-	}
-	g := d.ws[i].GroundStructure()
-	found := !g.IsHead(res.Range) && g.Key(res.Range) == key
-	d.st.runlock(i)
-	if d.nb != nil && !found {
-		d.nb.falsePositive(origin)
-	}
-	if d.rc != nil {
-		d.rc.put(origin, ck, found, i, i, sum)
-	}
-	return found, core.Cost{Hops: res.Hops, Latency: res.Latency}, nil
+	return d.contains(key, origin)
 }
 
 // Insert adds a key, returning the update's message cost — O(log n)
@@ -279,118 +176,39 @@ func (d *OneDim) containsCost(key uint64, origin HostID) (bool, core.Cost, error
 // structural change per level of the key's bit path. The update holds
 // only its stripe's writer lock, so inserts into different stripes run
 // concurrently.
-func (d *OneDim) Insert(key uint64, origin HostID) (int, error) {
-	i := d.st.of(key)
-	d.st.wlock(i)
-	defer d.st.wunlock(i)
-	if d.nb != nil {
-		d.nb.add(i, hashKey64(key))
-	}
-	h, err := d.ws[i].Insert(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (d *OneDim) Insert(key uint64, origin HostID) (int, error) { return d.insert(key, origin) }
 
 // Delete removes a key, returning the update's message cost — O(log n)
 // expected messages (Section 4), unwound top-down so hyperlink repair
 // always targets live ranges. The update holds only its stripe's writer
 // lock.
-func (d *OneDim) Delete(key uint64, origin HostID) (int, error) {
-	i := d.st.of(key)
-	d.st.wlock(i)
-	defer d.st.wunlock(i)
-	h, err := d.ws[i].Delete(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (d *OneDim) Delete(key uint64, origin HostID) (int, error) { return d.remove(key, origin) }
 
 // Keys returns the stored keys in ascending order (stripes hold
 // contiguous code ranges, so per-stripe ascending output concatenates
 // ascending).
 func (d *OneDim) Keys() []uint64 {
 	var out []uint64
-	for i := range d.ws {
-		d.st.rlock(i)
-		out = append(out, d.ws[i].GroundStructure().Keys()...)
-		d.st.runlock(i)
-	}
+	d.each(func(w listWeb) { out = append(out, w.GroundStructure().Keys()...) })
 	return out
 }
-
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive (see the migrator contract in skipwebs.go). Churn
-// holds the cluster write lock, which excludes every stripe writer (they
-// hold the cluster read lock), so the hooks walk all stripes unlocked.
-func (d *OneDim) rehome(from HostID, op *sim.Op) {
-	d.bumpChurn()
-	for _, w := range d.ws {
-		w.Rehome(from, op)
-	}
-}
-func (d *OneDim) rebalance(onto HostID, op *sim.Op) {
-	d.bumpChurn()
-	for _, w := range d.ws {
-		w.Rebalance(onto, op)
-	}
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// every under-replicated range from its surviving live replicas.
-func (d *OneDim) repair(op *sim.Op) error {
-	d.bumpChurn()
-	return repairStripes(op, d.ws)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's ranges against one live peer each.
-func (d *OneDim) restart(h HostID, op *sim.Op) int {
-	d.bumpChurn()
-	n := 0
-	for _, w := range d.ws {
-		n += w.RestartHost(h, op)
-	}
-	return n
-}
-
-func (d *OneDim) kind() string { return "onedim" }
 
 // CheckConsistent verifies the web's invariants: every range placed on
 // a live host, hyperlinks matching recomputation, symmetric backrefs,
 // per-level counts that add up, and — under striping — every key stored
 // in the stripe its code routes to. Cost: O(n log n) local work, no
 // messages.
-func (d *OneDim) CheckConsistent() error {
-	for i, w := range d.ws {
-		if err := w.CheckInvariants(); err != nil {
-			return err
-		}
-		if d.st.n() > 1 {
-			for _, k := range w.GroundStructure().Keys() {
-				if d.st.of(k) != i {
-					return fmt.Errorf("skipwebs: key %d stored in stripe %d but routes to stripe %d", k, i, d.st.of(k))
-				}
-			}
-		}
-	}
-	return nil
-}
+func (d *OneDim) CheckConsistent() error { return d.check() }
 
 // FloorBatch answers one floor query per element of qs concurrently (see
 // the batch engine notes in batch.go). Results are in input order.
 func (d *OneDim) FloorBatch(qs []uint64, origins []HostID) ([]FloorResult, error) {
-	return runReadBatch(d.c, qs, origins, d.Floor)
+	return d.floorBatch(qs, origins)
 }
 
 // ContainsBatch answers one membership query per key concurrently.
 func (d *OneDim) ContainsBatch(keys []uint64, origins []HostID) ([]ContainsResult, error) {
-	return runReadBatch(d.c, keys, origins, func(k uint64, origin HostID) (ContainsResult, error) {
-		ok, c, err := d.containsCost(k, origin)
-		return ContainsResult{Found: ok, Hops: c.Hops, Latency: c.Latency}, err
-	})
+	return d.containsBatch(keys, origins)
 }
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
@@ -399,71 +217,21 @@ func (d *OneDim) ContainsBatch(keys []uint64, origins []HostID) ([]ContainsResul
 // one unit (see the sorted-run notes in batch.go); accounting is
 // identical to per-op inserts.
 func (d *OneDim) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runInsertBatchKeys(d.c, keys, origins, d.st, d.Insert,
-		func(stripe int, ks []uint64, origin HostID, hops []int, errs []error) {
-			d.st.wlock(stripe)
-			defer d.st.wunlock(stripe)
-			for i, k := range ks {
-				if d.nb != nil {
-					d.nb.add(stripe, hashKey64(k))
-				}
-				h, err := d.ws[stripe].Insert(k, origin)
-				hops[i] = h
-				if err != nil {
-					errs[i] = fmt.Errorf("skipwebs: %w", err)
-				}
-			}
-		})
+	return d.insertBatch(keys, origins)
 }
 
 // DeleteBatch removes the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
 // in input order.
 func (d *OneDim) DeleteBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runWriteBatch(d.c, keys, origins, d.st, func(k uint64) uint64 { return k }, d.Delete)
-}
-
-// repairStripes runs the repair pass of every stripe engine, summing
-// per-stripe data losses into one DataLossError so the cluster-level
-// aggregation in repairAll sees the structure-wide count (mirroring its
-// own cross-structure merge).
-func repairStripes[W interface{ Repair(op *sim.Op) error }](op *sim.Op, ws []W) error {
-	lost := 0
-	hostSet := map[HostID]bool{}
-	var errs []error
-	for _, w := range ws {
-		err := w.Repair(op)
-		var dl *DataLossError
-		switch {
-		case err == nil:
-		case errors.As(err, &dl):
-			lost += dl.Units
-			for _, h := range dl.Hosts {
-				hostSet[h] = true
-			}
-		default:
-			errs = append(errs, err)
-		}
-	}
-	if lost > 0 {
-		hosts := make([]HostID, 0, len(hostSet))
-		for h := range hostSet {
-			hosts = append(hosts, h)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		errs = append(errs, &DataLossError{Units: lost, Hosts: hosts})
-	}
-	return errors.Join(errs...)
+	return d.removeBatch(keys, origins)
 }
 
 // Blocked is the improved one-dimensional skip-web of Section 2.4.1:
 // with per-host memory M, queries and updates take O(log n / log M)
 // expected messages — O(log n / log log n) at M = Θ(log n).
 type Blocked struct {
-	c  *Cluster
-	st *stripeSet
-	ws []*core.BlockedWeb
-	readPath
+	sortedSet[*core.BlockedWeb]
 }
 
 // NewBlocked builds the blocked 1-d skip-web over keys (distinct).
@@ -472,41 +240,22 @@ type Blocked struct {
 // Options.WriteStripes > 1 it builds one independent sub-web per key
 // stripe (see the Options.WriteStripes doc).
 func NewBlocked(c *Cluster, keys []uint64, opts Options) (*Blocked, error) {
-	st, parts := splitKeysByStripe(keys, opts.WriteStripes)
-	done := c.beginBuild(opts)
-	ws := make([]*core.BlockedWeb, st.n())
-	for i, part := range parts {
-		w, err := core.NewBlockedWeb(c.network(), part,
-			core.BlockedConfig{Seed: stripeSeed(opts.Seed, i, st.n()), M: opts.M, Replicas: opts.Replicas})
-		if err != nil {
-			done()
-			return nil, fmt.Errorf("skipwebs: %w", err)
-		}
-		ws[i] = w
+	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	b := &Blocked{}
+	err := buildStriped(&b.striped, c, "blocked", opts, st, parts, hashKey64,
+		func(w *core.BlockedWeb) []uint64 { return w.Ground().Keys() },
+		func(part []uint64, seed uint64) (*core.BlockedWeb, error) {
+			return core.NewBlockedWeb(c.network(), part,
+				core.BlockedConfig{Seed: seed, M: opts.M, Replicas: opts.Replicas})
+		})
+	if err != nil {
+		return nil, err
 	}
-	done()
-	b := &Blocked{c: c, st: st, ws: ws, readPath: newReadPath(opts, st, partSizes(parts))}
-	if b.nb != nil {
-		for i, part := range parts {
-			for _, k := range part {
-				b.nb.add(i, hashKey64(k))
-			}
-		}
-	}
-	c.attach(b)
 	return b, nil
 }
 
 // Len returns the number of stored keys.
-func (b *Blocked) Len() int {
-	n := 0
-	for i := range b.ws {
-		b.st.rlock(i)
-		n += b.ws[i].Len()
-		b.st.runlock(i)
-	}
-	return n
-}
+func (b *Blocked) Len() int { return b.size() }
 
 // M returns the effective memory parameter (of the first stripe when
 // WriteStripes > 1; stripes size their default M from their own key
@@ -520,180 +269,49 @@ func (b *Blocked) M() int { return b.ws[0].M() }
 // across lower stripes when that stripe holds no key at or below the
 // query. The descent performs no per-query heap allocation (see the
 // package README's Performance section).
-func (b *Blocked) Floor(q uint64, origin HostID) (FloorResult, error) {
-	key := cacheKey{op: opFloor, code: q}
-	var sum uint64
-	if b.rc != nil {
-		if v, ok := b.rc.get(origin, key); ok {
-			return v.(FloorResult), nil
-		}
-		sum = b.rc.churnNow()
-	}
-	i0 := b.st.of(q)
-	var cost core.Cost
-	for i := i0; ; i-- {
-		b.st.rlock(i)
-		if b.rc != nil {
-			sum += uint64(b.st.writeCount(i))
-		}
-		k, ok, c, err := b.ws[i].QueryCost(q, origin)
-		b.st.runlock(i)
-		cost.Hops += c.Hops
-		cost.Latency += c.Latency
-		if err != nil {
-			return FloorResult{Hops: cost.Hops, Latency: cost.Latency}, fmt.Errorf("skipwebs: %w", err)
-		}
-		if ok {
-			if b.rc != nil {
-				b.rc.put(origin, key, FloorResult{Key: k, Found: true}, i, i0, sum)
-			}
-			return FloorResult{Key: k, Found: true, Hops: cost.Hops, Latency: cost.Latency}, nil
-		}
-		if i == 0 {
-			if b.rc != nil {
-				b.rc.put(origin, key, FloorResult{}, 0, i0, sum)
-			}
-			return FloorResult{Found: false, Hops: cost.Hops, Latency: cost.Latency}, nil
-		}
-	}
-}
+func (b *Blocked) Floor(q uint64, origin HostID) (FloorResult, error) { return b.floor(q, origin) }
 
 // Contains reports whether key is stored, with the query's message cost
 // — O(log n / log M) expected messages, the same bound as Floor. Exact
 // membership needs only the stripe owning the key, so no cross-stripe
 // fallback is charged.
 func (b *Blocked) Contains(key uint64, origin HostID) (bool, int, error) {
-	found, c, err := b.containsCost(key, origin)
-	return found, c.Hops, err
-}
-
-// containsCost is Contains returning the full hop/latency cost pair —
-// the variant ContainsBatch surfaces per-query latency through.
-func (b *Blocked) containsCost(key uint64, origin HostID) (bool, core.Cost, error) {
-	i := b.st.of(key)
-	if b.nb != nil && b.nb.definitelyAbsent(origin, i, hashKey64(key)) {
-		return false, core.Cost{}, nil
-	}
-	ck := cacheKey{op: opContains, code: key}
-	var sum uint64
-	if b.rc != nil {
-		if v, ok := b.rc.get(origin, ck); ok {
-			return v.(bool), core.Cost{}, nil
-		}
-		sum = b.rc.churnNow()
-	}
-	b.st.rlock(i)
-	if b.rc != nil {
-		sum += uint64(b.st.writeCount(i))
-	}
-	kk, ok, c, err := b.ws[i].QueryCost(key, origin)
-	b.st.runlock(i)
-	if err != nil {
-		return false, c, fmt.Errorf("skipwebs: %w", err)
-	}
-	found := ok && kk == key
-	if b.nb != nil && !found {
-		b.nb.falsePositive(origin)
-	}
-	if b.rc != nil {
-		b.rc.put(origin, ck, found, i, i, sum)
-	}
-	return found, c, nil
+	return b.contains(key, origin)
 }
 
 // Range returns every stored key in [lo, hi] in ascending order, plus
 // the message cost: one floor query plus one message per storage block
 // the walk crosses, within every stripe the interval overlaps.
 func (b *Blocked) Range(lo, hi uint64, origin HostID) ([]uint64, int, error) {
-	keys, c, err := b.rangeCost(lo, hi, origin)
-	return keys, c.Hops, err
-}
-
-// rangeCost is Range returning the full hop/latency cost pair — the
-// variant RangeBatch surfaces per-query latency through.
-func (b *Blocked) rangeCost(lo, hi uint64, origin HostID) ([]uint64, core.Cost, error) {
-	if lo > hi {
-		return nil, core.Cost{}, fmt.Errorf("skipwebs: empty range [%d, %d]", lo, hi)
-	}
-	s0, s1 := b.st.of(lo), b.st.of(hi)
-	if s0 == s1 {
-		b.st.rlock(s0)
-		keys, c, err := b.ws[s0].RangeCost(lo, hi, origin)
-		b.st.runlock(s0)
-		if err != nil {
-			return keys, c, fmt.Errorf("skipwebs: %w", err)
-		}
-		return keys, c, nil
-	}
-	var keys []uint64
-	var cost core.Cost
-	for i := s0; i <= s1; i++ {
-		b.st.rlock(i)
-		ks, c, err := b.ws[i].RangeCost(lo, hi, origin)
-		b.st.runlock(i)
-		cost.Hops += c.Hops
-		cost.Latency += c.Latency
-		if err != nil {
-			return keys, cost, fmt.Errorf("skipwebs: %w", err)
-		}
-		keys = append(keys, ks...)
-	}
-	return keys, cost, nil
+	return keyRange(&b.sortedSet, lo, hi, origin)
 }
 
 // Insert adds a key, returning the update's message cost — O(log n /
 // log M) expected messages (Section 4): updates confined to one
 // stratum's co-located copies cost a single message per stratum. The
 // update holds only its stripe's writer lock.
-func (b *Blocked) Insert(key uint64, origin HostID) (int, error) {
-	i := b.st.of(key)
-	b.st.wlock(i)
-	defer b.st.wunlock(i)
-	if b.nb != nil {
-		b.nb.add(i, hashKey64(key))
-	}
-	h, err := b.ws[i].Insert(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (b *Blocked) Insert(key uint64, origin HostID) (int, error) { return b.insert(key, origin) }
 
 // Delete removes a key, returning the update's message cost — O(log n /
 // log M) expected messages (Section 4); blocks keep directory slack
 // rather than merging, as the paper amortizes. The update holds only
 // its stripe's writer lock.
-func (b *Blocked) Delete(key uint64, origin HostID) (int, error) {
-	i := b.st.of(key)
-	b.st.wlock(i)
-	defer b.st.wunlock(i)
-	h, err := b.ws[i].Delete(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (b *Blocked) Delete(key uint64, origin HostID) (int, error) { return b.remove(key, origin) }
 
 // FloorBatch answers one floor query per element of qs concurrently (see
 // the batch engine notes in batch.go). Results are in input order.
 func (b *Blocked) FloorBatch(qs []uint64, origins []HostID) ([]FloorResult, error) {
-	return runReadBatch(b.c, qs, origins, b.Floor)
+	return b.floorBatch(qs, origins)
 }
 
 // ContainsBatch answers one membership query per key concurrently.
 func (b *Blocked) ContainsBatch(keys []uint64, origins []HostID) ([]ContainsResult, error) {
-	return runReadBatch(b.c, keys, origins, func(k uint64, origin HostID) (ContainsResult, error) {
-		ok, c, err := b.containsCost(k, origin)
-		return ContainsResult{Found: ok, Hops: c.Hops, Latency: c.Latency}, err
-	})
+	return b.containsBatch(keys, origins)
 }
 
 // RangeBatch answers one range query per element of rs concurrently.
 func (b *Blocked) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, error) {
-	return runReadBatch(b.c, rs, origins, func(r KeyRange, origin HostID) (RangeResult, error) {
-		keys, c, err := b.rangeCost(r.Lo, r.Hi, origin)
-		return RangeResult{Keys: keys, Hops: c.Hops, Latency: c.Latency}, err
-	})
+	return rangeBatch(&b.sortedSet, rs, origins)
 }
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
@@ -706,89 +324,29 @@ func (b *Blocked) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, er
 // separator into one run per stripe. Message accounting is identical to
 // per-op inserts, counter for counter.
 func (b *Blocked) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runInsertBatchKeys(b.c, keys, origins, b.st, b.Insert,
-		func(stripe int, ks []uint64, origin HostID, hops []int, errs []error) {
-			b.st.wlock(stripe)
-			if b.nb != nil {
-				for _, k := range ks {
-					b.nb.add(stripe, hashKey64(k))
-				}
-			}
-			b.ws[stripe].InsertRun(ks, origin, hops, errs)
-			b.st.wunlock(stripe)
-			for i, err := range errs {
-				if err != nil {
-					errs[i] = fmt.Errorf("skipwebs: %w", err)
-				}
-			}
-		})
+	return b.insertBatch(keys, origins)
 }
 
 // DeleteBatch removes the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
 // in input order.
 func (b *Blocked) DeleteBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runWriteBatch(b.c, keys, origins, b.st, func(k uint64) uint64 { return k }, b.Delete)
+	return b.removeBatch(keys, origins)
 }
-
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive: whole blocks (and their co-located stratum
-// copies) migrate between hosts, one message per storage unit moved.
-func (b *Blocked) rehome(from HostID, op *sim.Op) {
-	b.bumpChurn()
-	for _, w := range b.ws {
-		w.Rehome(from, op)
-	}
-}
-func (b *Blocked) rebalance(onto HostID, op *sim.Op) {
-	b.bumpChurn()
-	for _, w := range b.ws {
-		w.Rebalance(onto, op)
-	}
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// every under-replicated block from its surviving live replicas.
-func (b *Blocked) repair(op *sim.Op) error {
-	b.bumpChurn()
-	return repairStripes(op, b.ws)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's blocks against one live peer each.
-func (b *Blocked) restart(h HostID, op *sim.Op) int {
-	b.bumpChurn()
-	n := 0
-	for _, w := range b.ws {
-		n += w.RestartHost(h, op)
-	}
-	return n
-}
-
-func (b *Blocked) kind() string { return "blocked" }
 
 // CheckConsistent verifies the blocked web's invariants: sound level
 // lists, child key sets partitioning their parents', ordered block
-// directories, and every block on a live host. Cost: O(n log n) local
+// directories, every block on a live host, and — under striping — every
+// key stored in the stripe its code routes to. Cost: O(n log n) local
 // work, no messages.
-func (b *Blocked) CheckConsistent() error {
-	for _, w := range b.ws {
-		if err := w.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (b *Blocked) CheckConsistent() error { return b.check() }
 
 // Bucketed is the bucket skip-web (Table 1, last row): H < n hosts, each
 // holding a contiguous run of ~n/H keys, with a blocked skip-web routing
 // over the bucket separators. Queries and updates cost Õ(log_M H)
 // messages — expected constant when M = n^ε.
 type Bucketed struct {
-	c  *Cluster
-	st *stripeSet
-	ws []*core.BucketWeb
-	readPath
+	sortedSet[*core.BucketWeb]
 }
 
 // NewBucketed builds the bucket skip-web over keys (distinct). With
@@ -799,50 +357,27 @@ func NewBucketed(c *Cluster, keys []uint64, opts Options) (*Bucketed, error) {
 	if target <= 0 {
 		target = len(keys)/c.Hosts() + 1
 	}
-	st, parts := splitKeysByStripe(keys, opts.WriteStripes)
-	done := c.beginBuild(opts)
-	ws := make([]*core.BucketWeb, st.n())
-	for i, part := range parts {
-		w, err := core.NewBucketWeb(c.network(), part, target, opts.M,
-			stripeSeed(opts.Seed, i, st.n()), opts.Replicas)
-		if err != nil {
-			done()
-			return nil, fmt.Errorf("skipwebs: %w", err)
-		}
-		ws[i] = w
+	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	b := &Bucketed{}
+	// The bucket web does not expose its keys, so there is no routing
+	// audit (nil codes).
+	err := buildStriped(&b.striped, c, "bucketed", opts, st, parts, hashKey64, nil,
+		func(part []uint64, seed uint64) (*core.BucketWeb, error) {
+			return core.NewBucketWeb(c.network(), part, target, opts.M, seed, opts.Replicas)
+		})
+	if err != nil {
+		return nil, err
 	}
-	done()
-	b := &Bucketed{c: c, st: st, ws: ws, readPath: newReadPath(opts, st, partSizes(parts))}
-	if b.nb != nil {
-		for i, part := range parts {
-			for _, k := range part {
-				b.nb.add(i, hashKey64(k))
-			}
-		}
-	}
-	c.attach(b)
 	return b, nil
 }
 
 // Len returns the number of stored keys.
-func (b *Bucketed) Len() int {
-	n := 0
-	for i := range b.ws {
-		b.st.rlock(i)
-		n += b.ws[i].Len()
-		b.st.runlock(i)
-	}
-	return n
-}
+func (b *Bucketed) Len() int { return b.size() }
 
 // NumBuckets returns the number of buckets (summed over stripes).
 func (b *Bucketed) NumBuckets() int {
 	n := 0
-	for i := range b.ws {
-		b.st.rlock(i)
-		n += b.ws[i].NumBuckets()
-		b.st.runlock(i)
-	}
+	b.each(func(w *core.BucketWeb) { n += w.NumBuckets() })
 	return n
 }
 
@@ -852,179 +387,48 @@ func (b *Bucketed) NumBuckets() int {
 // constant when M = n^ε. Under write striping the query descends its
 // owning stripe and falls back across lower stripes when that stripe
 // holds no key at or below the query.
-func (b *Bucketed) Floor(q uint64, origin HostID) (FloorResult, error) {
-	key := cacheKey{op: opFloor, code: q}
-	var sum uint64
-	if b.rc != nil {
-		if v, ok := b.rc.get(origin, key); ok {
-			return v.(FloorResult), nil
-		}
-		sum = b.rc.churnNow()
-	}
-	i0 := b.st.of(q)
-	var cost core.Cost
-	for i := i0; ; i-- {
-		b.st.rlock(i)
-		if b.rc != nil {
-			sum += uint64(b.st.writeCount(i))
-		}
-		k, ok, c, err := b.ws[i].QueryCost(q, origin)
-		b.st.runlock(i)
-		cost.Hops += c.Hops
-		cost.Latency += c.Latency
-		if err != nil {
-			return FloorResult{Hops: cost.Hops, Latency: cost.Latency}, fmt.Errorf("skipwebs: %w", err)
-		}
-		if ok {
-			if b.rc != nil {
-				b.rc.put(origin, key, FloorResult{Key: k, Found: true}, i, i0, sum)
-			}
-			return FloorResult{Key: k, Found: true, Hops: cost.Hops, Latency: cost.Latency}, nil
-		}
-		if i == 0 {
-			if b.rc != nil {
-				b.rc.put(origin, key, FloorResult{}, 0, i0, sum)
-			}
-			return FloorResult{Found: false, Hops: cost.Hops, Latency: cost.Latency}, nil
-		}
-	}
-}
+func (b *Bucketed) Floor(q uint64, origin HostID) (FloorResult, error) { return b.floor(q, origin) }
 
 // Contains reports whether key is stored, with the query's message cost
 // — Õ(log_M H) expected messages, the same bound as Floor. Exact
 // membership needs only the stripe owning the key, so no cross-stripe
 // fallback is charged.
 func (b *Bucketed) Contains(key uint64, origin HostID) (bool, int, error) {
-	found, c, err := b.containsCost(key, origin)
-	return found, c.Hops, err
-}
-
-// containsCost is Contains returning the full hop/latency cost pair —
-// the variant ContainsBatch surfaces per-query latency through.
-func (b *Bucketed) containsCost(key uint64, origin HostID) (bool, core.Cost, error) {
-	i := b.st.of(key)
-	if b.nb != nil && b.nb.definitelyAbsent(origin, i, hashKey64(key)) {
-		return false, core.Cost{}, nil
-	}
-	ck := cacheKey{op: opContains, code: key}
-	var sum uint64
-	if b.rc != nil {
-		if v, ok := b.rc.get(origin, ck); ok {
-			return v.(bool), core.Cost{}, nil
-		}
-		sum = b.rc.churnNow()
-	}
-	b.st.rlock(i)
-	if b.rc != nil {
-		sum += uint64(b.st.writeCount(i))
-	}
-	kk, ok, c, err := b.ws[i].QueryCost(key, origin)
-	b.st.runlock(i)
-	if err != nil {
-		return false, c, fmt.Errorf("skipwebs: %w", err)
-	}
-	found := ok && kk == key
-	if b.nb != nil && !found {
-		b.nb.falsePositive(origin)
-	}
-	if b.rc != nil {
-		b.rc.put(origin, ck, found, i, i, sum)
-	}
-	return found, c, nil
+	return b.contains(key, origin)
 }
 
 // Range returns every stored key in [lo, hi] in ascending order, plus
 // the message cost: one routed floor query plus one message per bucket
 // visited, within every stripe the interval overlaps.
 func (b *Bucketed) Range(lo, hi uint64, origin HostID) ([]uint64, int, error) {
-	keys, c, err := b.rangeCost(lo, hi, origin)
-	return keys, c.Hops, err
-}
-
-// rangeCost is Range returning the full hop/latency cost pair — the
-// variant RangeBatch surfaces per-query latency through.
-func (b *Bucketed) rangeCost(lo, hi uint64, origin HostID) ([]uint64, core.Cost, error) {
-	if lo > hi {
-		return nil, core.Cost{}, fmt.Errorf("skipwebs: empty range [%d, %d]", lo, hi)
-	}
-	s0, s1 := b.st.of(lo), b.st.of(hi)
-	if s0 == s1 {
-		b.st.rlock(s0)
-		keys, c, err := b.ws[s0].RangeCost(lo, hi, origin)
-		b.st.runlock(s0)
-		if err != nil {
-			return keys, c, fmt.Errorf("skipwebs: %w", err)
-		}
-		return keys, c, nil
-	}
-	var keys []uint64
-	var cost core.Cost
-	for i := s0; i <= s1; i++ {
-		b.st.rlock(i)
-		ks, c, err := b.ws[i].RangeCost(lo, hi, origin)
-		b.st.runlock(i)
-		cost.Hops += c.Hops
-		cost.Latency += c.Latency
-		if err != nil {
-			return keys, cost, fmt.Errorf("skipwebs: %w", err)
-		}
-		keys = append(keys, ks...)
-	}
-	return keys, cost, nil
+	return keyRange(&b.sortedSet, lo, hi, origin)
 }
 
 // Insert adds a key, returning the update's message cost — Õ(log_M H)
 // expected messages: a routed floor query plus one hop into the bucket,
 // with amortized separator insertions on bucket splits. The update
 // holds only its stripe's writer lock.
-func (b *Bucketed) Insert(key uint64, origin HostID) (int, error) {
-	i := b.st.of(key)
-	b.st.wlock(i)
-	defer b.st.wunlock(i)
-	if b.nb != nil {
-		b.nb.add(i, hashKey64(key))
-	}
-	h, err := b.ws[i].Insert(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (b *Bucketed) Insert(key uint64, origin HostID) (int, error) { return b.insert(key, origin) }
 
 // Delete removes a key, returning the update's message cost — Õ(log_M
 // H) expected messages; separators persist, as in the bucket skip
 // graph. The update holds only its stripe's writer lock.
-func (b *Bucketed) Delete(key uint64, origin HostID) (int, error) {
-	i := b.st.of(key)
-	b.st.wlock(i)
-	defer b.st.wunlock(i)
-	h, err := b.ws[i].Delete(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
-}
+func (b *Bucketed) Delete(key uint64, origin HostID) (int, error) { return b.remove(key, origin) }
 
 // FloorBatch answers one floor query per element of qs concurrently (see
 // the batch engine notes in batch.go). Results are in input order.
 func (b *Bucketed) FloorBatch(qs []uint64, origins []HostID) ([]FloorResult, error) {
-	return runReadBatch(b.c, qs, origins, b.Floor)
+	return b.floorBatch(qs, origins)
 }
 
 // ContainsBatch answers one membership query per key concurrently.
 func (b *Bucketed) ContainsBatch(keys []uint64, origins []HostID) ([]ContainsResult, error) {
-	return runReadBatch(b.c, keys, origins, func(k uint64, origin HostID) (ContainsResult, error) {
-		ok, c, err := b.containsCost(k, origin)
-		return ContainsResult{Found: ok, Hops: c.Hops, Latency: c.Latency}, err
-	})
+	return b.containsBatch(keys, origins)
 }
 
 // RangeBatch answers one range query per element of rs concurrently.
 func (b *Bucketed) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, error) {
-	return runReadBatch(b.c, rs, origins, func(r KeyRange, origin HostID) (RangeResult, error) {
-		keys, c, err := b.rangeCost(r.Lo, r.Hi, origin)
-		return RangeResult{Keys: keys, Hops: c.Hops, Latency: c.Latency}, err
-	})
+	return rangeBatch(&b.sortedSet, rs, origins)
 }
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
@@ -1033,78 +437,18 @@ func (b *Bucketed) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, e
 // one unit (see the sorted-run notes in batch.go); accounting is
 // identical to per-op inserts.
 func (b *Bucketed) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runInsertBatchKeys(b.c, keys, origins, b.st, b.Insert,
-		func(stripe int, ks []uint64, origin HostID, hops []int, errs []error) {
-			b.st.wlock(stripe)
-			defer b.st.wunlock(stripe)
-			for i, k := range ks {
-				if b.nb != nil {
-					b.nb.add(stripe, hashKey64(k))
-				}
-				h, err := b.ws[stripe].Insert(k, origin)
-				hops[i] = h
-				if err != nil {
-					errs[i] = fmt.Errorf("skipwebs: %w", err)
-				}
-			}
-		})
+	return b.insertBatch(keys, origins)
 }
 
 // DeleteBatch removes the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
 // in input order.
 func (b *Bucketed) DeleteBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runWriteBatch(b.c, keys, origins, b.st, func(k uint64) uint64 { return k }, b.Delete)
+	return b.removeBatch(keys, origins)
 }
-
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive: the separator routing web migrates like a blocked
-// web, and each bucket moves as one unit of ~n/H keys, one message per
-// key moved.
-func (b *Bucketed) rehome(from HostID, op *sim.Op) {
-	b.bumpChurn()
-	for _, w := range b.ws {
-		w.Rehome(from, op)
-	}
-}
-func (b *Bucketed) rebalance(onto HostID, op *sim.Op) {
-	b.bumpChurn()
-	for _, w := range b.ws {
-		w.Rebalance(onto, op)
-	}
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// the routing web and every under-replicated bucket from surviving
-// live replicas.
-func (b *Bucketed) repair(op *sim.Op) error {
-	b.bumpChurn()
-	return repairStripes(op, b.ws)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's routing-web blocks and buckets against
-// one live peer each.
-func (b *Bucketed) restart(h HostID, op *sim.Op) int {
-	b.bumpChurn()
-	n := 0
-	for _, w := range b.ws {
-		n += w.RestartHost(h, op)
-	}
-	return n
-}
-
-func (b *Bucketed) kind() string { return "bucketed" }
 
 // CheckConsistent verifies the separator web's invariants plus the
 // bucket directory: every bucket keyed by its separator, sorted, on a
 // live host, and in one-to-one correspondence with the routing web's
 // ground list. Cost: O(n log n) local work, no messages.
-func (b *Bucketed) CheckConsistent() error {
-	for _, w := range b.ws {
-		if err := w.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (b *Bucketed) CheckConsistent() error { return b.check() }

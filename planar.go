@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/skipwebs/skipwebs/internal/core"
-	"github.com/skipwebs/skipwebs/internal/sim"
 	"github.com/skipwebs/skipwebs/internal/trapmap"
 )
 
@@ -45,12 +44,14 @@ type Trapezoid struct {
 // (Section 3.3): planar point-location in O(log n) expected messages.
 // The structure is static (build + query), matching the paper's
 // amortization caveat for trapezoid updates; having no writers, it
-// ignores Options.WriteStripes.
+// ignores Options.WriteStripes: it is the one-stripe case of the striped
+// base, whose stripe lock is never taken and whose write epoch never
+// moves, so its cache epochs are churn-only.
 type Planar struct {
-	c *Cluster
-	w *core.Web[*trapmap.Map, trapmap.Segment, trapmap.Point]
-	readPath
+	striped[planarWeb]
 }
+
+type planarWeb = *core.Web[*trapmap.Map, trapmap.Segment, trapmap.Point]
 
 // NewPlanar builds a planar point-location skip-web over pairwise
 // disjoint segments in general position (distinct endpoint x
@@ -66,25 +67,25 @@ func NewPlanar(c *Cluster, segments []PlanarSegment, bounds PlanarBounds, opts O
 	ops := core.TrapOps{Bounds: trapmap.Rect{
 		MinX: bounds.MinX, MinY: bounds.MinY, MaxX: bounds.MaxX, MaxY: bounds.MaxY,
 	}}
-	done := c.beginBuild(opts)
-	w, err := core.NewWeb[*trapmap.Map, trapmap.Segment, trapmap.Point](
-		ops, c.network(), segs, core.Config{Seed: opts.Seed, Replicas: opts.Replicas})
-	done()
+	p := &Planar{}
+	// There is no membership query, so no negative bloom (nil hash), and
+	// the trapezoidal map has no key codes to audit (nil codes).
+	err := buildStriped(&p.striped, c, "planar", opts, newStripeSet(nil, 1), [][]trapmap.Segment{segs}, nil, nil,
+		func(part []trapmap.Segment, seed uint64) (planarWeb, error) {
+			return core.NewWeb[*trapmap.Map, trapmap.Segment, trapmap.Point](ops, c.network(), part,
+				core.Config{Seed: seed, Replicas: opts.Replicas})
+		})
 	if err != nil {
-		return nil, fmt.Errorf("skipwebs: %w", err)
+		return nil, err
 	}
-	// The segment set is static, so cache epochs are churn-only (nil
-	// stripe set); there is no membership query, so no negative bloom.
-	p := &Planar{c: c, w: w, readPath: newReadPath(opts, nil, nil)}
-	c.attach(p)
 	return p, nil
 }
 
 // Len returns the number of segments.
-func (p *Planar) Len() int { return p.w.Len() }
+func (p *Planar) Len() int { return p.ws[0].Len() }
 
 // NumFaces returns the number of trapezoids in the ground map (3n+1).
-func (p *Planar) NumFaces() int { return p.w.GroundStructure().NumTraps() }
+func (p *Planar) NumFaces() int { return p.ws[0].GroundStructure().NumTraps() }
 
 // Locate routes a planar point-location query from the given host in
 // O(log n) expected messages (Theorem 2 via Lemma 5): one expected-O(1)
@@ -94,26 +95,22 @@ func (p *Planar) NumFaces() int { return p.w.GroundStructure().NumTraps() }
 // materialized per call.
 func (p *Planar) Locate(q PlanarPoint, origin HostID) (Trapezoid, error) {
 	ck := cacheKey{op: opPlanarLocate, code: uint64(q.X), code2: uint64(q.Y)}
-	var sum uint64
-	if p.rc != nil {
-		if v, ok := p.rc.get(origin, ck); ok {
-			return v.(Trapezoid), nil
-		}
-		sum = p.rc.churnNow()
+	hit, sum, ok := probe[Trapezoid](p.rc, origin, ck)
+	if ok {
+		return hit, nil
 	}
-	res, err := p.w.Query(trapmap.Point{X: q.X, Y: q.Y}, origin)
+	w := p.ws[0]
+	res, err := w.Query(trapmap.Point{X: q.X, Y: q.Y}, origin)
 	if err != nil {
 		return Trapezoid{}, fmt.Errorf("skipwebs: %w", err)
 	}
-	g := p.w.GroundStructure()
+	g := w.GroundStructure()
 	t := g.Trap(trapmap.TrapID(res.Range))
 	out := Trapezoid{
 		HasTop:    t.HasTop,
 		HasBottom: t.HasBottom,
 		LeftX:     t.L / trapmap.Scale,
 		RightX:    t.R / trapmap.Scale,
-		Hops:      res.Hops,
-		Latency:   res.Latency,
 	}
 	if t.HasTop {
 		out.Top = PlanarSegment{
@@ -127,11 +124,9 @@ func (p *Planar) Locate(q PlanarPoint, origin HostID) (Trapezoid, error) {
 			B: PlanarPoint{X: t.Bottom.B.X / trapmap.Scale, Y: t.Bottom.B.Y / trapmap.Scale},
 		}
 	}
-	if p.rc != nil {
-		memo := out
-		memo.Hops, memo.Latency = 0, 0
-		p.rc.put(origin, ck, memo, 0, 0, sum)
-	}
+	// Memoized before the cost goes in: a hit is free.
+	memo(p.rc, origin, ck, out, 0, 0, sum)
+	out.Hops, out.Latency = res.Hops, res.Latency
 	return out, nil
 }
 
@@ -142,37 +137,8 @@ func (p *Planar) LocateBatch(qs []PlanarPoint, origins []HostID) ([]Trapezoid, e
 	return runReadBatch(p.c, qs, origins, p.Locate)
 }
 
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive. The trapezoid set is static but its placement is
-// not: faces migrate between hosts with their conflict-list hyperlinks,
-// one message per storage unit moved.
-func (p *Planar) rehome(from HostID, op *sim.Op) {
-	p.bumpChurn()
-	p.w.Rehome(from, op)
-}
-func (p *Planar) rebalance(onto HostID, op *sim.Op) {
-	p.bumpChurn()
-	p.w.Rebalance(onto, op)
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// every under-replicated trapezoid from its surviving live replicas.
-func (p *Planar) repair(op *sim.Op) error {
-	p.bumpChurn()
-	return p.w.Repair(op)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's ranges against one live peer each.
-func (p *Planar) restart(h HostID, op *sim.Op) int {
-	p.bumpChurn()
-	return p.w.RestartHost(h, op)
-}
-
-func (p *Planar) kind() string { return "planar" }
-
 // CheckConsistent verifies the planar web's invariants: every trapezoid
 // on a live host, conflict-list hyperlinks matching recomputation, and
 // per-level counts that add up. Cost: O(n log n) local work, no
 // messages.
-func (p *Planar) CheckConsistent() error { return p.w.CheckInvariants() }
+func (p *Planar) CheckConsistent() error { return p.check() }

@@ -2,12 +2,10 @@ package skipwebs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/skipwebs/skipwebs/internal/core"
 	"github.com/skipwebs/skipwebs/internal/quadtree"
-	"github.com/skipwebs/skipwebs/internal/sim"
 )
 
 // Point is a d-dimensional point with non-negative integer coordinates.
@@ -41,12 +39,11 @@ type PointLocation struct {
 // messages per point-location query even when the underlying tree has
 // depth Θ(n).
 type Points struct {
-	c   *Cluster
 	ops *core.QuadOps
-	st  *stripeSet
-	ws  []*core.Web[*quadtree.Tree, quadtree.Point, uint64]
-	readPath
+	striped[pointWeb]
 }
+
+type pointWeb = *core.Web[*quadtree.Tree, quadtree.Point, uint64]
 
 // NewPoints builds a point-set skip-web of the given dimension
 // (2 <= d <= 6) over distinct points. With Options.WriteStripes > 1 it
@@ -58,127 +55,56 @@ func NewPoints(c *Cluster, d int, points []Point, opts Options) (*Points, error)
 	if d < 2 || d > 6 {
 		return nil, fmt.Errorf("skipwebs: dimension %d out of range [2, 6]", d)
 	}
-	ops := core.NewQuadOps(d)
-	st, parts, err := splitPointsByStripe(ops, points, opts.WriteStripes)
-	if err != nil {
-		return nil, fmt.Errorf("skipwebs: %w", err)
-	}
-	done := c.beginBuild(opts)
-	ws := make([]*core.Web[*quadtree.Tree, quadtree.Point, uint64], st.n())
-	for i, part := range parts {
-		// Each stripe web owns a private QuadOps: the adapter reuses
-		// Change buffers across updates, which concurrent stripe writers
-		// must not share. p.ops is kept only for Code, which is pure.
-		stripeOps := ops
-		if i > 0 {
-			stripeOps = core.NewQuadOps(d)
-		}
-		w, werr := core.NewWeb[*quadtree.Tree, quadtree.Point, uint64](
-			stripeOps, c.network(), part, core.Config{Seed: stripeSeed(opts.Seed, i, st.n()), Replicas: opts.Replicas})
-		if werr != nil {
-			done()
-			return nil, fmt.Errorf("skipwebs: %w", werr)
-		}
-		ws[i] = w
-	}
-	done()
-	p := &Points{c: c, ops: ops, st: st, ws: ws, readPath: newReadPath(opts, st, partSizes(parts))}
-	if p.nb != nil {
-		for i, part := range parts {
-			for _, pt := range part {
-				// Code is pure and already validated these points at build.
-				if code, cerr := ops.Code(pt); cerr == nil {
-					p.nb.add(i, hashKey64(code))
-				}
-			}
-		}
-	}
-	c.attach(p)
-	return p, nil
-}
-
-// splitPointsByStripe sorts the build points by Morton code, builds the
-// stripe routing table, and returns the per-stripe chunks (as
-// quadtree.Points). want <= 1 passes the input through unsorted — the
-// exact pre-striping build input.
-func splitPointsByStripe(ops *core.QuadOps, points []Point, want int) (*stripeSet, [][]quadtree.Point, error) {
+	// p.ops serves only Code, which is pure; each stripe web owns a
+	// private QuadOps, because the adapter reuses Change buffers across
+	// updates, which concurrent stripe writers must not share.
+	p := &Points{ops: core.NewQuadOps(d)}
 	items := make([]quadtree.Point, len(points))
-	for i, p := range points {
-		items[i] = quadtree.Point(p)
+	for i, pt := range points {
+		items[i] = quadtree.Point(pt)
 	}
-	if want <= 1 || len(items) <= 1 {
-		return newStripeSet(nil, 1), [][]quadtree.Point{items}, nil
+	code := func(pt quadtree.Point) uint64 { return p.stripeCode(Point(pt)) }
+	st, parts := splitByStripe(items, opts.WriteStripes, code, nil)
+	err := buildStriped(&p.striped, c, "points", opts, st, parts,
+		func(pt quadtree.Point) uint64 { return hashKey64(code(pt)) },
+		func(w pointWeb) []uint64 {
+			var codes []uint64
+			g := w.GroundStructure()
+			g.VisitNodes(func(id quadtree.NodeID) bool {
+				if g.IsLeaf(id) {
+					codes = append(codes, code(g.PointAt(id)))
+				}
+				return true
+			})
+			return codes
+		},
+		func(part []quadtree.Point, seed uint64) (pointWeb, error) {
+			return core.NewWeb[*quadtree.Tree, quadtree.Point, uint64](core.NewQuadOps(d), c.network(), part,
+				core.Config{Seed: seed, Replicas: opts.Replicas})
+		})
+	if err != nil {
+		return nil, err
 	}
-	codes := make([]uint64, len(items))
-	for i, it := range items {
-		c, err := ops.Code(it)
-		if err != nil {
-			return nil, nil, err
-		}
-		codes[i] = c
-	}
-	sort.Sort(&pointsByCode{items: items, codes: codes})
-	ss := newStripeSet(codes, want)
-	parts := make([][]quadtree.Point, ss.n())
-	start := 0
-	for i := 0; i < ss.n(); i++ {
-		end := start
-		for end < len(items) && ss.of(codes[end]) == i {
-			end++
-		}
-		parts[i] = items[start:end]
-		start = end
-	}
-	return ss, parts, nil
-}
-
-// pointsByCode sorts points and their Morton codes in lockstep.
-type pointsByCode struct {
-	items []quadtree.Point
-	codes []uint64
-}
-
-func (s *pointsByCode) Len() int           { return len(s.items) }
-func (s *pointsByCode) Less(i, j int) bool { return s.codes[i] < s.codes[j] }
-func (s *pointsByCode) Swap(i, j int) {
-	s.items[i], s.items[j] = s.items[j], s.items[i]
-	s.codes[i], s.codes[j] = s.codes[j], s.codes[i]
+	return p, nil
 }
 
 // stripeCode maps a point to its stripe code (its Morton code). An
 // out-of-range point maps to stripe 0, whose engine then reports the
 // same validation error the unsharded path would.
 func (p *Points) stripeCode(q Point) uint64 {
-	code, err := p.ops.Code(quadtree.Point(q))
-	if err != nil {
-		return 0
-	}
+	code, _ := p.ops.Code(quadtree.Point(q)) // 0 on error
 	return code
 }
 
 // Len returns the number of stored points.
-func (p *Points) Len() int {
-	n := 0
-	for i := range p.ws {
-		p.st.rlock(i)
-		n += p.ws[i].Len()
-		p.st.runlock(i)
-	}
-	return n
-}
+func (p *Points) Len() int { return p.size() }
 
 // TreeDepth returns the depth of the underlying ground quadtree (the
 // deepest stripe's, under write striping; may be Θ(n) for clustered
 // inputs — queries stay O(log n) regardless).
 func (p *Points) TreeDepth() int {
 	depth := 0
-	for i := range p.ws {
-		p.st.rlock(i)
-		if d := p.ws[i].GroundStructure().Depth(); d > depth {
-			depth = d
-		}
-		p.st.runlock(i)
-	}
+	p.each(func(w pointWeb) { depth = max(depth, w.GroundStructure().Depth()) })
 	return depth
 }
 
@@ -193,40 +119,37 @@ func (p *Points) Locate(q Point, origin HostID) (PointLocation, error) {
 	if err != nil {
 		return PointLocation{}, fmt.Errorf("skipwebs: %w", err)
 	}
-	// The Morton code is injective over valid points, so it is the exact
-	// cache identity of the query.
+	return p.locateCode(code, origin)
+}
+
+// locateCode is Locate for a point already reduced to its (valid) Morton
+// code, which is injective over valid points and therefore the exact
+// cache identity of the query.
+func (p *Points) locateCode(code uint64, origin HostID) (PointLocation, error) {
 	ck := cacheKey{op: opLocate, code: code}
-	var sum uint64
-	if p.rc != nil {
-		if v, ok := p.rc.get(origin, ck); ok {
-			return v.(PointLocation), nil
-		}
-		sum = p.rc.churnNow()
+	hit, sum, ok := probe[PointLocation](p.rc, origin, ck)
+	if ok {
+		return hit, nil
 	}
 	i := p.st.of(code)
-	p.st.rlock(i)
+	sum += p.rlock(i)
 	defer p.st.runlock(i)
-	if p.rc != nil {
-		sum += uint64(p.st.writeCount(i))
-	}
 	res, err := p.ws[i].Query(code, origin)
 	if err != nil {
 		return PointLocation{}, fmt.Errorf("skipwebs: %w", err)
 	}
 	g := p.ws[i].GroundStructure()
 	id := quadtree.NodeID(res.Range)
-	loc := PointLocation{Hops: res.Hops, Latency: res.Latency}
+	var loc PointLocation
 	cell := g.CellOf(id)
 	loc.CellPrefix, loc.CellBits = cell.Prefix, cell.PLen
 	if g.IsLeaf(id) {
 		loc.Leaf = true
 		loc.LeafPoint = Point(g.PointAt(id))
 	}
-	if p.rc != nil {
-		memo := loc
-		memo.Hops, memo.Latency = 0, 0
-		p.rc.put(origin, ck, memo, i, i, sum)
-	}
+	// Memoized before the cost goes in: a hit is free.
+	memo(p.rc, origin, ck, loc, i, i, sum)
+	loc.Hops, loc.Latency = res.Hops, res.Latency
 	return loc, nil
 }
 
@@ -241,14 +164,14 @@ func (p *Points) Contains(q Point, origin HostID) (bool, int, error) {
 // containsCost is Contains returning the full hop/latency cost pair —
 // the variant ContainsBatch surfaces per-query latency through.
 func (p *Points) containsCost(q Point, origin HostID) (bool, core.Cost, error) {
-	if p.nb != nil {
-		// An invalid point falls through to Locate for its exact error.
-		if code, err := p.ops.Code(quadtree.Point(q)); err == nil &&
-			p.nb.definitelyAbsent(origin, p.st.of(code), hashKey64(code)) {
-			return false, core.Cost{}, nil
-		}
+	code, err := p.ops.Code(quadtree.Point(q))
+	if err != nil {
+		return false, core.Cost{}, fmt.Errorf("skipwebs: %w", err)
 	}
-	loc, err := p.Locate(q, origin)
+	if p.nb != nil && p.nb.definitelyAbsent(origin, p.st.of(code), hashKey64(code)) {
+		return false, core.Cost{}, nil
+	}
+	loc, err := p.locateCode(code, origin)
 	if err != nil {
 		return false, core.Cost{}, err
 	}
@@ -288,32 +211,26 @@ func (p *Points) Nearest(q Point, origin HostID) (Point, int, error) {
 // expansions are charged as hops only (the search walks ground trees
 // without tracking per-node host placement).
 func (p *Points) nearestCost(q Point, origin HostID) (Point, core.Cost, error) {
-	var ck cacheKey
-	var sum uint64
-	if p.rc != nil {
-		// An invalid point never reaches the put: Locate errors first.
-		if code, cerr := p.ops.Code(quadtree.Point(q)); cerr == nil {
-			ck = cacheKey{op: opNearest, code: code}
-			if v, ok := p.rc.get(origin, ck); ok {
-				return v.(Point), core.Cost{}, nil
-			}
-			sum = p.rc.churnNow()
-		}
+	code, err := p.ops.Code(quadtree.Point(q))
+	if err != nil {
+		return nil, core.Cost{}, fmt.Errorf("skipwebs: %w", err)
 	}
-	loc, err := p.Locate(q, origin)
+	ck := cacheKey{op: opNearest, code: code}
+	hit, sum, ok := probe[Point](p.rc, origin, ck)
+	if ok {
+		return hit, core.Cost{}, nil
+	}
+	loc, err := p.locateCode(code, origin)
 	if err != nil {
 		return nil, core.Cost{}, err
 	}
-	own := p.st.of(p.stripeCode(q))
+	own := p.st.of(code)
 	var best quadtree.Point
 	bestDist := ^uint64(0)
 	extra := 0
 	search := func(i int) {
-		p.st.rlock(i)
+		sum += p.rlock(i)
 		defer p.st.runlock(i)
-		if p.rc != nil {
-			sum += uint64(p.st.writeCount(i))
-		}
 		g := p.ws[i].GroundStructure()
 		if g.Len() == 0 {
 			return
@@ -334,10 +251,8 @@ func (p *Points) nearestCost(q Point, origin HostID) (Point, core.Cost, error) {
 		return nil, core.Cost{Hops: loc.Hops + extra, Latency: loc.Latency},
 			fmt.Errorf("skipwebs: empty point set")
 	}
-	if p.rc != nil {
-		// The refinement read every stripe, so the epoch spans them all.
-		p.rc.put(origin, ck, Point(best), 0, len(p.ws)-1, sum)
-	}
+	// The refinement read every stripe, so the epoch spans them all.
+	memo(p.rc, origin, ck, Point(best), 0, len(p.ws)-1, sum)
 	return Point(best), core.Cost{Hops: loc.Hops + extra, Latency: loc.Latency}, nil
 }
 
@@ -478,19 +393,16 @@ func pointDist(a, b quadtree.Point) uint64 {
 // holds only its stripe's writer lock, so inserts into different Morton
 // bands run concurrently.
 func (p *Points) Insert(q Point, origin HostID) (int, error) {
-	i := p.st.of(p.stripeCode(q))
+	// An invalid point (code 0 with an error) takes stripe 0 and leaves
+	// the bloom alone; the engine rejects it.
+	code, cerr := p.ops.Code(quadtree.Point(q))
+	i := p.st.of(code)
 	p.st.wlock(i)
 	defer p.st.wunlock(i)
-	if p.nb != nil {
-		if code, cerr := p.ops.Code(quadtree.Point(q)); cerr == nil {
-			p.nb.add(i, hashKey64(code))
-		}
+	if p.nb != nil && cerr == nil {
+		p.nb.add(i, hashKey64(code))
 	}
-	h, err := p.ws[i].Insert(quadtree.Point(q), origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
+	return wrapHops(p.ws[i].Insert(quadtree.Point(q), origin))
 }
 
 // Delete removes a point, returning the update's message cost — O(log
@@ -500,11 +412,7 @@ func (p *Points) Delete(q Point, origin HostID) (int, error) {
 	i := p.st.of(p.stripeCode(q))
 	p.st.wlock(i)
 	defer p.st.wunlock(i)
-	h, err := p.ws[i].Delete(quadtree.Point(q), origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
+	return wrapHops(p.ws[i].Delete(quadtree.Point(q), origin))
 }
 
 // NearestResult is one answer of a nearest-neighbor batch.
@@ -547,60 +455,18 @@ func (p *Points) NearestBatch(qs []Point, origins []HostID) ([]NearestResult, er
 // stripe, strict input order within each stripe — returning each
 // update's message cost in input order.
 func (p *Points) InsertBatch(qs []Point, origins []HostID) ([]int, error) {
-	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Insert)
+	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Insert, nil)
 }
 
 // DeleteBatch removes the points — one parallel writer per Morton-code
 // stripe, strict input order within each stripe — returning each
 // update's message cost in input order.
 func (p *Points) DeleteBatch(qs []Point, origins []HostID) ([]int, error) {
-	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Delete)
+	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Delete, nil)
 }
-
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive: quadtree cells migrate between hosts with their
-// hyperlinks, one message per storage unit moved.
-func (p *Points) rehome(from HostID, op *sim.Op) {
-	p.bumpChurn()
-	for _, w := range p.ws {
-		w.Rehome(from, op)
-	}
-}
-func (p *Points) rebalance(onto HostID, op *sim.Op) {
-	p.bumpChurn()
-	for _, w := range p.ws {
-		w.Rebalance(onto, op)
-	}
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// every under-replicated cell from its surviving live replicas.
-func (p *Points) repair(op *sim.Op) error {
-	p.bumpChurn()
-	return repairStripes(op, p.ws)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's ranges against one live peer each.
-func (p *Points) restart(h HostID, op *sim.Op) int {
-	p.bumpChurn()
-	n := 0
-	for _, w := range p.ws {
-		n += w.RestartHost(h, op)
-	}
-	return n
-}
-
-func (p *Points) kind() string { return "points" }
 
 // CheckConsistent verifies the point web's invariants: every cell on a
 // live host, hyperlinks matching recomputation, and per-level counts
-// that add up. Cost: O(n log n) local work, no messages.
-func (p *Points) CheckConsistent() error {
-	for _, w := range p.ws {
-		if err := w.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// that add up, and — under striping — every point stored in the stripe
+// its Morton code routes to. Cost: O(n log n) local work, no messages.
+func (p *Points) CheckConsistent() error { return p.check() }

@@ -28,9 +28,7 @@
 package skipwebs
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -85,8 +83,10 @@ type Transport = sim.Transport
 // registers with its Cluster at construction: migrate everything off a
 // departing host, pick up a fair share of load for a joining host,
 // re-replicate under-replicated units after a crash, reconcile a
-// durably restarted host's shard, and verify internal consistency. All
-// hooks run under the cluster's write lock.
+// durably restarted host's shard, verify internal consistency, and
+// report its read-path cache counters. The one implementation is
+// striped (striped.go), which every structure embeds. The churn hooks
+// run under the cluster's write lock.
 type migrator interface {
 	rehome(from HostID, op *sim.Op)
 	rebalance(onto HostID, op *sim.Op)
@@ -96,7 +96,8 @@ type migrator interface {
 	restart(h HostID, op *sim.Op) int
 	// kind names the structure for per-structure loss reporting.
 	kind() string
-	CheckConsistent() error
+	check() error
+	cacheStatsByHost(byHost map[HostID]CacheStats, total *CacheStats)
 }
 
 // Cluster is a failure-free peer-to-peer network of hosts with message,
@@ -137,7 +138,7 @@ type Cluster struct {
 // CostModel is the pluggable per-link latency model of the accounting
 // spine: a pure function from an ordered host pair to a latency, in
 // abstract model units (read them as microseconds). Install one with
-// WithLatency (or Options.Latency) and every charged message accumulates
+// WithLatency and every charged message accumulates
 // its sampled link cost onto the operation's critical path — sequential
 // hops add, replicated write-through fan-outs pay the max over mirrors —
 // while every existing counter (hops, messages, storage, congestion)
@@ -275,13 +276,8 @@ func (c *Cluster) attach(m migrator) {
 // exactly like the non-durable path, and the finished structure is
 // folded into one fresh checkpoint per host instead of n WAL appends.
 // Builds on an already-durable cluster pause the same way regardless of
-// their own flag. With opts.Latency set, the cluster-wide latency model
-// is installed (also idempotent: the first model wins, like
-// WithLatency at construction) before the build's traffic flows.
+// their own flag.
 func (c *Cluster) beginBuild(opts Options) func() {
-	if opts.Latency != nil && c.net.CostModel() == nil {
-		c.net.SetCostModel(opts.Latency)
-	}
 	if opts.Durable {
 		c.net.EnableDurability(sim.DefaultCheckpointEvery)
 	}
@@ -399,40 +395,9 @@ func (c *Cluster) Crash(h HostID) error {
 // over-tolerance crashes the latest error carries the cumulative loss
 // (earlier losses stay lost and are re-reported).
 func (c *Cluster) repairAll(op *sim.Op) error {
-	lost := 0
-	var deadHosts map[HostID]bool
-	var structures map[string]int
-	var errs []error
-	for _, s := range c.structs {
-		err := s.repair(op)
-		var dl *DataLossError
-		switch {
-		case err == nil:
-		case errors.As(err, &dl):
-			lost += dl.Units
-			if structures == nil {
-				structures = make(map[string]int)
-			}
-			structures[s.kind()] += dl.Units
-			for _, dh := range dl.Hosts {
-				if deadHosts == nil {
-					deadHosts = make(map[HostID]bool)
-				}
-				deadHosts[dh] = true
-			}
-		default:
-			errs = append(errs, err)
-		}
-	}
-	if lost > 0 {
-		hosts := make([]HostID, 0, len(deadHosts))
-		for dh := range deadHosts {
-			hosts = append(hosts, dh)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		errs = append(errs, &DataLossError{Units: lost, Hosts: hosts, Structures: structures})
-	}
-	return errors.Join(errs...)
+	return mergeDataLoss(len(c.structs), func(i int) (string, error) {
+		return c.structs[i].kind(), c.structs[i].repair(op)
+	})
 }
 
 // Repair explicitly gives up on crashed hosts: every structure
@@ -548,7 +513,7 @@ func (c *Cluster) CheckConsistent() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, s := range c.structs {
-		if err := s.CheckConsistent(); err != nil {
+		if err := s.check(); err != nil {
 			return err
 		}
 	}
@@ -580,7 +545,7 @@ type Stats struct {
 	BloomTrueNegatives  int64
 	BloomFalsePositives int64
 	// Latency summary of completed operations under the cluster's
-	// latency model (Options.Latency / WithLatency), in model units —
+	// latency model (WithLatency), in model units —
 	// all zeros without a model. LatencyOps counts every operation the
 	// network completed (queries, updates, and churn alike); the
 	// quantiles are log-bucketed, within 12.5% of exact. For exact
@@ -590,13 +555,6 @@ type Stats struct {
 	LatencyP50  int64
 	LatencyP99  int64
 	LatencyMax  int64
-}
-
-// cacheStatser is implemented by every structure via the embedded
-// readPath; Stats and CacheStatsByHost aggregate through it.
-type cacheStatser interface {
-	cacheStats() CacheStats
-	cacheStatsByHost(byHost map[HostID]CacheStats, total *CacheStats)
 }
 
 // Stats returns the current cluster counters.
@@ -618,16 +576,15 @@ func (c *Cluster) Stats() Stats {
 		LatencyP99:     s.LatencyP99,
 		LatencyMax:     s.LatencyMax,
 	}
+	var agg CacheStats
 	for _, m := range c.structs {
-		if cs, ok := m.(cacheStatser); ok {
-			agg := cs.cacheStats()
-			out.CacheHits += agg.Hits
-			out.CacheMisses += agg.Misses
-			out.CacheInvalidations += agg.Invalidations
-			out.BloomTrueNegatives += agg.BloomTrueNegatives
-			out.BloomFalsePositives += agg.BloomFalsePositives
-		}
+		m.cacheStatsByHost(nil, &agg)
 	}
+	out.CacheHits = agg.Hits
+	out.CacheMisses = agg.Misses
+	out.CacheInvalidations = agg.Invalidations
+	out.BloomTrueNegatives = agg.BloomTrueNegatives
+	out.BloomFalsePositives = agg.BloomFalsePositives
 	return out
 }
 
@@ -640,9 +597,7 @@ func (c *Cluster) CacheStatsByHost() map[HostID]CacheStats {
 	defer c.mu.RUnlock()
 	out := make(map[HostID]CacheStats)
 	for _, m := range c.structs {
-		if cs, ok := m.(cacheStatser); ok {
-			cs.cacheStatsByHost(out, nil)
-		}
+		m.cacheStatsByHost(out, nil)
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/skipwebs/skipwebs/internal/core"
-	"github.com/skipwebs/skipwebs/internal/sim"
 	"github.com/skipwebs/skipwebs/internal/trie"
 )
 
@@ -31,11 +30,10 @@ type StringLocation struct {
 // compressed digital tries: O(log n) expected messages per search even
 // when the trie has depth Θ(n) (long shared prefixes).
 type Strings struct {
-	c  *Cluster
-	st *stripeSet
-	ws []*core.Web[*trie.Trie, string, string]
-	readPath
+	striped[stringWeb]
 }
+
+type stringWeb = *core.Web[*trie.Trie, string, string]
 
 // NewStrings builds a string skip-web over distinct non-empty keys.
 // With Options.WriteStripes > 1 it builds one independent sub-trie per
@@ -45,54 +43,37 @@ type Strings struct {
 // code, so a locus shared only by keys of different stripes is not
 // materialized — Contains and PrefixSearch results are unchanged.
 func NewStrings(c *Cluster, keys []string, opts Options) (*Strings, error) {
-	st, parts := splitStringsByStripe(keys, opts.WriteStripes)
-	done := c.beginBuild(opts)
-	ws := make([]*core.Web[*trie.Trie, string, string], st.n())
-	for i, part := range parts {
-		w, err := core.NewWeb[*trie.Trie, string, string](
-			core.NewTrieOps(), c.network(), part,
-			core.Config{Seed: stripeSeed(opts.Seed, i, st.n()), Replicas: opts.Replicas})
-		if err != nil {
-			done()
-			return nil, fmt.Errorf("skipwebs: %w", err)
-		}
-		ws[i] = w
-	}
-	done()
-	s := &Strings{c: c, st: st, ws: ws, readPath: newReadPath(opts, st, partSizes(parts))}
-	if s.nb != nil {
-		for i, part := range parts {
-			for _, k := range part {
-				s.nb.add(i, hashKeyString(k))
+	// Strings sharing a first-eight-byte prefix share a code and a stripe;
+	// the tie-break keeps each stripe's build input in full sorted order.
+	st, parts := splitByStripe(keys, opts.WriteStripes, stringCode, strings.Compare)
+	s := &Strings{}
+	err := buildStriped(&s.striped, c, "strings", opts, st, parts, hashKeyString,
+		func(w stringWeb) []uint64 {
+			keys := w.GroundStructure().KeysWithPrefix("", 0)
+			codes := make([]uint64, len(keys))
+			for i, k := range keys {
+				codes[i] = stringCode(k)
 			}
-		}
+			return codes
+		},
+		func(part []string, seed uint64) (stringWeb, error) {
+			return core.NewWeb[*trie.Trie, string, string](core.NewTrieOps(), c.network(), part,
+				core.Config{Seed: seed, Replicas: opts.Replicas})
+		})
+	if err != nil {
+		return nil, err
 	}
-	c.attach(s)
 	return s, nil
 }
 
 // Len returns the number of stored keys.
-func (s *Strings) Len() int {
-	n := 0
-	for i := range s.ws {
-		s.st.rlock(i)
-		n += s.ws[i].Len()
-		s.st.runlock(i)
-	}
-	return n
-}
+func (s *Strings) Len() int { return s.size() }
 
 // TrieDepth returns the depth of the ground trie (the deepest stripe's,
 // under write striping).
 func (s *Strings) TrieDepth() int {
 	depth := 0
-	for i := range s.ws {
-		s.st.rlock(i)
-		if d := s.ws[i].GroundStructure().Depth(); d > depth {
-			depth = d
-		}
-		s.st.runlock(i)
-	}
+	s.each(func(w stringWeb) { depth = max(depth, w.GroundStructure().Depth()) })
 	return depth
 }
 
@@ -107,19 +88,13 @@ func (s *Strings) TrieDepth() int {
 // the ground trie, never copied.
 func (s *Strings) Search(q string, origin HostID) (StringLocation, error) {
 	ck := cacheKey{op: opSearch, str: q}
-	var sum uint64
-	if s.rc != nil {
-		if v, ok := s.rc.get(origin, ck); ok {
-			return v.(StringLocation), nil
-		}
-		sum = s.rc.churnNow()
+	hit, sum, ok := probe[StringLocation](s.rc, origin, ck)
+	if ok {
+		return hit, nil
 	}
 	i := s.st.of(stringCode(q))
-	s.st.rlock(i)
+	sum += s.rlock(i)
 	defer s.st.runlock(i)
-	if s.rc != nil {
-		sum += uint64(s.st.writeCount(i))
-	}
 	res, err := s.ws[i].Query(q, origin)
 	if err != nil {
 		return StringLocation{}, fmt.Errorf("skipwebs: %w", err)
@@ -128,17 +103,13 @@ func (s *Strings) Search(q string, origin HostID) (StringLocation, error) {
 	id := trie.NodeID(res.Range)
 	locus := g.Locus(id)
 	loc := StringLocation{
-		Locus:   locus,
-		IsKey:   g.IsKey(id),
-		Exact:   g.IsKey(id) && locus == q,
-		Hops:    res.Hops,
-		Latency: res.Latency,
+		Locus: locus,
+		IsKey: g.IsKey(id),
+		Exact: g.IsKey(id) && locus == q,
 	}
-	if s.rc != nil {
-		memo := loc
-		memo.Hops, memo.Latency = 0, 0
-		s.rc.put(origin, ck, memo, i, i, sum)
-	}
+	// Memoized before the cost goes in: a hit is free.
+	memo(s.rc, origin, ck, loc, i, i, sum)
+	loc.Hops, loc.Latency = res.Hops, res.Latency
 	return loc, nil
 }
 
@@ -185,17 +156,10 @@ func (s *Strings) PrefixSearch(prefix string, max int, origin HostID) ([]string,
 // enumeration hops are hop-only (see prefixInStripe).
 func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]string, core.Cost, error) {
 	ck := cacheKey{op: opPrefix, code: uint64(max), str: prefix}
-	var sum uint64
-	if s.rc != nil {
-		if v, ok := s.rc.get(origin, ck); ok {
-			// Hand out a fresh copy; the memoized slice stays private.
-			memo := v.([]string)
-			if memo == nil {
-				return nil, core.Cost{}, nil
-			}
-			return append([]string(nil), memo...), core.Cost{}, nil
-		}
-		sum = s.rc.churnNow()
+	hit, sum, ok := probe[[]string](s.rc, origin, ck)
+	if ok {
+		// Hand out a fresh copy; the memoized slice stays private.
+		return append([]string(nil), hit...), core.Cost{}, nil
 	}
 	s0 := s.st.of(stringCode(prefix))
 	s1 := s.st.of(prefixCodeHi(prefix))
@@ -210,8 +174,9 @@ func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]str
 				break
 			}
 		}
-		ks, c, wc, err := s.prefixInStripe(i, prefix, remaining, origin)
-		sum += wc
+		sum += s.rlock(i)
+		ks, c, err := s.prefixInStripe(i, prefix, remaining, origin)
+		s.st.runlock(i)
 		last = i
 		cost.Hops += c.Hops
 		cost.Latency += c.Latency
@@ -223,24 +188,20 @@ func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]str
 	if s.rc != nil {
 		// The answer depends only on the stripes visited: an early break
 		// means max was reached, which the control breaks on identically.
-		s.rc.put(origin, ck, append([]string(nil), keys...), s0, last, sum)
+		memo(s.rc, origin, ck, append([]string(nil), keys...), s0, last, sum)
 	}
 	return keys, cost, nil
 }
 
-// prefixInStripe enumerates stripe i's keys with the given prefix: a
-// routed search to the prefix locus plus one charged hop per result.
-// Latency covers the routed search only — the enumeration's per-result
-// hops walk the ground trie without tracking per-locus host placement.
-// The third result is the stripe's write counter captured under its
-// reader lock — the epoch component the caller's cache entry stores.
-func (s *Strings) prefixInStripe(i int, prefix string, max int, origin HostID) ([]string, core.Cost, uint64, error) {
-	s.st.rlock(i)
-	defer s.st.runlock(i)
-	wc := uint64(s.st.writeCount(i))
+// prefixInStripe enumerates stripe i's keys with the given prefix, under
+// the stripe reader lock the caller holds: a routed search to the prefix
+// locus plus one charged hop per result. Latency covers the routed
+// search only — the enumeration's per-result hops walk the ground trie
+// without tracking per-locus host placement.
+func (s *Strings) prefixInStripe(i int, prefix string, max int, origin HostID) ([]string, core.Cost, error) {
 	res, err := s.ws[i].Query(prefix, origin)
 	if err != nil {
-		return nil, core.Cost{}, wc, fmt.Errorf("skipwebs: %w", err)
+		return nil, core.Cost{}, fmt.Errorf("skipwebs: %w", err)
 	}
 	g := s.ws[i].GroundStructure()
 	locus := g.Locus(trie.NodeID(res.Range))
@@ -248,11 +209,11 @@ func (s *Strings) prefixInStripe(i int, prefix string, max int, origin HostID) (
 	// subtree holding all `prefix`-keys hangs at or just below it.
 	if !strings.HasPrefix(locus, prefix) {
 		if _, ok := g.LocatePrefix(prefix); !ok {
-			return nil, core.Cost{Hops: res.Hops, Latency: res.Latency}, wc, nil
+			return nil, core.Cost{Hops: res.Hops, Latency: res.Latency}, nil
 		}
 	}
 	keys := g.KeysWithPrefix(prefix, max)
-	return keys, core.Cost{Hops: res.Hops + len(keys), Latency: res.Latency}, wc, nil
+	return keys, core.Cost{Hops: res.Hops + len(keys), Latency: res.Latency}, nil
 }
 
 // prefixCodeHi is the largest stripe code any string with the given
@@ -284,11 +245,7 @@ func (s *Strings) Insert(key string, origin HostID) (int, error) {
 	if s.nb != nil {
 		s.nb.add(i, hashKeyString(key))
 	}
-	h, err := s.ws[i].Insert(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
+	return wrapHops(s.ws[i].Insert(key, origin))
 }
 
 // Delete removes a key, returning the update's message cost — O(log n)
@@ -298,11 +255,7 @@ func (s *Strings) Delete(key string, origin HostID) (int, error) {
 	i := s.st.of(stringCode(key))
 	s.st.wlock(i)
 	defer s.st.wunlock(i)
-	h, err := s.ws[i].Delete(key, origin)
-	if err != nil {
-		return h, fmt.Errorf("skipwebs: %w", err)
-	}
-	return h, nil
+	return wrapHops(s.ws[i].Delete(key, origin))
 }
 
 // PrefixResult is one answer of a prefix-search batch.
@@ -344,68 +297,18 @@ func (s *Strings) PrefixSearchBatch(prefixes []string, max int, origins []HostID
 // strict input order within each stripe — returning each update's
 // message cost in input order.
 func (s *Strings) InsertBatch(keys []string, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Insert)
+	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Insert, nil)
 }
 
 // DeleteBatch removes the keys — one parallel writer per code stripe,
 // strict input order within each stripe — returning each update's
 // message cost in input order.
 func (s *Strings) DeleteBatch(keys []string, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Delete)
+	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Delete, nil)
 }
-
-// rehome and rebalance are the churn hooks Cluster.Leave and
-// Cluster.Join drive: trie loci migrate between hosts with their
-// hyperlinks, one message per storage unit moved.
-func (s *Strings) rehome(from HostID, op *sim.Op) {
-	s.bumpChurn()
-	for _, w := range s.ws {
-		w.Rehome(from, op)
-	}
-}
-func (s *Strings) rebalance(onto HostID, op *sim.Op) {
-	s.bumpChurn()
-	for _, w := range s.ws {
-		w.Rebalance(onto, op)
-	}
-}
-
-// repair is the crash-recovery hook Cluster.Crash drives: re-replicate
-// every under-replicated locus from its surviving live replicas.
-func (s *Strings) repair(op *sim.Op) error {
-	s.bumpChurn()
-	return repairStripes(op, s.ws)
-}
-
-// restart is the durable-recovery hook Cluster.Restart drives: merkle-
-// reconcile the restarted host's ranges against one live peer each.
-func (s *Strings) restart(h HostID, op *sim.Op) int {
-	s.bumpChurn()
-	n := 0
-	for _, w := range s.ws {
-		n += w.RestartHost(h, op)
-	}
-	return n
-}
-
-func (s *Strings) kind() string { return "strings" }
 
 // CheckConsistent verifies the string web's invariants: every locus on
 // a live host, hyperlinks matching recomputation, per-level counts that
 // add up, and — under striping — every key stored in the stripe its
 // code routes to. Cost: O(n log n) local work, no messages.
-func (s *Strings) CheckConsistent() error {
-	for i, w := range s.ws {
-		if err := w.CheckInvariants(); err != nil {
-			return err
-		}
-		if s.st.n() > 1 {
-			for _, k := range w.GroundStructure().KeysWithPrefix("", 0) {
-				if s.st.of(stringCode(k)) != i {
-					return fmt.Errorf("skipwebs: key %q stored in stripe %d but routes to stripe %d", k, i, s.st.of(stringCode(k)))
-				}
-			}
-		}
-	}
-	return nil
-}
+func (s *Strings) CheckConsistent() error { return s.check() }

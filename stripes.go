@@ -1,6 +1,7 @@
 package skipwebs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,23 +133,49 @@ func stripeSeed(seed uint64, i, stripes int) uint64 {
 	return xrand.Substream(seed, i)
 }
 
-// splitKeysByStripe sorts uint64 keys ascending, builds the stripe
-// routing table for up to `want` stripes, and returns the per-stripe
-// key chunks. want <= 1 returns the single-stripe table with the input
-// slice untouched — the exact pre-striping build input.
-func splitKeysByStripe(keys []uint64, want int) (*stripeSet, [][]uint64) {
-	if want <= 1 || len(keys) <= 1 {
-		return newStripeSet(nil, 1), [][]uint64{keys}
+// splitByStripe sorts a copy of the build items by their 64-bit stripe
+// code (ties broken by tie, nil when codes are injective over the
+// items), builds the stripe routing table for up to `want` stripes, and
+// returns the per-stripe chunks. want <= 1 returns the single-stripe
+// table with the input slice untouched — the exact pre-striping build
+// input.
+func splitByStripe[T any](items []T, want int, codeOf func(T) uint64, tie func(a, b T) int) (*stripeSet, [][]T) {
+	if want <= 1 || len(items) <= 1 {
+		return newStripeSet(nil, 1), [][]T{items}
 	}
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	ss := newStripeSet(sorted, want)
-	parts := make([][]uint64, ss.n())
+	type coded struct {
+		code uint64
+		item T
+	}
+	cs := make([]coded, len(items))
+	for i, it := range items {
+		cs[i] = coded{codeOf(it), it}
+	}
+	slices.SortFunc(cs, func(a, b coded) int {
+		if a.code < b.code {
+			return -1
+		}
+		if a.code > b.code {
+			return 1
+		}
+		if tie == nil {
+			return 0
+		}
+		return tie(a.item, b.item)
+	})
+	sorted := make([]T, len(cs))
+	codes := make([]uint64, len(cs))
+	for i, c := range cs {
+		sorted[i], codes[i] = c.item, c.code
+	}
+	ss := newStripeSet(codes, want)
+	// Stripe i holds the codes below separator i (and not below i-1).
+	parts := make([][]T, ss.n())
 	start := 0
-	for i := 0; i < ss.n(); i++ {
-		end := start
-		for end < len(sorted) && ss.of(sorted[end]) == i {
-			end++
+	for i := range parts {
+		end := len(sorted)
+		if i < len(ss.seps) {
+			end, _ = slices.BinarySearch(codes, ss.seps[i])
 		}
 		parts[i] = sorted[start:end]
 		start = end
@@ -171,31 +198,4 @@ func stringCode(s string) uint64 {
 		}
 	}
 	return code
-}
-
-// splitStringsByStripe is splitKeysByStripe for string keys, cutting on
-// stringCode. Strings sharing a first-eight-byte prefix share a code and
-// therefore a stripe.
-func splitStringsByStripe(keys []string, want int) (*stripeSet, [][]string) {
-	if want <= 1 || len(keys) <= 1 {
-		return newStripeSet(nil, 1), [][]string{keys}
-	}
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	codes := make([]uint64, len(sorted))
-	for i, s := range sorted {
-		codes[i] = stringCode(s)
-	}
-	ss := newStripeSet(codes, want)
-	parts := make([][]string, ss.n())
-	start := 0
-	for i := 0; i < ss.n(); i++ {
-		end := start
-		for end < len(sorted) && ss.of(codes[end]) == i {
-			end++
-		}
-		parts[i] = sorted[start:end]
-		start = end
-	}
-	return ss, parts
 }

@@ -2,6 +2,7 @@ package skipwebs
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/skipwebs/skipwebs/internal/experiments"
@@ -14,7 +15,7 @@ import (
 // collapse to fewer stripes.
 func TestStripeSetRouting(t *testing.T) {
 	keys := experiments.Keys(xrand.New(7), 1000, 1<<40)
-	st, parts := splitKeysByStripe(keys, 4)
+	st, parts := splitByStripe(keys, 4, keyCode, nil)
 	if st.n() != 4 {
 		t.Fatalf("want 4 stripes over 1000 distinct keys, got %d", st.n())
 	}
@@ -55,7 +56,7 @@ func TestStripeSetRouting(t *testing.T) {
 	}
 
 	// More stripes than keys clamps.
-	st, parts = splitKeysByStripe([]uint64{5, 9}, 8)
+	st, parts = splitByStripe([]uint64{5, 9}, 8, keyCode, nil)
 	if st.n() > 2 {
 		t.Fatalf("2 keys split into %d stripes", st.n())
 	}
@@ -64,7 +65,7 @@ func TestStripeSetRouting(t *testing.T) {
 	}
 
 	// Unsharded requests build one stripe from the untouched input.
-	st, parts = splitKeysByStripe([]uint64{9, 5, 7}, 1)
+	st, parts = splitByStripe([]uint64{9, 5, 7}, 1, keyCode, nil)
 	if st.n() != 1 || len(parts) != 1 || parts[0][0] != 9 {
 		t.Fatalf("want <= 1 must pass the input through unmodified, got %v", parts)
 	}
@@ -102,10 +103,13 @@ func TestStringCodeOrder(t *testing.T) {
 			t.Fatalf("code order violates string order at %q < %q", sorted[i-1], sorted[i])
 		}
 	}
-	st, parts := splitStringsByStripe(keys, 4)
+	st, parts := splitByStripe(keys, 4, stringCode, strings.Compare)
 	total := 0
 	for i, part := range parts {
 		total += len(part)
+		if !sort.StringsAreSorted(part) {
+			t.Fatalf("stripe %d chunk not in string order (code ties must break lexicographically)", i)
+		}
 		for _, s := range part {
 			if got := st.of(stringCode(s)); got != i {
 				t.Fatalf("string %q in chunk %d routes to %d", s, i, got)
