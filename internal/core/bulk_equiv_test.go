@@ -21,14 +21,22 @@ import (
 // signature compares structure, not identities.
 
 // webSignature serializes the set tree: depth, item count, and the
-// sorted item codes of every node in DFS order.
+// sorted item codes of every node in DFS order. Only leaves keep their
+// item sets, so a node's set is gathered from the leaves below it.
 func webSignature[L, T, Q any](w *Web[L, T, Q]) []string {
-	var out []string
-	w.walkNodes(func(n *setNode) {
-		codes := make([]uint64, 0, len(w.items[n]))
-		for _, x := range w.items[n] {
+	var gather func(n *setNode[L, T], codes []uint64) []uint64
+	gather = func(n *setNode[L, T], codes []uint64) []uint64 {
+		if n == nil {
+			return codes
+		}
+		for _, x := range n.items {
 			codes = append(codes, w.ops.CodeOf(x))
 		}
+		return gather(n.kids[1], gather(n.kids[0], codes))
+	}
+	var out []string
+	w.walkNodes(func(n *setNode[L, T]) {
+		codes := gather(n, nil)
 		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 		out = append(out, fmt.Sprintf("d%d n%d %v", n.depth, n.count, codes))
 	})

@@ -45,6 +45,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -284,31 +285,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backref records that range r of the given set-tree child is anchored at
-// some range of this node.
-type backref struct {
-	child *setNode
-	r     RangeID
-}
-
 // setNode is one node of the binary subset tree: a link structure over
 // S_b together with its hyperlinks into the parent structure.
-type setNode struct {
-	id    int
+type setNode[L, T any] struct {
 	depth int
 	count int
-	hosts map[RangeID]sim.HostID
-	// mirrors holds each range's k-1 secondary replica hosts (the
-	// primary lives in hosts). It is nil on unreplicated webs, so the
-	// k = 1 fast paths never touch it.
-	mirrors   map[RangeID][]sim.HostID
-	anchors   map[RangeID][]RangeID // my range -> ranges of parent.s
-	backrefs  map[RangeID][]backref // my range -> child ranges anchored here
-	parent    *setNode
-	kids      [2]*setNode
-	inLeaves  bool // member of the query-entry list
-	leafIdx   int  // position in w.leaves while inLeaves (O(1) removal)
-	structAny any  // the L value, stored untyped; Web methods re-type it
+	// side is this node's index in parent.kids; backrefs store it in
+	// place of a node pointer (packBackref).
+	side uint8
+	// slab is the RangeID-indexed table of placement, hyperlinks and
+	// backrefs (slab.go).
+	slab     rangeSlab
+	parent   *setNode[L, T]
+	kids     [2]*setNode[L, T]
+	inLeaves bool // member of the query-entry list
+	leafIdx  int  // position in w.leaves while inLeaves (O(1) removal)
+	s        L
+
+	// items is the node's item set and codes its parallel code slice
+	// (codes[i] == ops.CodeOf(items[i])), kept on set-tree leaves only: a
+	// split reads them, a merge regathers them from the released leaves,
+	// and nothing ever reads an internal node's item set. Codes are
+	// computed once per item and threaded through partition, insert and
+	// delete, so membership-bit derivation never recomputes CodeOf (for
+	// tree-backed items a CodeOf is a full Morton/hash encode).
+	items []T
+	codes []uint64
 
 	// rangeCache is the materialized range enumeration, maintained only
 	// while the node is a query-entry leaf (inLeaves). Entry leaves are
@@ -319,6 +321,11 @@ type setNode struct {
 	rangeCache []RangeID
 }
 
+// backref resolves a packed backref of n to the child node and range.
+func (n *setNode[L, T]) backref(b RangeID) (*setNode[L, T], RangeID) {
+	return n.kids[b&1], b >> 1
+}
+
 // Web is a distributed skip-web over items of type T with queries of type
 // Q, built on link structures of type L.
 type Web[L, T, Q any] struct {
@@ -327,25 +334,11 @@ type Web[L, T, Q any] struct {
 	net    Fabric
 	cfg    Config
 	rng    *xrand.Rand
-	root   *setNode
-	leaves []*setNode // nonempty leaf structures, query entry points
-	items  map[*setNode][]T
-	// codes is parallel to items: codes[n][i] == ops.CodeOf(items[n][i]).
-	// Codes are computed once per item and threaded through partition,
-	// insert, and delete, so membership-bit derivation and the delete
-	// path's item search never recompute CodeOf (for tree-backed items a
-	// CodeOf is a full Morton/hash encode).
-	codes  map[*setNode][]uint64
-	nextID int
+	root   *setNode[L, T]
+	leaves []*setNode[L, T] // nonempty leaf structures, query entry points
 	n      int
 
-	// Update-path scratch buffers, reused across operations so the
-	// insert/delete hot paths allocate nothing per level. Updates are
-	// single-writer (the batch engine serializes them), so plain fields
-	// are safe.
-	dirtyScratch []RangeID  // Added+Touched ranges in applyInsert/applyDelete
-	todoScratch  []childRef // repairChildren work list
-	frameScratch []delFrame // Delete's per-level terminal stack
+	scratch updateScratch[*setNode[L, T]]
 
 	// missed records write-through messages suppressed because the target
 	// replica host was crashed on a durable fabric: the value counts the
@@ -353,26 +346,14 @@ type Web[L, T, Q any] struct {
 	// RestartHost treats any positive count as divergence the merkle
 	// reconcile must re-copy. Lazily allocated; nil until the first
 	// durable crash overlaps an update.
-	missed map[webMiss]int
+	missed map[webMiss[L, T]]int
 }
 
 // webMiss keys one stale replica: range r of node n at crashed host h.
-type webMiss struct {
-	n *setNode
+type webMiss[L, T any] struct {
+	n *setNode[L, T]
 	r RangeID
 	h sim.HostID
-}
-
-// childRef identifies one child range whose hyperlinks need recomputation.
-type childRef struct {
-	child *setNode
-	r     RangeID
-}
-
-// delFrame records the terminal range at one level of a delete's bit path.
-type delFrame struct {
-	node *setNode
-	term RangeID
 }
 
 // NewWeb builds a skip-web over items. The network supplies hosts for
@@ -385,12 +366,10 @@ type delFrame struct {
 func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*Web[L, T, Q], error) {
 	cfg = cfg.withDefaults()
 	w := &Web[L, T, Q]{
-		ops:   ops,
-		net:   net,
-		cfg:   cfg,
-		rng:   xrand.New(cfg.Seed ^ 0x5eb5eb),
-		items: make(map[*setNode][]T),
-		codes: make(map[*setNode][]uint64),
+		ops: ops,
+		net: net,
+		cfg: cfg,
+		rng: xrand.New(cfg.Seed ^ 0x5eb5eb),
 	}
 	all := append([]T(nil), items...)
 	sorted := false
@@ -403,7 +382,7 @@ func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*
 	// Codes are computed lazily inside the root buildSubtree, after the
 	// level-0 Build has validated every item: CodeOf may panic on items
 	// Build would reject with an error (invalid quadtree points).
-	root, err := w.buildSubtree(all, nil, 0, nil, sorted)
+	root, err := w.buildSubtree(all, nil, 0, nil, 0, sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -421,25 +400,40 @@ func (w *Web[L, T, Q]) mix(code uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (w *Web[L, T, Q]) bitAt(x T, depth int) int {
-	return w.bitFromCode(w.ops.CodeOf(x), depth)
-}
-
 // bitFromCode is the level-depth membership bit of a precomputed code.
 func (w *Web[L, T, Q]) bitFromCode(code uint64, depth int) int {
 	return int(w.mix(code) >> uint(depth) & 1)
 }
 
-func (w *Web[L, T, Q]) structOf(n *setNode) L { return n.structAny.(L) }
+// partition splits items (and their parallel codes) by the level-depth
+// membership bit into exactly sized halves, preserving order.
+func (w *Web[L, T, Q]) partition(items []T, codes []uint64, depth int) (halves [2][]T, codeHalves [2][]uint64) {
+	ones := 0
+	for _, c := range codes {
+		ones += w.bitFromCode(c, depth)
+	}
+	sizes := [2]int{len(items) - ones, ones}
+	for b, size := range sizes {
+		halves[b] = make([]T, 0, size)
+		codeHalves[b] = make([]uint64, 0, size)
+	}
+	for i, x := range items {
+		b := w.bitFromCode(codes[i], depth)
+		halves[b] = append(halves[b], x)
+		codeHalves[b] = append(codeHalves[b], codes[i])
+	}
+	return halves, codeHalves
+}
 
-// buildSubtree constructs the set node for items at the given depth,
-// recursing into halves while the set is large enough. With sorted set
-// (items in canonical build order, bulk path), each level builds via
-// BuildSorted; partitions preserve the order, so sortedness propagates.
-// codes must parallel items (codes[i] == CodeOf(items[i])); the root
-// call passes nil and the codes are filled in once Build has accepted
-// the full item set (CodeOf may panic on items Build rejects).
-func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent *setNode, sorted bool) (*setNode, error) {
+// buildSubtree constructs the set node for items at the given depth as
+// kids[side] of parent, recursing into halves while the set is large
+// enough. With sorted set (items in canonical build order, bulk path),
+// each level builds via BuildSorted; partitions preserve the order, so
+// sortedness propagates. codes must parallel items (codes[i] ==
+// CodeOf(items[i])); the root call passes nil and the codes are filled in
+// once Build has accepted the full item set (CodeOf may panic on items
+// Build rejects). Only a node that stays a leaf keeps its items.
+func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent *setNode[L, T], side int, sorted bool) (*setNode[L, T], error) {
 	var s L
 	var err error
 	if sorted && w.bulk != nil {
@@ -456,22 +450,14 @@ func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent
 			codes[i] = w.ops.CodeOf(x)
 		}
 	}
-	n := &setNode{
-		id:        w.nextID,
-		depth:     depth,
-		count:     len(items),
-		hosts:     make(map[RangeID]sim.HostID),
-		anchors:   make(map[RangeID][]RangeID),
-		backrefs:  make(map[RangeID][]backref),
-		parent:    parent,
-		structAny: s,
-	}
-	if w.cfg.Replicas > 1 {
-		n.mirrors = make(map[RangeID][]sim.HostID)
-	}
-	w.nextID++
-	w.items[n] = items
-	w.codes[n] = codes
+	n := &setNode[L, T]{depth: depth, count: len(items), side: uint8(side), parent: parent, s: s}
+	// The slot table is sized once, to the largest RangeID Build handed out.
+	size := 0
+	w.ops.VisitRanges(s, func(r RangeID) bool {
+		size = max(size, int(r)+1)
+		return true
+	})
+	n.slab.init(size, w.cfg.Replicas-1)
 	w.ops.VisitRanges(s, func(r RangeID) bool {
 		w.placeRange(n, r)
 		return true
@@ -482,22 +468,18 @@ func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent
 		}
 	}
 	if len(items) > w.cfg.LeafMax && depth < w.cfg.MaxDepth {
-		var halves [2][]T
-		var codeHalves [2][]uint64
-		for i, x := range items {
-			b := w.bitFromCode(codes[i], depth)
-			halves[b] = append(halves[b], x)
-			codeHalves[b] = append(codeHalves[b], codes[i])
-		}
+		halves, codeHalves := w.partition(items, codes, depth)
 		for b := 0; b < 2; b++ {
-			kid, err := w.buildSubtree(halves[b], codeHalves[b], depth+1, n, sorted)
+			kid, err := w.buildSubtree(halves[b], codeHalves[b], depth+1, n, b, sorted)
 			if err != nil {
 				return nil, err
 			}
 			n.kids[b] = kid
 		}
+		return n, nil
 	}
-	if n.kids[0] == nil && len(items) > 0 {
+	n.items, n.codes = items, codes
+	if len(items) > 0 {
 		w.addLeaf(n)
 	}
 	return n, nil
@@ -506,7 +488,7 @@ func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent
 // addLeaf registers n as a query entry point (a nonempty leaf structure)
 // and builds its range cache. Nodes already registered keep their cache
 // current via the applyInsert/applyDelete refresh, so re-adding is free.
-func (w *Web[L, T, Q]) addLeaf(n *setNode) {
+func (w *Web[L, T, Q]) addLeaf(n *setNode[L, T]) {
 	if n.inLeaves {
 		return
 	}
@@ -519,9 +501,9 @@ func (w *Web[L, T, Q]) addLeaf(n *setNode) {
 // refreshRangeCache rematerializes n's cached range enumeration in
 // VisitRanges (slot) order, preserving the exact host-visit order of the
 // entry scan.
-func (w *Web[L, T, Q]) refreshRangeCache(n *setNode) {
+func (w *Web[L, T, Q]) refreshRangeCache(n *setNode[L, T]) {
 	buf := n.rangeCache[:0]
-	w.ops.VisitRanges(w.structOf(n), func(r RangeID) bool {
+	w.ops.VisitRanges(n.s, func(r RangeID) bool {
 		buf = append(buf, r)
 		return true
 	})
@@ -567,23 +549,14 @@ func (w *Web[L, T, Q]) pickHostExcluding(taken []sim.HostID) sim.HostID {
 	}
 }
 
-// visitMirrors calls f for each secondary replica host of range r of n.
-// It is a no-op on unreplicated webs.
-func (n *setNode) visitMirrors(r RangeID, f func(sim.HostID)) {
-	if n.mirrors == nil {
-		return
-	}
-	for _, m := range n.mirrors[r] {
-		f(m)
-	}
-}
-
 // addStorageReplicas charges delta storage units at every replica of
 // range r of n — the primary plus each mirror, since every replica holds
 // a full copy of the range and its hyperlink pointers.
-func (w *Web[L, T, Q]) addStorageReplicas(n *setNode, r RangeID, delta int) {
-	w.net.AddStorage(n.hosts[r], delta)
-	n.visitMirrors(r, func(m sim.HostID) { w.net.AddStorage(m, delta) })
+func (w *Web[L, T, Q]) addStorageReplicas(n *setNode[L, T], r RangeID, delta int) {
+	w.net.AddStorage(n.slab.slots[r].host, delta)
+	for _, m := range n.slab.mirrorsOf(r) {
+		w.net.AddStorage(m, delta)
+	}
 }
 
 // sendReplicas charges one message to every replica of range r of n —
@@ -592,11 +565,23 @@ func (w *Web[L, T, Q]) addStorageReplicas(n *setNode, r RangeID, delta int) {
 // replicas are contacted in parallel, so the fan-out window makes the
 // operation's critical-path latency pay the slowest replica link, not
 // the sum; hop and message counters are unchanged by the window.
-func (w *Web[L, T, Q]) sendReplicas(op *sim.Op, n *setNode, r RangeID) {
+func (w *Web[L, T, Q]) sendReplicas(op *sim.Op, n *setNode[L, T], r RangeID) {
 	op.FanoutBegin()
-	w.sendOne(op, n, r, n.hosts[r])
-	n.visitMirrors(r, func(m sim.HostID) { w.sendOne(op, n, r, m) })
+	w.sendOne(op, n, r, n.slab.slots[r].host)
+	for _, m := range n.slab.mirrorsOf(r) {
+		w.sendOne(op, n, r, m)
+	}
 	op.FanoutEnd()
+}
+
+// notifyChildren sends one address-update message to every replica of
+// every child range anchored at range r of n (children dereference r by
+// host when routing).
+func (w *Web[L, T, Q]) notifyChildren(op *sim.Op, n *setNode[L, T], r RangeID) {
+	for _, b := range n.slab.backsOf(r) {
+		kid, cr := n.backref(b)
+		w.sendReplicas(op, kid, cr)
+	}
 }
 
 // sendOne charges one write-through message to replica host h of range r
@@ -605,12 +590,12 @@ func (w *Web[L, T, Q]) sendReplicas(op *sim.Op, n *setNode, r RangeID) {
 // diverged: the replica pays for the missed update at RestartHost time
 // through the merkle reconcile instead. On a non-durable fabric the send
 // is unconditional, bit-identical to the pre-durability behavior.
-func (w *Web[L, T, Q]) sendOne(op *sim.Op, n *setNode, r RangeID, h sim.HostID) {
+func (w *Web[L, T, Q]) sendOne(op *sim.Op, n *setNode[L, T], r RangeID, h sim.HostID) {
 	if w.net.Durable() && w.net.Crashed(h) {
 		if w.missed == nil {
-			w.missed = make(map[webMiss]int)
+			w.missed = make(map[webMiss[L, T]]int)
 		}
-		w.missed[webMiss{n, r, h}]++
+		w.missed[webMiss[L, T]{n, r, h}]++
 		return
 	}
 	op.Send(h)
@@ -623,16 +608,14 @@ func (w *Web[L, T, Q]) sendOne(op *sim.Op, n *setNode, r RangeID, h sim.HostID) 
 // the failover cost is the (charged) visit to wherever the live replica
 // actually sits. When every replica is down the unit is unreachable and
 // the caller fails fast with the returned HostDownError.
-func (w *Web[L, T, Q]) liveHost(n *setNode, r RangeID) (sim.HostID, error) {
-	h := n.hosts[r]
+func (w *Web[L, T, Q]) liveHost(n *setNode[L, T], r RangeID) (sim.HostID, error) {
+	h := n.slab.slots[r].host
 	if w.net.Alive(h) {
 		return h, nil
 	}
-	if n.mirrors != nil {
-		for _, m := range n.mirrors[r] {
-			if w.net.Alive(m) {
-				return m, nil
-			}
+	for _, m := range n.slab.mirrorsOf(r) {
+		if w.net.Alive(m) {
+			return m, nil
 		}
 	}
 	return sim.None, &sim.HostDownError{Host: h}
@@ -640,7 +623,7 @@ func (w *Web[L, T, Q]) liveHost(n *setNode, r RangeID) (sim.HostID, error) {
 
 // visitRange moves op to the live replica serving range r of n, failing
 // fast when none survives.
-func (w *Web[L, T, Q]) visitRange(op *sim.Op, n *setNode, r RangeID) error {
+func (w *Web[L, T, Q]) visitRange(op *sim.Op, n *setNode[L, T], r RangeID) error {
 	h, err := w.liveHost(n, r)
 	if err != nil {
 		return err
@@ -652,75 +635,76 @@ func (w *Web[L, T, Q]) visitRange(op *sim.Op, n *setNode, r RangeID) error {
 // placeRange assigns range r of node n to a primary live host — the
 // seed-compatible draw — plus Replicas-1 distinct mirror hosts, and
 // charges its payload as storage at every replica.
-func (w *Web[L, T, Q]) placeRange(n *setNode, r RangeID) {
+func (w *Web[L, T, Q]) placeRange(n *setNode[L, T], r RangeID) {
+	n.slab.grow(r)
 	h := w.pickHost()
-	n.hosts[r] = h
-	w.net.AddStorage(h, w.ops.Payload(w.structOf(n), r))
+	n.slab.slots[r].host = h
+	payload := w.ops.Payload(n.s, r)
+	w.net.AddStorage(h, payload)
 	if k := w.replicaTarget(); k > 1 {
-		ms := make([]sim.HostID, 0, k-1)
 		taken := append(make([]sim.HostID, 0, k), h)
-		for len(ms) < k-1 {
+		for len(taken) < k {
 			m := w.pickHostExcluding(taken)
-			ms = append(ms, m)
 			taken = append(taken, m)
-			w.net.AddStorage(m, w.ops.Payload(w.structOf(n), r))
+			w.net.AddStorage(m, payload)
 		}
-		n.mirrors[r] = ms
+		n.slab.setMirrors(r, taken[1:])
 	}
 }
 
 // dropRange releases range r of node n: storage at every replica,
-// anchors, backref entries.
-func (w *Web[L, T, Q]) dropRange(n *setNode, r RangeID) {
-	if _, ok := n.hosts[r]; ok {
-		w.addStorageReplicas(n, r, -w.ops.Payload(w.structOf(n), r)-len(n.anchors[r]))
+// anchors, backref entries, any recorded divergence — the slot is left
+// empty, so a recycled RangeID inherits nothing.
+func (w *Web[L, T, Q]) dropRange(n *setNode[L, T], r RangeID) {
+	if uint(r) >= uint(len(n.slab.slots)) {
+		return
+	}
+	sl := &n.slab.slots[r]
+	anchors := n.slab.members(&sl.anchors)
+	if sl.host != sim.None {
+		w.addStorageReplicas(n, r, -w.ops.Payload(n.s, r)-len(anchors))
+		if len(w.missed) > 0 {
+			delete(w.missed, webMiss[L, T]{n, r, sl.host})
+			for _, m := range n.slab.mirrorsOf(r) {
+				delete(w.missed, webMiss[L, T]{n, r, m})
+			}
+		}
 	}
 	if n.parent != nil {
-		for _, a := range n.anchors[r] {
+		for _, a := range anchors {
 			w.removeBackref(n.parent, a, n, r)
 		}
 	}
-	delete(n.anchors, r)
-	delete(n.hosts, r)
-	delete(n.backrefs, r)
-	if n.mirrors != nil {
-		delete(n.mirrors, r)
-	}
+	n.slab.release(r)
 }
 
 // setAnchors installs hyperlinks for range r of node n (whose parent must
 // exist), maintaining backrefs and storage accounting — the pointer
-// storage delta lands on every replica of the range. The anchors slice
-// is copied into the replaced set's capacity, so callers may pass
-// scratch-backed Ops.Anchors results and the steady state allocates
-// nothing here.
-func (w *Web[L, T, Q]) setAnchors(n *setNode, r RangeID, anchors []RangeID) {
-	old := n.anchors[r]
+// storage delta lands on every replica of the range. The anchors are
+// copied into the slot, so callers may pass scratch-backed Ops.Anchors
+// results and the steady state allocates nothing here.
+func (w *Web[L, T, Q]) setAnchors(n *setNode[L, T], r RangeID, anchors []RangeID) {
+	set := &n.slab.slots[r].anchors
+	old := n.slab.members(set)
 	for _, a := range old {
 		w.removeBackref(n.parent, a, n, r)
 	}
 	w.addStorageReplicas(n, r, len(anchors)-len(old))
-	n.anchors[r] = append(old[:0], anchors...)
+	n.slab.assign(set, anchors)
+	p, ref := &n.parent.slab, packBackref(n.side, r)
 	for _, a := range anchors {
-		n.parent.backrefs[a] = append(n.parent.backrefs[a], backref{child: n, r: r})
+		p.add(&p.slots[a].backs, ref)
 	}
 }
 
-func (w *Web[L, T, Q]) removeBackref(parent *setNode, a RangeID, child *setNode, r RangeID) {
-	refs := parent.backrefs[a]
-	for i, br := range refs {
-		if br.child == child && br.r == r {
-			refs[i] = refs[len(refs)-1]
-			parent.backrefs[a] = refs[:len(refs)-1]
-			return
-		}
-	}
+func (w *Web[L, T, Q]) removeBackref(parent *setNode[L, T], a RangeID, child *setNode[L, T], r RangeID) {
+	parent.slab.remove(&parent.slab.slots[a].backs, packBackref(child.side, r))
 }
 
 // rewireAll recomputes hyperlinks for every range of n against its parent.
-func (w *Web[L, T, Q]) rewireAll(n *setNode) error {
-	child := w.structOf(n)
-	parent := w.structOf(n.parent)
+func (w *Web[L, T, Q]) rewireAll(n *setNode[L, T]) error {
+	child := n.s
+	parent := n.parent.s
 	var err error
 	w.ops.VisitRanges(child, func(r RangeID) bool {
 		anchors, aerr := w.ops.Anchors(child, parent, r)
@@ -740,8 +724,8 @@ func (w *Web[L, T, Q]) Len() int { return w.n }
 // Levels returns the depth of the deepest set-tree leaf.
 func (w *Web[L, T, Q]) Levels() int {
 	max := 0
-	var rec func(*setNode)
-	rec = func(n *setNode) {
+	var rec func(*setNode[L, T])
+	rec = func(n *setNode[L, T]) {
 		if n == nil {
 			return
 		}
@@ -759,8 +743,8 @@ func (w *Web[L, T, Q]) Levels() int {
 // nodes).
 func (w *Web[L, T, Q]) NumStructures() int {
 	n := 0
-	var rec func(*setNode)
-	rec = func(sn *setNode) {
+	var rec func(*setNode[L, T])
+	rec = func(sn *setNode[L, T]) {
 		if sn == nil {
 			return
 		}
@@ -774,7 +758,7 @@ func (w *Web[L, T, Q]) NumStructures() int {
 
 // entryLeaf picks the query entry structure for an originating host: its
 // "root" in the paper's terminology.
-func (w *Web[L, T, Q]) entryLeaf(origin sim.HostID) *setNode {
+func (w *Web[L, T, Q]) entryLeaf(origin sim.HostID) *setNode[L, T] {
 	if len(w.leaves) == 0 {
 		return w.root
 	}
@@ -843,8 +827,8 @@ func (w *Web[L, T, Q]) queryOp(q Q, op *sim.Op) (RangeID, error) {
 // its ranges (entry structures have O(1) expected size). The scan runs on
 // the allocation-free VisitRanges iterator: this is the entry step of
 // every query descent.
-func (w *Web[L, T, Q]) scanTerminal(n *setNode, q Q, op *sim.Op) (RangeID, error) {
-	s := w.structOf(n)
+func (w *Web[L, T, Q]) scanTerminal(n *setNode[L, T], q Q, op *sim.Op) (RangeID, error) {
+	s := n.s
 	best := NoRange
 	bestDepth := -1
 	if n.inLeaves {
@@ -880,7 +864,7 @@ func (w *Web[L, T, Q]) scanTerminal(n *setNode, q Q, op *sim.Op) (RangeID, error
 
 // scanTerminalSlow is scanTerminal's iterator fallback for entry at a
 // node without a range cache.
-func (w *Web[L, T, Q]) scanTerminalSlow(n *setNode, s L, q Q, op *sim.Op) (RangeID, error) {
+func (w *Web[L, T, Q]) scanTerminalSlow(n *setNode[L, T], s L, q Q, op *sim.Op) (RangeID, error) {
 	best := NoRange
 	bestDepth := -1
 	var err error
@@ -903,10 +887,10 @@ func (w *Web[L, T, Q]) scanTerminalSlow(n *setNode, s L, q Q, op *sim.Op) (Range
 
 // descendOne follows the hyperlinks of range cur of node n into n.parent
 // and refines to the parent terminal containing q.
-func (w *Web[L, T, Q]) descendOne(n *setNode, cur RangeID, q Q, op *sim.Op) (RangeID, error) {
+func (w *Web[L, T, Q]) descendOne(n *setNode[L, T], cur RangeID, q Q, op *sim.Op) (RangeID, error) {
 	parent := n.parent
-	ps := w.structOf(parent)
-	cands := n.anchors[cur]
+	ps := parent.s
+	cands := n.slab.anchorsOf(cur)
 	if len(cands) == 0 {
 		return NoRange, fmt.Errorf("core: range %d at depth %d has no hyperlinks", cur, n.depth)
 	}
@@ -965,9 +949,9 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 		child := node.kids[w.bitFromCode(code, node.depth)]
 		ct := NoRange
 		if child.count > 0 {
-			steps := 0
-			ct, err = w.ops.ChildTerminal(w.structOf(child), w.structOf(node), tp, q, &steps)
-			w.chargeSteps(op, child, ct, steps)
+			w.scratch.steps = 0
+			ct, err = w.ops.ChildTerminal(child.s, node.s, tp, q, &w.scratch.steps)
+			w.chargeSteps(op, child, ct, w.scratch.steps)
 			if err != nil {
 				return op.Hops(), fmt.Errorf("core: child terminal at depth %d: %w", child.depth, err)
 			}
@@ -977,7 +961,7 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 		}
 		node = child
 		if ct == NoRange {
-			tp = w.ops.Locate(w.structOf(node), q)
+			tp = w.ops.Locate(node.s, q)
 		} else {
 			tp = w.reterminal(node, ct, q)
 		}
@@ -999,8 +983,8 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 // reterminal refines a pre-update terminal to the post-update terminal by
 // local steps (free: the walk happens on the host that just applied the
 // structural change or its immediate neighbors, already visited).
-func (w *Web[L, T, Q]) reterminal(n *setNode, r RangeID, q Q) RangeID {
-	s := w.structOf(n)
+func (w *Web[L, T, Q]) reterminal(n *setNode[L, T], r RangeID, q Q) RangeID {
+	s := n.s
 	for {
 		next := w.ops.Step(s, r, q)
 		if next == NoRange {
@@ -1010,12 +994,12 @@ func (w *Web[L, T, Q]) reterminal(n *setNode, r RangeID, q Q) RangeID {
 	}
 }
 
-func (w *Web[L, T, Q]) chargeSteps(op *sim.Op, n *setNode, r RangeID, steps int) {
+func (w *Web[L, T, Q]) chargeSteps(op *sim.Op, n *setNode[L, T], r RangeID, steps int) {
 	// Charge the walk to the host of the resulting range: each step is a
 	// hop between structure nodes, which in the worst placement crosses
 	// hosts every time. The walk happens wherever the range is actually
 	// served, so a failed-over range charges its live replica.
-	if _, ok := n.hosts[r]; !ok {
+	if !n.slab.placed(r) {
 		return
 	}
 	h, err := w.liveHost(n, r)
@@ -1055,30 +1039,32 @@ func anchorsEqual(a, b []RangeID) bool {
 
 // applyInsert performs the structural insert on node n and fixes
 // hyperlinks for the O(1) affected ranges. The Added+Touched work list
-// lives in w.dirtyScratch, reused across operations.
-func (w *Web[L, T, Q]) applyInsert(n *setNode, x T, q Q, code uint64, hint RangeID, op *sim.Op) error {
-	s := w.structOf(n)
+// lives in w.scratch.dirty, reused across operations.
+func (w *Web[L, T, Q]) applyInsert(n *setNode[L, T], x T, q Q, code uint64, hint RangeID, op *sim.Op) error {
+	s := n.s
 	ch, err := w.ops.Insert(s, x, q, hint)
 	if err != nil {
 		return fmt.Errorf("core: insert at depth %d: %w", n.depth, err)
 	}
 	n.count++
-	w.items[n] = append(w.items[n], x)
-	w.codes[n] = append(w.codes[n], code)
+	if n.kids[0] == nil {
+		n.items = append(n.items, x)
+		n.codes = append(n.codes, code)
+	}
 	for _, r := range ch.Added {
 		w.placeRange(n, r)
 		w.sendReplicas(op, n, r)
 	}
-	dirty := append(append(w.dirtyScratch[:0], ch.Added...), ch.Touched...)
-	w.dirtyScratch = dirty[:0]
+	dirty := append(append(w.scratch.dirty[:0], ch.Added...), ch.Touched...)
+	w.scratch.dirty = dirty[:0]
 	if n.parent != nil {
-		ps := w.structOf(n.parent)
+		ps := n.parent.s
 		for _, r := range dirty {
 			anchors, err := w.ops.Anchors(s, ps, r)
 			if err != nil {
 				return fmt.Errorf("core: re-anchor range %d at depth %d: %w", r, n.depth, err)
 			}
-			if anchorsEqual(anchors, n.anchors[r]) {
+			if anchorsEqual(anchors, n.slab.anchorsOf(r)) {
 				continue
 			}
 			w.setAnchors(n, r, anchors)
@@ -1098,27 +1084,28 @@ func (w *Web[L, T, Q]) applyInsert(n *setNode, x T, q Q, code uint64, hint Range
 // at the given ranges of n (whose extents may have changed). The work
 // list must be snapshotted before recomputation because setAnchors
 // mutates the backrefs being iterated; the snapshot lives in
-// w.todoScratch, reused across operations.
-func (w *Web[L, T, Q]) repairChildren(n *setNode, ranges []RangeID, op *sim.Op) error {
-	s := w.structOf(n)
-	todos := w.todoScratch[:0]
+// w.scratch.todo, reused across operations.
+func (w *Web[L, T, Q]) repairChildren(n *setNode[L, T], ranges []RangeID, op *sim.Op) error {
+	s := n.s
+	todos := w.scratch.todo[:0]
 	for _, pr := range ranges {
-		for _, br := range n.backrefs[pr] {
-			todos = append(todos, childRef{br.child, br.r})
+		for _, b := range n.slab.backsOf(pr) {
+			kid, cr := n.backref(b)
+			todos = append(todos, nodeRange[*setNode[L, T]]{kid, cr})
 		}
 	}
-	w.todoScratch = todos[:0]
+	w.scratch.todo = todos[:0]
 	for _, td := range todos {
-		cs := w.structOf(td.child)
-		anchors, err := w.ops.Anchors(cs, s, td.r)
+		kid := td.node
+		anchors, err := w.ops.Anchors(kid.s, s, td.r)
 		if err != nil {
 			return fmt.Errorf("core: repair anchors of child range %d: %w", td.r, err)
 		}
-		if anchorsEqual(anchors, td.child.anchors[td.r]) {
+		if anchorsEqual(anchors, kid.slab.anchorsOf(td.r)) {
 			continue
 		}
-		w.setAnchors(td.child, td.r, anchors)
-		w.sendReplicas(op, td.child, td.r)
+		w.setAnchors(kid, td.r, anchors)
+		w.sendReplicas(op, kid, td.r)
 	}
 	return nil
 }
@@ -1134,19 +1121,19 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 		return 0, err
 	}
 	// Collect the terminal at each level along x's bit path (x present).
-	// The stack lives in w.frameScratch, reused across operations.
-	frames := append(w.frameScratch[:0], delFrame{w.root, t0})
-	defer func() { w.frameScratch = frames[:0] }()
+	// The stack lives in w.scratch.frames, reused across operations.
+	frames := append(w.scratch.frames[:0], nodeRange[*setNode[L, T]]{w.root, t0})
+	defer func() { w.scratch.frames = frames[:0] }()
 	node, tp := w.root, t0
 	for node.kids[0] != nil {
 		child := node.kids[w.bitFromCode(code, node.depth)]
-		steps := 0
-		ct, err := w.ops.ChildTerminal(w.structOf(child), w.structOf(node), tp, q, &steps)
-		w.chargeSteps(op, child, ct, steps)
+		w.scratch.steps = 0
+		ct, err := w.ops.ChildTerminal(child.s, node.s, tp, q, &w.scratch.steps)
+		w.chargeSteps(op, child, ct, w.scratch.steps)
 		if err != nil {
 			return op.Hops(), fmt.Errorf("core: child terminal at depth %d: %w", child.depth, err)
 		}
-		frames = append(frames, delFrame{child, ct})
+		frames = append(frames, nodeRange[*setNode[L, T]]{child, ct})
 		node, tp = child, ct
 	}
 	// Unwind top-down so hyperlink repair always targets live ranges.
@@ -1172,23 +1159,23 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 	return op.Hops(), nil
 }
 
-func (w *Web[L, T, Q]) applyDelete(n *setNode, x T, q Q, code uint64, op *sim.Op) error {
-	s := w.structOf(n)
+func (w *Web[L, T, Q]) applyDelete(n *setNode[L, T], x T, q Q, code uint64, op *sim.Op) error {
+	s := n.s
 	ch, err := w.ops.Delete(s, x, q)
 	if err != nil {
 		return fmt.Errorf("core: delete at depth %d: %w", n.depth, err)
 	}
 	n.count--
-	// Drop x from the item set by scanning the parallel code slice — a
-	// plain uint64 sweep, no CodeOf recomputation.
-	items, cs := w.items[n], w.codes[n]
-	for i := range cs {
-		if cs[i] == code {
-			last := len(items) - 1
-			items[i], cs[i] = items[last], cs[last]
-			w.items[n] = items[:last]
-			w.codes[n] = cs[:last]
-			break
+	// Only a leaf keeps its item set (O(LeafMax) entries): drop x from it
+	// by scanning the parallel code slice, no CodeOf recomputation.
+	if n.kids[0] == nil {
+		for i, c := range n.codes {
+			if c == code {
+				last := len(n.codes) - 1
+				n.items[i], n.codes[i] = n.items[last], n.codes[last]
+				n.items, n.codes = n.items[:last], n.codes[:last]
+				break
+			}
 		}
 	}
 	// Redirect children anchored at removed ranges, rewriting each
@@ -1200,26 +1187,27 @@ func (w *Web[L, T, Q]) applyDelete(n *setNode, x T, q Q, code uint64, op *sim.Op
 		if i < len(ch.RemapTo) {
 			to = ch.RemapTo[i]
 		}
-		for _, br := range n.backrefs[dead] {
+		for _, b := range n.slab.backsOf(dead) {
 			if to == NoRange {
 				return fmt.Errorf("core: removed range %d at depth %d has anchored children but no remap", dead, n.depth)
 			}
-			w.redirectAnchor(n, br.child, br.r, dead, to)
-			w.sendReplicas(op, br.child, br.r)
+			kid, cr := n.backref(b)
+			w.redirectAnchor(n, kid, cr, dead, to)
+			w.sendReplicas(op, kid, cr)
 		}
-		if _, ok := n.hosts[dead]; ok {
+		if n.slab.placed(dead) {
 			w.sendReplicas(op, n, dead) // tombstone message to every replica
 		}
 		w.dropRange(n, dead)
 	}
 	if n.parent != nil {
-		ps := w.structOf(n.parent)
+		ps := n.parent.s
 		for _, r := range ch.Touched {
 			anchors, err := w.ops.Anchors(s, ps, r)
 			if err != nil {
 				return fmt.Errorf("core: re-anchor range %d at depth %d: %w", r, n.depth, err)
 			}
-			if anchorsEqual(anchors, n.anchors[r]) {
+			if anchorsEqual(anchors, n.slab.anchorsOf(r)) {
 				continue
 			}
 			w.setAnchors(n, r, anchors)
@@ -1243,8 +1231,9 @@ func (w *Web[L, T, Q]) applyDelete(n *setNode, x T, q Q, code uint64, op *sim.Op
 // the replace-copy-dedupe-setAnchors composition this replaces, without
 // allocating. Hyperlink sets are expected O(1) (set-halving lemma), so
 // the quadratic dedupe scan is free.
-func (w *Web[L, T, Q]) redirectAnchor(parent, child *setNode, r RangeID, dead, to RangeID) {
-	anchors := child.anchors[r]
+func (w *Web[L, T, Q]) redirectAnchor(parent, child *setNode[L, T], r RangeID, dead, to RangeID) {
+	set := &child.slab.slots[r].anchors
+	anchors := child.slab.members(set)
 	hadTo := false
 	for _, a := range anchors {
 		if a == to {
@@ -1268,28 +1257,21 @@ func (w *Web[L, T, Q]) redirectAnchor(parent, child *setNode, r RangeID, dead, t
 			out = append(out, a)
 		}
 	}
-	child.anchors[r] = out
 	if len(out) != len(anchors) {
+		child.slab.shrink(set, len(out))
 		w.addStorageReplicas(child, r, len(out)-len(anchors))
 	}
 	if !hadTo {
-		parent.backrefs[to] = append(parent.backrefs[to], backref{child: child, r: r})
+		parent.slab.add(&parent.slab.slots[to].backs, packBackref(child.side, r))
 	}
 }
 
-// splitLeaf turns a leaf set node into an internal node with two halves.
-func (w *Web[L, T, Q]) splitLeaf(n *setNode, op *sim.Op) error {
-	items := w.items[n]
-	codes := w.codes[n]
-	var halves [2][]T
-	var codeHalves [2][]uint64
-	for i, x := range items {
-		b := w.bitFromCode(codes[i], n.depth)
-		halves[b] = append(halves[b], x)
-		codeHalves[b] = append(codeHalves[b], codes[i])
-	}
+// splitLeaf turns a leaf set node into an internal node with two halves,
+// handing its item set down to them.
+func (w *Web[L, T, Q]) splitLeaf(n *setNode[L, T], op *sim.Op) error {
+	halves, codeHalves := w.partition(n.items, n.codes, n.depth)
 	for b := 0; b < 2; b++ {
-		kid, err := w.buildSubtree(halves[b], codeHalves[b], n.depth+1, n, false)
+		kid, err := w.buildSubtree(halves[b], codeHalves[b], n.depth+1, n, b, false)
 		if err != nil {
 			return fmt.Errorf("core: split leaf at depth %d: %w", n.depth, err)
 		}
@@ -1297,34 +1279,40 @@ func (w *Web[L, T, Q]) splitLeaf(n *setNode, op *sim.Op) error {
 		// Creating a structure of k ranges costs O(k) messages — one per
 		// replica placed — amortized against the inserts that grew the
 		// leaf.
-		for r, h := range kid.hosts {
-			op.Send(h)
-			kid.visitMirrors(r, func(m sim.HostID) { op.Send(m) })
-		}
+		w.ops.VisitRanges(kid.s, func(r RangeID) bool {
+			op.Send(kid.slab.slots[r].host)
+			for _, m := range kid.slab.mirrorsOf(r) {
+				op.Send(m)
+			}
+			return true
+		})
 	}
+	n.items, n.codes = nil, nil
 	w.removeLeaf(n)
 	return nil
 }
 
 // mergeSubtree re-absorbs all descendants of n, making it a leaf again.
-func (w *Web[L, T, Q]) mergeSubtree(n *setNode, op *sim.Op) {
-	var release func(k *setNode)
-	release = func(k *setNode) {
+// Its item set is regathered from the released leaves in DFS order; the
+// order is free because every dynamic Ops.Build is order-independent.
+func (w *Web[L, T, Q]) mergeSubtree(n *setNode[L, T], op *sim.Op) {
+	var release func(k *setNode[L, T])
+	release = func(k *setNode[L, T]) {
 		if k == nil {
 			return
 		}
 		release(k.kids[0])
 		release(k.kids[1])
-		w.ops.VisitRanges(w.structOf(k), func(r RangeID) bool {
-			if _, ok := k.hosts[r]; ok {
+		w.ops.VisitRanges(k.s, func(r RangeID) bool {
+			if k.slab.placed(r) {
 				w.sendReplicas(op, k, r)
 			}
 			w.dropRange(k, r)
 			return true
 		})
 		w.removeLeaf(k)
-		delete(w.items, k)
-		delete(w.codes, k)
+		n.items = append(n.items, k.items...)
+		n.codes = append(n.codes, k.codes...)
 	}
 	release(n.kids[0])
 	release(n.kids[1])
@@ -1334,7 +1322,7 @@ func (w *Web[L, T, Q]) mergeSubtree(n *setNode, op *sim.Op) {
 	}
 }
 
-func (w *Web[L, T, Q]) removeLeaf(n *setNode) {
+func (w *Web[L, T, Q]) removeLeaf(n *setNode[L, T]) {
 	if !n.inLeaves {
 		return
 	}
@@ -1349,9 +1337,9 @@ func (w *Web[L, T, Q]) removeLeaf(n *setNode) {
 // walkNodes visits every set-tree node in deterministic DFS order
 // (node, kids[0], kids[1]) — the iteration order all churn migration
 // uses, so a fixed seed yields a fixed migration transcript.
-func (w *Web[L, T, Q]) walkNodes(visit func(*setNode)) {
-	var rec func(*setNode)
-	rec = func(n *setNode) {
+func (w *Web[L, T, Q]) walkNodes(visit func(*setNode[L, T])) {
+	var rec func(*setNode[L, T])
+	rec = func(n *setNode[L, T]) {
 		if n == nil {
 			return
 		}
@@ -1364,46 +1352,41 @@ func (w *Web[L, T, Q]) walkNodes(visit func(*setNode)) {
 
 // rangeUnits is the storage footprint one replica of range r carries:
 // its payload plus its hyperlink pointers.
-func (w *Web[L, T, Q]) rangeUnits(n *setNode, r RangeID) int {
-	return w.ops.Payload(w.structOf(n), r) + len(n.anchors[r])
+func (w *Web[L, T, Q]) rangeUnits(n *setNode[L, T], r RangeID) int {
+	return w.ops.Payload(n.s, r) + int(n.slab.slots[r].anchors.n)
 }
 
 // replicaCount returns how many replicas range r of n currently has.
-func (w *Web[L, T, Q]) replicaCount(n *setNode, r RangeID) int {
-	if n.mirrors == nil {
-		return 1
-	}
-	return 1 + len(n.mirrors[r])
+func (w *Web[L, T, Q]) replicaCount(n *setNode[L, T], r RangeID) int {
+	return 1 + int(n.slab.slots[r].mirrors)
 }
 
 // replicaAt returns replica slot `slot` of range r (slot 0 is the
 // primary, slot i > 0 is mirrors[i-1]).
-func (w *Web[L, T, Q]) replicaAt(n *setNode, r RangeID, slot int) sim.HostID {
+func (w *Web[L, T, Q]) replicaAt(n *setNode[L, T], r RangeID, slot int) sim.HostID {
 	if slot == 0 {
-		return n.hosts[r]
+		return n.slab.slots[r].host
 	}
-	return n.mirrors[r][slot-1]
+	return n.slab.mirrorsOf(r)[slot-1]
 }
 
 // setReplicaAt rewrites replica slot `slot` of range r.
-func (w *Web[L, T, Q]) setReplicaAt(n *setNode, r RangeID, slot int, h sim.HostID) {
+func (w *Web[L, T, Q]) setReplicaAt(n *setNode[L, T], r RangeID, slot int, h sim.HostID) {
 	if slot == 0 {
-		n.hosts[r] = h
+		n.slab.slots[r].host = h
 		return
 	}
-	n.mirrors[r][slot-1] = h
+	n.slab.mirrorsOf(r)[slot-1] = h
 }
 
 // hasReplica reports whether h already serves a replica of range r.
-func (w *Web[L, T, Q]) hasReplica(n *setNode, r RangeID, h sim.HostID) bool {
-	if n.hosts[r] == h {
+func (w *Web[L, T, Q]) hasReplica(n *setNode[L, T], r RangeID, h sim.HostID) bool {
+	if n.slab.slots[r].host == h {
 		return true
 	}
-	if n.mirrors != nil {
-		for _, m := range n.mirrors[r] {
-			if m == h {
-				return true
-			}
+	for _, m := range n.slab.mirrorsOf(r) {
+		if m == h {
+			return true
 		}
 	}
 	return false
@@ -1414,7 +1397,7 @@ func (w *Web[L, T, Q]) hasReplica(n *setNode, r RangeID, h sim.HostID) bool {
 // storage, one message is charged per unit moved, and every replica of
 // every child range anchored at r is sent one address-update message
 // (children dereference r by host when routing).
-func (w *Web[L, T, Q]) moveReplica(n *setNode, r RangeID, slot int, to sim.HostID, op *sim.Op) {
+func (w *Web[L, T, Q]) moveReplica(n *setNode[L, T], r RangeID, slot int, to sim.HostID, op *sim.Op) {
 	from := w.replicaAt(n, r, slot)
 	if to == from {
 		return
@@ -1426,28 +1409,24 @@ func (w *Web[L, T, Q]) moveReplica(n *setNode, r RangeID, slot int, to sim.HostI
 	for i := 0; i < units; i++ {
 		op.Send(to)
 	}
-	for _, br := range n.backrefs[r] {
-		w.sendReplicas(op, br.child, br.r)
-	}
+	w.notifyChildren(op, n, r)
 }
 
 // dropReplicaSlot discards replica slot `slot` of range r of node n,
 // discharging its storage at `from` (a departing host whose copy cannot
 // be placed anywhere distinct). Slot 0 is handled by promoting the
 // first mirror to primary; children are notified of the address change.
-func (w *Web[L, T, Q]) dropReplicaSlot(n *setNode, r RangeID, slot int, op *sim.Op) {
+func (w *Web[L, T, Q]) dropReplicaSlot(n *setNode[L, T], r RangeID, slot int, op *sim.Op) {
 	from := w.replicaAt(n, r, slot)
 	w.net.AddStorage(from, -w.rangeUnits(n, r))
-	ms := n.mirrors[r]
+	ms := n.slab.mirrorsOf(r)
 	if slot == 0 {
-		n.hosts[r] = ms[0]
+		n.slab.slots[r].host = ms[0]
 		slot = 1
-		for _, br := range n.backrefs[r] {
-			w.sendReplicas(op, br.child, br.r)
-		}
+		w.notifyChildren(op, n, r)
 	}
 	copy(ms[slot-1:], ms[slot:])
-	n.mirrors[r] = ms[:len(ms)-1]
+	n.slab.slots[r].mirrors--
 }
 
 // Rehome migrates every replica placed on host `from` — which the
@@ -1460,8 +1439,8 @@ func (w *Web[L, T, Q]) dropReplicaSlot(n *setNode, r RangeID, slot int, op *sim.
 // the structure pays Θ(s) messages, the paper's per-host memory
 // M = O((n/H) log n) in expectation.
 func (w *Web[L, T, Q]) Rehome(from sim.HostID, op *sim.Op) {
-	w.walkNodes(func(n *setNode) {
-		w.ops.VisitRanges(w.structOf(n), func(r RangeID) bool {
+	w.walkNodes(func(n *setNode[L, T]) {
+		w.ops.VisitRanges(n.s, func(r RangeID) bool {
 			count := w.replicaCount(n, r)
 			for slot := 0; slot < count; slot++ {
 				if w.replicaAt(n, r, slot) != from {
@@ -1489,7 +1468,7 @@ func (w *Web[L, T, Q]) Rehome(from sim.HostID, op *sim.Op) {
 // otherReplicas materializes the replica hosts of range r except slot
 // `slot`, for distinctness-constrained draws. Only called on replicated
 // webs (cold churn path), so the small allocation is acceptable.
-func (w *Web[L, T, Q]) otherReplicas(n *setNode, r RangeID, slot int) []sim.HostID {
+func (w *Web[L, T, Q]) otherReplicas(n *setNode[L, T], r RangeID, slot int) []sim.HostID {
 	out := make([]sim.HostID, 0, w.replicaCount(n, r)-1)
 	for i := 0; i < w.replicaCount(n, r); i++ {
 		if i != slot {
@@ -1508,8 +1487,8 @@ func (w *Web[L, T, Q]) otherReplicas(n *setNode, r RangeID, slot int) []sim.Host
 // same range (replica sets stay distinct).
 func (w *Web[L, T, Q]) Rebalance(onto sim.HostID, op *sim.Op) {
 	live := w.net.LiveHosts()
-	w.walkNodes(func(n *setNode) {
-		w.ops.VisitRanges(w.structOf(n), func(r RangeID) bool {
+	w.walkNodes(func(n *setNode[L, T]) {
+		w.ops.VisitRanges(n.s, func(r RangeID) bool {
 			count := w.replicaCount(n, r)
 			for slot := 0; slot < count; slot++ {
 				// Draw unconditionally so the randomness stream per
@@ -1540,8 +1519,8 @@ func (w *Web[L, T, Q]) Repair(op *sim.Op) error {
 	lost := 0
 	var deadHosts map[sim.HostID]bool
 	target := w.replicaTarget()
-	w.walkNodes(func(n *setNode) {
-		w.ops.VisitRanges(w.structOf(n), func(r RangeID) bool {
+	w.walkNodes(func(n *setNode[L, T]) {
+		w.ops.VisitRanges(n.s, func(r RangeID) bool {
 			count := w.replicaCount(n, r)
 			liveCount := 0
 			for slot := 0; slot < count; slot++ {
@@ -1579,8 +1558,8 @@ func (w *Web[L, T, Q]) Repair(op *sim.Op) error {
 
 // repairRange rebuilds range r's replica set from its live survivors,
 // topping it up to target distinct live hosts.
-func (w *Web[L, T, Q]) repairRange(n *setNode, r RangeID, target int, op *sim.Op) {
-	oldPrimary := n.hosts[r]
+func (w *Web[L, T, Q]) repairRange(n *setNode[L, T], r RangeID, target int, op *sim.Op) {
+	oldPrimary := n.slab.slots[r].host
 	units := w.rangeUnits(n, r)
 	liveSet := make([]sim.HostID, 0, target)
 	for slot := 0; slot < w.replicaCount(n, r); slot++ {
@@ -1595,7 +1574,7 @@ func (w *Web[L, T, Q]) repairRange(n *setNode, r RangeID, target int, op *sim.Op
 		// not resurrect units the repair re-homed elsewhere.
 		if w.net.Durable() && w.net.Crashed(h) {
 			w.net.AddStorage(h, -units)
-			delete(w.missed, webMiss{n, r, h})
+			delete(w.missed, webMiss[L, T]{n, r, h})
 		}
 	}
 	for len(liveSet) < target {
@@ -1606,14 +1585,10 @@ func (w *Web[L, T, Q]) repairRange(n *setNode, r RangeID, target int, op *sim.Op
 			op.Send(h) // copied from a surviving replica
 		}
 	}
-	n.hosts[r] = liveSet[0]
-	if n.mirrors != nil {
-		n.mirrors[r] = append(n.mirrors[r][:0], liveSet[1:]...)
-	}
-	if n.hosts[r] != oldPrimary {
-		for _, br := range n.backrefs[r] {
-			w.sendReplicas(op, br.child, br.r)
-		}
+	n.slab.slots[r].host = liveSet[0]
+	n.slab.setMirrors(r, liveSet[1:])
+	if liveSet[0] != oldPrimary {
+		w.notifyChildren(op, n, r)
 	}
 }
 
@@ -1640,16 +1615,13 @@ func (w *Web[L, T, Q]) repairRange(n *setNode, r RangeID, target int, op *sim.Op
 // may legitimately copy zero units. Engines that mutate units in place
 // (BlockedWeb blocks, BucketWeb buckets) exercise the copy path.
 func (w *Web[L, T, Q]) RestartHost(h sim.HostID, op *sim.Op) int {
-	type unitRef struct {
-		n *setNode
-		r RangeID
-	}
+	type unitRef = nodeRange[*setNode[L, T]]
 	// Group h's units by reconcile peer — the first live co-replica in
 	// slot order. A unit whose other replicas are all down has no fresher
 	// copy to learn from and is served as replayed.
 	var groups map[sim.HostID][]unitRef
-	w.walkNodes(func(n *setNode) {
-		w.ops.VisitRanges(w.structOf(n), func(r RangeID) bool {
+	w.walkNodes(func(n *setNode[L, T]) {
+		w.ops.VisitRanges(n.s, func(r RangeID) bool {
 			if !w.hasReplica(n, r, h) {
 				return true
 			}
@@ -1675,7 +1647,7 @@ func (w *Web[L, T, Q]) RestartHost(h sim.HostID, op *sim.Op) int {
 		units := groups[p]
 		var dirty []int
 		for i, u := range units {
-			if w.missed[webMiss{u.n, u.r, h}] > 0 {
+			if w.missed[webMiss[L, T]{u.node, u.r, h}] > 0 {
 				dirty = append(dirty, i)
 			}
 		}
@@ -1685,12 +1657,12 @@ func (w *Web[L, T, Q]) RestartHost(h sim.HostID, op *sim.Op) int {
 		}
 		for _, i := range dirty {
 			u := units[i]
-			uu := w.rangeUnits(u.n, u.r)
+			uu := w.rangeUnits(u.node, u.r)
 			for j := 0; j < uu; j++ {
 				op.Send(h) // diverged unit re-copied from the peer
 			}
 			copied += uu
-			delete(w.missed, webMiss{u.n, u.r, h})
+			delete(w.missed, webMiss[L, T]{u.node, u.r, h})
 		}
 	}
 	// Purge stale records for h: units repaired away while it was down,
@@ -1705,7 +1677,7 @@ func (w *Web[L, T, Q]) RestartHost(h sim.HostID, op *sim.Op) int {
 
 // GroundStructure exposes the level-0 structure D(S) (for answer
 // extraction and tests).
-func (w *Web[L, T, Q]) GroundStructure() L { return w.structOf(w.root) }
+func (w *Web[L, T, Q]) GroundStructure() L { return w.root.s }
 
 // LevelCensus describes one depth of the hierarchy (Figure 2): how many
 // structures S_b exist there and how many items they hold in total.
@@ -1719,8 +1691,8 @@ type LevelCensus struct {
 // Census returns per-depth statistics of the level hierarchy.
 func (w *Web[L, T, Q]) Census() []LevelCensus {
 	byDepth := map[int]*LevelCensus{}
-	var rec func(*setNode)
-	rec = func(n *setNode) {
+	var rec func(*setNode[L, T])
+	rec = func(n *setNode[L, T]) {
 		if n == nil {
 			return
 		}
@@ -1731,7 +1703,7 @@ func (w *Web[L, T, Q]) Census() []LevelCensus {
 		}
 		c.Structures++
 		c.Items += n.count
-		w.ops.VisitRanges(w.structOf(n), func(RangeID) bool {
+		w.ops.VisitRanges(n.s, func(RangeID) bool {
 			c.Ranges++
 			return true
 		})
@@ -1750,20 +1722,31 @@ func (w *Web[L, T, Q]) Census() []LevelCensus {
 	return out
 }
 
-// CheckInvariants verifies the full web: hyperlinks exactly match
-// recomputation, backrefs are symmetric, per-level item counts add up,
-// and every level structure's ranges are placed on live hosts — the
-// consistency contract host churn must preserve.
+// CheckInvariants verifies the full web: every slot table is a bijection
+// with its structure's live ranges (a slot outside VisitRanges is empty),
+// hyperlinks exactly match recomputation, anchors and backrefs mirror each
+// other in both directions, per-level item counts add up, only leaves
+// hold item sets, and every level structure's ranges are placed on live
+// hosts — the consistency contract host churn must preserve.
 func (w *Web[L, T, Q]) CheckInvariants() error {
-	var rec func(n *setNode) error
-	rec = func(n *setNode) error {
+	var rec func(n *setNode[L, T]) error
+	rec = func(n *setNode[L, T]) error {
 		if n == nil {
 			return nil
 		}
-		s := w.structOf(n)
+		s := n.s
 		ranges := RangesOf(w.ops, s)
-		if len(n.hosts) != len(ranges) {
-			return fmt.Errorf("core: depth %d: %d hosts for %d ranges", n.depth, len(n.hosts), len(ranges))
+		live := make([]bool, len(n.slab.slots))
+		for _, r := range ranges {
+			if !n.slab.placed(r) {
+				return fmt.Errorf("core: depth %d: range %d unplaced", n.depth, r)
+			}
+			live[r] = true
+		}
+		for i, sl := range n.slab.slots {
+			if !live[i] && sl != emptySlot {
+				return fmt.Errorf("core: depth %d: slot %d is not a live range but holds %+v", n.depth, i, sl)
+			}
 		}
 		if n.inLeaves {
 			if len(n.rangeCache) != len(ranges) {
@@ -1776,10 +1759,7 @@ func (w *Web[L, T, Q]) CheckInvariants() error {
 			}
 		}
 		for _, r := range ranges {
-			h, ok := n.hosts[r]
-			if !ok {
-				return fmt.Errorf("core: depth %d: range %d unplaced", n.depth, r)
-			}
+			h := n.slab.slots[r].host
 			if !w.net.Alive(h) {
 				return fmt.Errorf("core: depth %d: range %d placed on departed host %d", n.depth, r, h)
 			}
@@ -1790,48 +1770,42 @@ func (w *Web[L, T, Q]) CheckInvariants() error {
 				return fmt.Errorf("core: depth %d: range %d has %d replicas, want %d",
 					n.depth, r, w.replicaCount(n, r), want)
 			}
-			if n.mirrors != nil {
-				for i, m := range n.mirrors[r] {
-					if !w.net.Alive(m) {
-						return fmt.Errorf("core: depth %d: range %d mirror on dead host %d", n.depth, r, m)
-					}
-					if m == h {
-						return fmt.Errorf("core: depth %d: range %d mirror duplicates primary %d", n.depth, r, m)
-					}
-					for _, m2 := range n.mirrors[r][:i] {
-						if m2 == m {
-							return fmt.Errorf("core: depth %d: range %d has duplicate mirror %d", n.depth, r, m)
-						}
+			mirrors := n.slab.mirrorsOf(r)
+			for i, m := range mirrors {
+				if !w.net.Alive(m) {
+					return fmt.Errorf("core: depth %d: range %d mirror on dead host %d", n.depth, r, m)
+				}
+				if m == h {
+					return fmt.Errorf("core: depth %d: range %d mirror duplicates primary %d", n.depth, r, m)
+				}
+				for _, m2 := range mirrors[:i] {
+					if m2 == m {
+						return fmt.Errorf("core: depth %d: range %d has duplicate mirror %d", n.depth, r, m)
 					}
 				}
 			}
+			got := n.slab.anchorsOf(r)
 			if n.parent != nil {
-				want, err := w.ops.Anchors(s, w.structOf(n.parent), r)
+				want, err := w.ops.Anchors(s, n.parent.s, r)
 				if err != nil {
 					return err
 				}
-				got := n.anchors[r]
-				if len(got) != len(want) {
-					return fmt.Errorf("core: depth %d range %d: %d anchors, want %d", n.depth, r, len(got), len(want))
-				}
-				wantSet := make(map[RangeID]bool, len(want))
-				for _, a := range want {
-					wantSet[a] = true
+				if !anchorsEqual(got, want) {
+					return fmt.Errorf("core: depth %d range %d: anchors %v, want %v", n.depth, r, got, want)
 				}
 				for _, a := range got {
-					if !wantSet[a] {
-						return fmt.Errorf("core: depth %d range %d: stale anchor %d", n.depth, r, a)
-					}
-					found := false
-					for _, br := range n.parent.backrefs[a] {
-						if br.child == n && br.r == r {
-							found = true
-							break
-						}
-					}
-					if !found {
+					if !slices.Contains(n.parent.slab.backsOf(a), packBackref(n.side, r)) {
 						return fmt.Errorf("core: depth %d range %d: missing backref at parent range %d", n.depth, r, a)
 					}
+				}
+			} else if len(got) != 0 {
+				return fmt.Errorf("core: root range %d has anchors %v", r, got)
+			}
+			for _, b := range n.slab.backsOf(r) {
+				kid, cr := n.backref(b)
+				if kid == nil || !kid.slab.placed(cr) ||
+					!slices.Contains(kid.slab.anchorsOf(cr), r) {
+					return fmt.Errorf("core: depth %d range %d: backref %d names a child range not anchored here", n.depth, r, b)
 				}
 			}
 		}
@@ -1839,6 +1813,17 @@ func (w *Web[L, T, Q]) CheckInvariants() error {
 			if n.kids[0].count+n.kids[1].count != n.count {
 				return fmt.Errorf("core: depth %d: child counts %d+%d != %d",
 					n.depth, n.kids[0].count, n.kids[1].count, n.count)
+			}
+			if n.items != nil || n.codes != nil {
+				return fmt.Errorf("core: depth %d: internal node holds an item set", n.depth)
+			}
+		} else if len(n.items) != n.count || len(n.codes) != n.count {
+			return fmt.Errorf("core: depth %d: leaf holds %d items and %d codes for count %d",
+				n.depth, len(n.items), len(n.codes), n.count)
+		}
+		for i, x := range n.items {
+			if n.codes[i] != w.ops.CodeOf(x) {
+				return fmt.Errorf("core: depth %d: leaf code %d does not match its item", n.depth, i)
 			}
 		}
 		if err := rec(n.kids[0]); err != nil {

@@ -43,6 +43,10 @@ type Node struct {
 	wake    chan struct{}
 	closed  bool
 	dropped bool
+	// tearing is set once teardown has begun: a connection Accept hands
+	// back after that point is closed instead of served, because teardown
+	// has already taken its snapshot of conns and would never close it.
+	tearing bool
 	conns   map[net.Conn]struct{}
 
 	done     chan struct{} // closed when the worker exits
@@ -162,7 +166,7 @@ func (n *Node) accept() {
 			return // listener closed by Close/Drop
 		}
 		n.mu.Lock()
-		if n.dropped {
+		if n.dropped || n.tearing {
 			n.mu.Unlock()
 			c.Close()
 			continue
@@ -327,6 +331,7 @@ func (n *Node) Drop() {
 func (n *Node) teardown() {
 	n.ln.Close()
 	n.mu.Lock()
+	n.tearing = true
 	conns := make([]net.Conn, 0, len(n.conns))
 	for c := range n.conns {
 		conns = append(conns, c)
