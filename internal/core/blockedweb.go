@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -30,7 +29,6 @@ type BlockedWeb struct {
 	m       int // host memory parameter M
 	strat   int // stratum height L = max(1, ceil(log2 M))
 	blockSz int // ranges per block B = max(1, M/4)
-	repl    int // replication factor k (1 = unreplicated, seed-compatible)
 	leafMax int
 	merge   int
 	maxDep  int
@@ -74,22 +72,19 @@ type BlockedWeb struct {
 	descMemo   []descEntry
 	memoActive bool
 
-	// missed counts the write-through messages suppressed because a block
-	// replica's host was crashed on a durable fabric. Keys record the
-	// block's start key rather than its index: the directory can split
-	// while the host is down, and a start key still locates the covering
-	// block at RestartHost time. Lazily allocated; nil until a durable
-	// crash overlaps an update.
-	missed map[blockMiss]int
+	// rep is the replica-layer state (replicas.go). footprints memoizes
+	// blockUnits per basic node for the churn pass in progress (eachBlock
+	// resets it).
+	rep        replication[blockName]
+	footprints map[*bnode][]int
 }
 
-// blockMiss keys one stale block replica: the block of basic node bn
-// that covered key start when the update was suppressed, replicated at
-// crashed host h.
-type blockMiss struct {
+// blockName names a block in the miss log by its start key rather than
+// its index: the directory can split while a host is down, and the lower
+// half — the part the down host still replicates — keeps the start key.
+type blockName struct {
 	bn    *bnode
 	start uint64
-	h     sim.HostID
 }
 
 // descEntry is one depth's memoized hyperlink resolution.
@@ -101,17 +96,6 @@ type descEntry struct {
 
 // resetSeen clears the seen-host scratch set at the start of an update.
 func (w *BlockedWeb) resetSeen() { w.seenScratch = w.seenScratch[:0] }
-
-// chargeOnce sends one message to h unless this update already charged h.
-func (w *BlockedWeb) chargeOnce(h sim.HostID, op *sim.Op) {
-	for _, s := range w.seenScratch {
-		if s == h {
-			return
-		}
-	}
-	op.Send(h)
-	w.seenScratch = append(w.seenScratch, h)
-}
 
 // bnode is one set-tree node: a sorted-list level plus, when basic, its
 // block directory.
@@ -201,12 +185,12 @@ func NewBlockedWeb(net Fabric, keys []uint64, cfg BlockedConfig) (*BlockedWeb, e
 		m:       cfg.M,
 		strat:   strat,
 		blockSz: blockSz,
-		repl:    cfg.Replicas,
 		leafMax: cfg.LeafMax,
 		merge:   cfg.MergeMin,
 		maxDep:  cfg.MaxDepth,
 		rng:     xrand.New(cfg.Seed ^ 0xb10c),
 	}
+	w.rep = replication[blockName]{net: net, k: cfg.Replicas, draw: w.nextHost, rng: w.rng}
 	sorted := append([]uint64(nil), keys...)
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
@@ -266,9 +250,9 @@ func (w *BlockedWeb) newLevel(sorted []uint64) *ListLevel {
 // Miss records keyed by the node are purged first: the pool recycles
 // bnode pointers, so a stale key could otherwise alias a future node.
 func (w *BlockedWeb) releaseNode(n *bnode) {
-	for k := range w.missed {
-		if k.bn == n {
-			delete(w.missed, k)
+	for at := range w.rep.missed {
+		if at.unit.bn == n {
+			delete(w.rep.missed, at)
 		}
 	}
 	w.lvlFree = append(w.lvlFree, n.lvl)
@@ -309,166 +293,42 @@ func (w *BlockedWeb) nextHost() sim.HostID {
 	return h
 }
 
-// replicaTarget returns how many distinct live hosts each block should
-// be mirrored on right now: the configured factor, capped by the live
-// host count.
-func (w *BlockedWeb) replicaTarget() int {
-	k := w.repl
-	if live := w.net.LiveHosts(); k > live {
-		k = live
-	}
-	return k
-}
-
-// nextHostExcluding draws the next round-robin live host not in taken.
-// Round-robin over the live set reaches a non-taken host within
-// LiveHosts draws whenever one exists; callers guarantee it does. At
-// k = 1 it is never called with a non-empty taken set, so the hostSeq
-// consumption matches nextHost exactly.
-func (w *BlockedWeb) nextHostExcluding(taken []sim.HostID) sim.HostID {
-	for {
-		h := w.nextHost()
-		dup := false
-		for _, t := range taken {
-			if t == h {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			return h
-		}
-	}
-}
-
-// blockReplicaCount returns how many replicas block bi of bn has. The
+// blockReplicas returns the slot view over block bi of basic node bn. The
 // blockMirrors directory is empty on unreplicated webs and parallel to
 // blockHosts otherwise.
-func (w *BlockedWeb) blockReplicaCount(bn *bnode, bi int) int {
-	if len(bn.blockMirrors) == 0 {
-		return 1
+func (w *BlockedWeb) blockReplicas(bn *bnode, bi int) replicaSet {
+	rs := replicaSet{primary: &bn.blockHosts[bi]}
+	if len(bn.blockMirrors) > 0 {
+		rs.mirrors = &bn.blockMirrors[bi]
 	}
-	return 1 + len(bn.blockMirrors[bi])
-}
-
-// blockReplicaAt returns replica slot `slot` of block bi (slot 0 is the
-// primary in blockHosts, slot i > 0 is blockMirrors[bi][i-1]).
-func (w *BlockedWeb) blockReplicaAt(bn *bnode, bi, slot int) sim.HostID {
-	if slot == 0 {
-		return bn.blockHosts[bi]
-	}
-	return bn.blockMirrors[bi][slot-1]
-}
-
-// setBlockReplicaAt rewrites replica slot `slot` of block bi.
-func (w *BlockedWeb) setBlockReplicaAt(bn *bnode, bi, slot int, h sim.HostID) {
-	if slot == 0 {
-		bn.blockHosts[bi] = h
-		return
-	}
-	bn.blockMirrors[bi][slot-1] = h
-}
-
-// blockHasReplica reports whether h already serves a replica of block bi.
-func (w *BlockedWeb) blockHasReplica(bn *bnode, bi int, h sim.HostID) bool {
-	for slot := 0; slot < w.blockReplicaCount(bn, bi); slot++ {
-		if w.blockReplicaAt(bn, bi, slot) == h {
-			return true
-		}
-	}
-	return false
+	return rs
 }
 
 // addBlockStorage charges delta storage units at every replica of block
 // bi of basic node bn — every replica holds a full copy of the block's
-// ranges, hyperlinks, and boundary copies. At k = 1 it is exactly the
-// single AddStorage the unreplicated path charged.
+// ranges, hyperlinks, and boundary copies.
 func (w *BlockedWeb) addBlockStorage(bn *bnode, bi, delta int) {
-	w.net.AddStorage(bn.blockHosts[bi], delta)
-	if len(bn.blockMirrors) > 0 {
-		for _, m := range bn.blockMirrors[bi] {
-			w.net.AddStorage(m, delta)
-		}
-	}
+	w.blockReplicas(bn, bi).addStorage(w.net, delta)
 }
 
-// chargeBlockOnce charges one message to each replica of block bi that
-// this update has not yet charged — the write-through counterpart of
-// chargeOnce. The replicas are contacted in parallel, so the fan-out
-// window makes the operation's latency pay the slowest replica link
-// rather than the sum; counters are unchanged by the window.
+// chargeBlockOnce writes through to each replica of block bi that this
+// update has not yet charged: one message per distinct block host per
+// update, so updates confined to a stratum's co-located copies cost a
+// single message.
 func (w *BlockedWeb) chargeBlockOnce(bn *bnode, bi int, op *sim.Op) {
-	op.FanoutBegin()
-	w.sendBlockOne(bn, bi, bn.blockHosts[bi], true, op)
-	if len(bn.blockMirrors) > 0 {
-		for _, m := range bn.blockMirrors[bi] {
-			w.sendBlockOne(bn, bi, m, true, op)
-		}
-	}
-	op.FanoutEnd()
+	w.rep.writeThrough(op, w.blockReplicas(bn, bi), blockName{bn, bn.blockStarts[bi]}, &w.seenScratch)
 }
 
-// sendBlockOne charges one write-through message to replica host h of
-// block bi — unless h is crashed on a durable fabric, in which case the
-// message is suppressed and the block is recorded as diverged at h; the
-// merkle reconcile re-ships it at RestartHost time. `once` applies the
-// per-update host dedup of chargeOnce (the suppressed branch skips the
-// dedup on purpose: one physical message can carry several blocks'
-// updates, but each touched block diverges individually). On a
-// non-durable fabric the send is unconditional, bit-identical to the
-// pre-durability behavior.
-func (w *BlockedWeb) sendBlockOne(bn *bnode, bi int, h sim.HostID, once bool, op *sim.Op) {
-	if w.net.Durable() && w.net.Crashed(h) {
-		if w.missed == nil {
-			w.missed = make(map[blockMiss]int)
-		}
-		w.missed[blockMiss{bn, bn.blockStarts[bi], h}]++
-		return
-	}
-	if once {
-		w.chargeOnce(h, op)
-		return
-	}
-	op.Send(h)
-}
-
-// liveBlockHost resolves block bi of bn for routing: the primary when
-// alive, else the first live mirror (the failed-host set is consulted
-// for free, as a failure detector would). When every replica is down
-// the block is unreachable and the typed HostDownError is returned.
-func (w *BlockedWeb) liveBlockHost(bn *bnode, bi int) (sim.HostID, error) {
-	h := bn.blockHosts[bi]
-	if w.net.Alive(h) {
-		return h, nil
-	}
-	if len(bn.blockMirrors) > 0 {
-		for _, m := range bn.blockMirrors[bi] {
-			if w.net.Alive(m) {
-				return m, nil
-			}
-		}
-	}
-	return sim.None, &sim.HostDownError{Host: h}
-}
-
-// sendBlock charges one message to every replica of block bi of bn —
-// write-through to all copies, fanned out in parallel (latency pays the
-// slowest replica link; counters are unchanged by the window).
+// sendBlock charges one write-through message to every replica of block
+// bi of bn, with no per-update dedup.
 func (w *BlockedWeb) sendBlock(bn *bnode, bi int, op *sim.Op) {
-	op.FanoutBegin()
-	w.sendBlockOne(bn, bi, bn.blockHosts[bi], false, op)
-	if len(bn.blockMirrors) > 0 {
-		for _, m := range bn.blockMirrors[bi] {
-			w.sendBlockOne(bn, bi, m, false, op)
-		}
-	}
-	op.FanoutEnd()
+	w.rep.writeThrough(op, w.blockReplicas(bn, bi), blockName{bn, bn.blockStarts[bi]}, nil)
 }
 
 // visitBlock moves op to the live replica serving block bi of bn,
 // failing fast when none survives.
 func (w *BlockedWeb) visitBlock(bn *bnode, bi int, op *sim.Op) error {
-	h, err := w.liveBlockHost(bn, bi)
+	h, err := w.blockReplicas(bn, bi).firstLive(w.net)
 	if err != nil {
 		return err
 	}
@@ -476,22 +336,10 @@ func (w *BlockedWeb) visitBlock(bn *bnode, bi int, op *sim.Op) error {
 	return nil
 }
 
-// drawBlockMirrors appends k-1 fresh distinct mirror hosts for a block
-// whose primary is already drawn.
+// drawBlockMirrors draws the secondary hosts of a fresh block whose
+// primary is already drawn.
 func (w *BlockedWeb) drawBlockMirrors(primary sim.HostID) []sim.HostID {
-	k := w.replicaTarget()
-	if k <= 1 {
-		return nil
-	}
-	taken := make([]sim.HostID, 1, k)
-	taken[0] = primary
-	ms := make([]sim.HostID, 0, k-1)
-	for len(ms) < k-1 {
-		m := w.nextHostExcluding(taken)
-		ms = append(ms, m)
-		taken = append(taken, m)
-	}
-	return ms
+	return drawMirrors(w.net, w.rep.k, w.nextHost, primary)
 }
 
 // buildSubtree constructs the set node over keys, which must be strictly
@@ -535,7 +383,7 @@ func (w *BlockedWeb) buildBlocks(n *bnode, keys []uint64) {
 	n.blockStarts = append(n.blockStarts[:0], 0) // block 0 holds the head region
 	n.blockHosts = append(n.blockHosts[:0], w.nextHost())
 	n.blockSizes = append(n.blockSizes[:0], 1) // the head sentinel
-	if w.repl > 1 {
+	if w.rep.k > 1 {
 		n.blockMirrors = append(n.blockMirrors[:0], w.drawBlockMirrors(n.blockHosts[0]))
 	}
 	for i, k := range keys {
@@ -544,7 +392,7 @@ func (w *BlockedWeb) buildBlocks(n *bnode, keys []uint64) {
 			n.blockStarts = append(n.blockStarts, k)
 			n.blockHosts = append(n.blockHosts, w.nextHost())
 			n.blockSizes = append(n.blockSizes, 0)
-			if w.repl > 1 {
+			if w.rep.k > 1 {
 				n.blockMirrors = append(n.blockMirrors, w.drawBlockMirrors(n.blockHosts[bi+1]))
 			}
 			bi++
@@ -1074,33 +922,22 @@ func (w *BlockedWeb) splitBlock(bn *bnode, bi int, op *sim.Op) {
 	if hasHi {
 		hi = bn.blockStarts[bi+1]
 	}
-	members := w.stratumMembers(bn)
-	for _, n := range members {
-		w.transferSpanStorage(n, bn, bi, medKey, hi, hasHi, newHost, newMirrors)
+	fresh := replicaSet{&newHost, &newMirrors}
+	for _, n := range w.stratumMembers(bn) {
+		w.transferSpanStorage(n, bn, bi, medKey, hi, hasHi, fresh)
 	}
 	// Splice the new block into the directory.
-	bn.blockStarts = append(bn.blockStarts, 0)
-	copy(bn.blockStarts[bi+2:], bn.blockStarts[bi+1:])
-	bn.blockStarts[bi+1] = medKey
-	bn.blockHosts = append(bn.blockHosts, 0)
-	copy(bn.blockHosts[bi+2:], bn.blockHosts[bi+1:])
-	bn.blockHosts[bi+1] = newHost
-	bn.blockSizes = append(bn.blockSizes, 0)
-	copy(bn.blockSizes[bi+2:], bn.blockSizes[bi+1:])
-	bn.blockSizes[bi+1] = moved
+	bn.blockStarts = slices.Insert(bn.blockStarts, bi+1, medKey)
+	bn.blockHosts = slices.Insert(bn.blockHosts, bi+1, newHost)
+	bn.blockSizes = slices.Insert(bn.blockSizes, bi+1, moved)
 	bn.blockSizes[bi] = half
-	if w.repl > 1 {
-		bn.blockMirrors = append(bn.blockMirrors, nil)
-		copy(bn.blockMirrors[bi+2:], bn.blockMirrors[bi+1:])
-		bn.blockMirrors[bi+1] = newMirrors
+	if w.rep.k > 1 {
+		bn.blockMirrors = slices.Insert(bn.blockMirrors, bi+1, newMirrors)
 	}
 	// One message per moved range, per replica receiving its copy
 	// (amortized against the inserts that grew the block).
 	for i := 0; i < moved; i++ {
-		op.Send(newHost)
-		for _, m := range newMirrors {
-			op.Send(m)
-		}
+		fresh.sendAll(op)
 	}
 }
 
@@ -1125,9 +962,9 @@ func (w *BlockedWeb) splitBlock(bn *bnode, bi int, op *sim.Op) {
 // footprint under both directories — splitBlock's exactness contract
 // (Cluster.Leave asserts exact drains) rests on that — at O(span) cost
 // with a single search to find the span floor. Every replica of the old
-// block discharges the span; every replica of the new block (newHost
-// plus newMirrors) is charged its copy.
-func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, hasHi bool, newHost sim.HostID, newMirrors []sim.HostID) {
+// block discharges the span; every replica of the new block (fresh) is
+// charged its copy.
+func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, hasHi bool, fresh replicaSet) {
 	r := n.lvl.Locate(lo) // floor: the last range with key <= lo
 	var pred, s1 RangeID
 	if !n.lvl.IsHead(r) && n.lvl.Key(r) == lo {
@@ -1138,20 +975,14 @@ func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, ha
 	if s1 == NoRange || (hasHi && n.lvl.Key(s1) >= hi) {
 		return // no member range in the span: footprint unchanged
 	}
-	addNew := func(delta int) {
-		w.net.AddStorage(newHost, delta)
-		for _, m := range newMirrors {
-			w.net.AddStorage(m, delta)
-		}
-	}
 	for s := s1; s != NoRange && (!hasHi || n.lvl.Key(s) < hi); s = n.lvl.Next(s) {
 		w.addBlockStorage(bn, bi, -2)
-		addNew(2)
+		fresh.addStorage(w.net, 2)
 	}
 	if w.blockIndex(bn, w.rangeKey(n, pred)) != bi {
 		w.addBlockStorage(bn, bi, -1)
 	}
-	addNew(1)
+	fresh.addStorage(w.net, 1)
 }
 
 // spanRanges visits, in member n, the ranges whose storage footprint
@@ -1287,12 +1118,6 @@ func (w *BlockedWeb) releaseSubtree(k *bnode, op *sim.Op) {
 	w.releaseNode(k)
 }
 
-// blockMove is one replica-slot reassignment collected by retargetBlocks.
-type blockMove struct {
-	slot int
-	to   sim.HostID
-}
-
 // basicNodes returns the basic nodes in DFS order; each one's blocks
 // co-locate the ranges of its whole stratum. Iteration is deterministic,
 // so a fixed seed yields a fixed migration transcript.
@@ -1313,54 +1138,29 @@ func (w *BlockedWeb) basicNodes() []*bnode {
 	return basics
 }
 
-// retargetBlocks reassigns block replicas across the whole hierarchy:
-// decide(bn, bi, slot, h) inspects replica slot `slot` of block bi,
-// currently at host h, and returns (to, move, drop) — move relocates
-// the replica to `to`, drop discards it (legal only when another
-// replica survives; used when the live set is too small for a distinct
-// target). Storage moves exactly — every range's primary copy (2 units)
-// and boundary-straddling copy (1 unit) is discharged under the old
-// replica sets and recharged under the new ones, so an unmoved replica
-// nets zero, a moved one transfers, and a dropped one discharges — and
-// one message per moved storage unit is charged to op.
-func (w *BlockedWeb) retargetBlocks(decide func(bn *bnode, bi, slot int, h sim.HostID) (sim.HostID, bool, bool), op *sim.Op) {
+// blockMove is the churn decision for one block (slot < 0: untouched).
+type blockMove struct {
+	slot int
+	to   sim.HostID
+	drop bool
+}
+
+// retargetBlocks applies a churn decision (replication.leaving or
+// joining) to every block of the hierarchy: at most one replica slot per
+// block moves or is dropped. What is block geometry rather than
+// replication is the storage transfer: every range's primary copy (2
+// units) and boundary-straddling copy (1 unit) is discharged under the
+// old replica sets and recharged under the new ones, so an unmoved
+// replica nets zero, a moved one transfers, and a dropped one discharges
+// — and one message per moved storage unit is charged to op.
+func (w *BlockedWeb) retargetBlocks(decide retarget, op *sim.Op) {
 	for _, bn := range w.basicNodes() {
-		nBlocks := len(bn.blockHosts)
-		moved := make([]bool, nBlocks)
-		moves := make([][]blockMove, nBlocks)
-		drops := make([][]int, nBlocks)
+		plan := make([]blockMove, len(bn.blockHosts))
 		any := false
-		for bi := 0; bi < nBlocks; bi++ {
-			count := w.blockReplicaCount(bn, bi)
-			for slot := 0; slot < count; slot++ {
-				h := w.blockReplicaAt(bn, bi, slot)
-				to, mv, drop := decide(bn, bi, slot, h)
-				if drop {
-					drops[bi] = append(drops[bi], slot)
-					moved[bi], any = true, true
-					continue
-				}
-				if !mv || to == h {
-					continue
-				}
-				// Replica sets stay distinct: skip a move whose target
-				// already serves this block (or was just assigned to it).
-				if w.blockHasReplica(bn, bi, to) {
-					continue
-				}
-				dup := false
-				for _, m := range moves[bi] {
-					if m.to == to {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				moves[bi] = append(moves[bi], blockMove{slot, to})
-				moved[bi], any = true, true
-			}
+		for bi := range plan {
+			slot, to, drop := decide(w.blockReplicas(bn, bi))
+			plan[bi] = blockMove{slot, to, drop}
+			any = any || slot >= 0
 		}
 		if !any {
 			continue
@@ -1377,12 +1177,12 @@ func (w *BlockedWeb) retargetBlocks(decide func(bn *bnode, bi, slot int, h sim.H
 			hasHi  bool
 		}
 		var runs []span
-		for bi := 0; bi < len(moved); bi++ {
-			if !moved[bi] {
+		for bi := 0; bi < len(plan); bi++ {
+			if plan[bi].slot < 0 {
 				continue
 			}
 			end := bi
-			for end+1 < len(moved) && moved[end+1] {
+			for end+1 < len(plan) && plan[end+1].slot >= 0 {
 				end++
 			}
 			s := span{lo: bn.blockStarts[bi], hasHi: end+1 < len(bn.blockStarts)}
@@ -1414,39 +1214,29 @@ func (w *BlockedWeb) retargetBlocks(decide func(bn *bnode, bi, slot int, h sim.H
 				w.chargeRangeStorage(n, r, -1)
 			})
 		}
-		// Apply slot rewrites first (on the pre-drop slot layout), then
-		// drops from the highest slot down so earlier indices stay valid;
-		// dropping slot 0 promotes the first surviving mirror to primary.
-		for bi := 0; bi < nBlocks; bi++ {
-			for _, m := range moves[bi] {
-				w.setBlockReplicaAt(bn, bi, m.slot, m.to)
+		for bi, m := range plan {
+			switch rs := w.blockReplicas(bn, bi); {
+			case m.slot < 0:
+			case m.drop:
+				rs.drop(m.slot)
+			default:
+				rs.set(m.slot, m.to)
 			}
-			ds := drops[bi]
-			sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-			for _, slot := range ds {
-				ms := bn.blockMirrors[bi]
-				if slot == 0 {
-					bn.blockHosts[bi] = ms[0]
-					slot = 1
-				}
-				copy(ms[slot-1:], ms[slot:])
-				bn.blockMirrors[bi] = ms[:len(ms)-1]
+		}
+		// moved charges the copies a relocated replica of block bi received.
+		moved := func(bi, units int) {
+			if m := plan[bi]; m.slot >= 0 && !m.drop {
+				sendN(op, m.to, units)
 			}
 		}
 		for _, n := range members {
 			forEachSpanRange(n, func(r RangeID) {
 				w.chargeRangeStorage(n, r, 1)
-				k := w.rangeKey(n, r)
-				bi := w.blockIndex(bn, k)
-				for _, m := range moves[bi] {
-					op.Send(m.to) // the range...
-					op.Send(m.to) // ...and its hyperlink
-				}
+				bi := w.blockIndex(bn, w.rangeKey(n, r))
+				moved(bi, 2) // the range and its hyperlink
 				if nx := n.lvl.Next(r); nx != NoRange {
 					if bj := w.blockIndex(bn, n.lvl.Key(nx)); bj != bi {
-						for _, m := range moves[bj] {
-							op.Send(m.to) // the straddling copy
-						}
+						moved(bj, 1) // the straddling copy
 					}
 				}
 			})
@@ -1457,55 +1247,19 @@ func (w *BlockedWeb) retargetBlocks(decide func(bn *bnode, bi, slot int, h sim.H
 // Rehome migrates every block replica hosted on the departed host
 // `from` onto the next live hosts in round-robin order (distinct from
 // the block's surviving replicas), charging one message per moved
-// storage unit to op. When the live set is too small for a distinct
-// target — the cluster shrank below the replication factor — the
-// replica is dropped instead.
+// storage unit to op; a replica with no distinct live target is dropped
+// (replication.leaving).
 func (w *BlockedWeb) Rehome(from sim.HostID, op *sim.Op) {
-	w.retargetBlocks(func(bn *bnode, bi, slot int, h sim.HostID) (sim.HostID, bool, bool) {
-		if h != from {
-			return 0, false, false
-		}
-		count := w.blockReplicaCount(bn, bi)
-		if w.net.LiveHosts() < count {
-			return 0, false, true // no distinct live target: drop the replica
-		}
-		if count == 1 {
-			return w.nextHost(), true, false
-		}
-		return w.nextHostExcluding(w.otherBlockReplicas(bn, bi, slot)), true, false
-	}, op)
-}
-
-// otherBlockReplicas materializes block bi's replica hosts except slot
-// `slot`, for distinctness-constrained draws (cold churn path).
-func (w *BlockedWeb) otherBlockReplicas(bn *bnode, bi, slot int) []sim.HostID {
-	count := w.blockReplicaCount(bn, bi)
-	out := make([]sim.HostID, 0, count-1)
-	for i := 0; i < count; i++ {
-		if i != slot {
-			out = append(out, w.blockReplicaAt(bn, bi, i))
-		}
-	}
-	return out
+	w.retargetBlocks(w.rep.leaving(from), op)
 }
 
 // Rebalance moves each block replica independently onto the freshly
-// joined host `onto` with probability 1/LiveHosts — the expected 1/H
-// share of every basic node's directory a from-scratch build over the
-// enlarged live set would assign it — charging every migration hop to
-// op. A replica never lands on a host already serving the same block.
+// joined host `onto` with probability 1/LiveHosts (replication.joining)
+// — the expected 1/H share of every basic node's directory a
+// from-scratch build over the enlarged live set would assign it —
+// charging every migration hop to op.
 func (w *BlockedWeb) Rebalance(onto sim.HostID, op *sim.Op) {
-	live := w.net.LiveHosts()
-	w.retargetBlocks(func(bn *bnode, bi, slot int, h sim.HostID) (sim.HostID, bool, bool) {
-		// The Alive guard comes after the draw so the randomness stream
-		// is crash-independent; a dead slot (data lost past the
-		// tolerance) must never relocate — that would resurrect data
-		// the crash destroyed and discharge a zeroed storage counter.
-		if h != onto && w.rng.Intn(live) == 0 && w.net.Alive(h) {
-			return onto, true, false
-		}
-		return 0, false, false
-	}, op)
+	w.retargetBlocks(w.rep.joining(onto), op)
 }
 
 // blockUnits computes, per block of basic node bn, the storage units
@@ -1532,162 +1286,61 @@ func (w *BlockedWeb) blockUnits(bn *bnode) []int {
 	return units
 }
 
-// Repair re-replicates every under-replicated block after a crash (or a
-// join that raised the feasible replica count): dead replicas are
-// dropped from the replica set, a live survivor is promoted to primary
-// when the primary died, and fresh distinct live hosts are charged a
-// full block copy — one message per storage unit copied from a
-// surviving replica. Blocks with no surviving replica are left in place
-// (queries against them keep failing fast) and reported via a
-// DataLossError.
-func (w *BlockedWeb) Repair(op *sim.Op) error {
-	lost := 0
-	var deadHosts map[sim.HostID]bool
-	target := w.replicaTarget()
-	for _, bn := range w.basicNodes() {
-		var units []int // computed lazily: repairs are rare
-		for bi := range bn.blockHosts {
-			count := w.blockReplicaCount(bn, bi)
-			liveCount := 0
-			for slot := 0; slot < count; slot++ {
-				if w.net.Alive(w.blockReplicaAt(bn, bi, slot)) {
-					liveCount++
-				}
-			}
-			if liveCount == count && count >= target {
-				continue
-			}
-			if units == nil {
-				units = w.blockUnits(bn)
-			}
-			if liveCount == 0 {
-				lost += units[bi]
-				if deadHosts == nil {
-					deadHosts = make(map[sim.HostID]bool)
-				}
-				for slot := 0; slot < count; slot++ {
-					deadHosts[w.blockReplicaAt(bn, bi, slot)] = true
-				}
-				continue
-			}
-			liveSet := make([]sim.HostID, 0, target)
-			for slot := 0; slot < count; slot++ {
-				h := w.blockReplicaAt(bn, bi, slot)
-				if w.net.Alive(h) {
-					liveSet = append(liveSet, h)
-					continue
-				}
-				// The dead slot is dropped for good; discharge the durable
-				// host's on-disk image so a later Restart does not
-				// resurrect units the repair re-homed elsewhere.
-				if w.net.Durable() && w.net.Crashed(h) {
-					w.net.AddStorage(h, -units[bi])
-					delete(w.missed, blockMiss{bn, bn.blockStarts[bi], h})
-				}
-			}
-			for len(liveSet) < target {
-				h := w.nextHostExcluding(liveSet)
-				w.net.AddStorage(h, units[bi])
-				for i := 0; i < units[bi]; i++ {
-					op.Send(h) // copied from a surviving replica
-				}
-				liveSet = append(liveSet, h)
-			}
-			bn.blockHosts[bi] = liveSet[0]
-			if w.repl > 1 {
-				bn.blockMirrors[bi] = append(bn.blockMirrors[bi][:0], liveSet[1:]...)
-			}
-		}
-	}
-	if lost > 0 {
-		hosts := make([]sim.HostID, 0, len(deadHosts))
-		for h := range deadHosts {
-			hosts = append(hosts, h)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		return &DataLossError{Units: lost, Hosts: hosts}
-	}
-	return nil
+// blockUnit is one block of one basic node, as the replica layer sees it
+// (replicaUnit).
+type blockUnit struct {
+	w  *BlockedWeb
+	bn *bnode
+	bi int
 }
 
-// RestartHost reconciles host h's block replicas after a durable
-// restart. Each surviving miss record is mapped onto the current
-// directory (the recorded start key locates the block now covering it —
-// robust to splits that shifted indices while h was down), then h's
-// blocks are grouped by reconcile peer — the first live co-replica —
-// and each group runs an outer merkle walk over its per-block digests.
-// A diverged block reconciles at key granularity with an inner walk:
-// the miss count bounds how many distinct positions diverged, so the
-// inner tree ships O(misses · log block) rather than the whole block.
-// Returns the number of storage units re-copied; all messages are
-// charged to op against h.
-func (w *BlockedWeb) RestartHost(h sim.HostID, op *sim.Op) int {
-	type blockRef struct {
-		bn *bnode
-		bi int
+func (u blockUnit) replicas() replicaSet { return u.w.blockReplicas(u.bn, u.bi) }
+func (u blockUnit) name() blockName      { return blockName{u.bn, u.bn.blockStarts[u.bi]} }
+func (u blockUnit) moved(*sim.Op)        {} // nobody dereferences a block by host
+
+// size is the block's footprint, memoized per basic node for the pass
+// (a footprint costs a stratum sweep, and repairs are rare).
+func (u blockUnit) size() int {
+	units, ok := u.w.footprints[u.bn]
+	if !ok {
+		units = u.w.blockUnits(u.bn)
+		u.w.footprints[u.bn] = units
 	}
-	var dirtyCount map[blockRef]int
-	for k, c := range w.missed {
-		if k.h != h {
-			continue
-		}
-		if dirtyCount == nil {
-			dirtyCount = make(map[blockRef]int)
-		}
-		dirtyCount[blockRef{k.bn, w.blockIndex(k.bn, k.start)}] += c
-		delete(w.missed, k)
-	}
-	var groups map[sim.HostID][]blockRef
-	var peers []sim.HostID
-	unitsOf := make(map[*bnode][]int)
+	return units[u.bi]
+}
+
+// reconcile runs an inner merkle walk over the block at key granularity:
+// the routing web's updates do not record their keys, so the miss count
+// bounds how many distinct positions diverged and the walk ships
+// O(misses · log block) rather than the whole block.
+func (u blockUnit) reconcile(m missRecord) merkleCost {
+	return merkleDiff(u.size(), spreadPositions(m.n, u.size()))
+}
+
+// eachBlock visits every block: basic nodes in DFS order, blocks in
+// directory order.
+func (w *BlockedWeb) eachBlock(visit func(blockUnit)) {
+	w.footprints = make(map[*bnode][]int)
 	for _, bn := range w.basicNodes() {
 		for bi := range bn.blockHosts {
-			if !w.blockHasReplica(bn, bi, h) {
-				continue
-			}
-			count := w.blockReplicaCount(bn, bi)
-			for slot := 0; slot < count; slot++ {
-				if p := w.blockReplicaAt(bn, bi, slot); p != h && w.net.Alive(p) {
-					if groups == nil {
-						groups = make(map[sim.HostID][]blockRef)
-					}
-					if _, ok := groups[p]; !ok {
-						peers = append(peers, p)
-					}
-					groups[p] = append(groups[p], blockRef{bn, bi})
-					if _, ok := unitsOf[bn]; !ok {
-						unitsOf[bn] = w.blockUnits(bn)
-					}
-					break
-				}
-			}
+			visit(blockUnit{w, bn, bi})
 		}
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	copied := 0
-	for _, p := range peers {
-		blocks := groups[p]
-		var dirty []int
-		for i, ref := range blocks {
-			if dirtyCount[ref] > 0 {
-				dirty = append(dirty, i)
-			}
-		}
-		cost := merkleDiff(len(blocks), dirty)
-		for i := 0; i < cost.walk; i++ {
-			op.Send(h) // per-block digest exchange with peer p
-		}
-		for _, i := range dirty {
-			ref := blocks[i]
-			n := unitsOf[ref.bn][ref.bi]
-			ic := merkleDiff(n, spreadPositions(dirtyCount[ref], n))
-			for j := 0; j < ic.msgs(); j++ {
-				op.Send(h) // inner walk + diverged-leaf payloads
-			}
-			copied += ic.keys
-		}
-	}
-	return copied
+}
+
+// Repair re-replicates every under-replicated block (repairUnits): a
+// fresh replica is charged a full block copy. Blocks with no surviving
+// replica are reported via a DataLossError.
+func (w *BlockedWeb) Repair(op *sim.Op) error {
+	var lost lossTally
+	repairUnits(&w.rep, w.eachBlock, op, &lost)
+	return lost.err()
+}
+
+// RestartHost reconciles host h's block replicas after a durable restart
+// (reconcileUnits), returning the number of storage units re-copied.
+func (w *BlockedWeb) RestartHost(h sim.HostID, op *sim.Op) int {
+	return reconcileUnits(&w.rep, w.eachBlock, h, op)
 }
 
 // spreadPositions models d divergent positions spread evenly over a
@@ -1726,33 +1379,12 @@ func (w *BlockedWeb) CheckInvariants() error {
 					return fmt.Errorf("depth %d: block starts out of order", n.depth)
 				}
 			}
-			if w.repl > 1 && len(n.blockMirrors) != len(n.blockHosts) {
+			if w.rep.k > 1 && len(n.blockMirrors) != len(n.blockHosts) {
 				return fmt.Errorf("depth %d: %d mirror sets for %d blocks", n.depth, len(n.blockMirrors), len(n.blockHosts))
 			}
-			for bi, h := range n.blockHosts {
-				if !w.net.Alive(h) {
-					return fmt.Errorf("depth %d: block %d on departed host %d", n.depth, bi, h)
-				}
-				// Replica contract: min(Replicas, live) distinct live
-				// hosts serve every block.
-				if want := w.replicaTarget(); w.blockReplicaCount(n, bi) < want {
-					return fmt.Errorf("depth %d: block %d has %d replicas, want %d",
-						n.depth, bi, w.blockReplicaCount(n, bi), want)
-				}
-				if len(n.blockMirrors) > 0 {
-					for i, m := range n.blockMirrors[bi] {
-						if !w.net.Alive(m) {
-							return fmt.Errorf("depth %d: block %d mirror on dead host %d", n.depth, bi, m)
-						}
-						if m == h {
-							return fmt.Errorf("depth %d: block %d mirror duplicates primary %d", n.depth, bi, m)
-						}
-						for _, m2 := range n.blockMirrors[bi][:i] {
-							if m2 == m {
-								return fmt.Errorf("depth %d: block %d has duplicate mirror %d", n.depth, bi, m)
-							}
-						}
-					}
+			for bi := range n.blockHosts {
+				if err := w.blockReplicas(n, bi).check(w.net, w.rep.k); err != nil {
+					return fmt.Errorf("depth %d: block %d: %w", n.depth, bi, err)
 				}
 			}
 		}
@@ -1792,21 +1424,14 @@ type BucketWeb struct {
 	web     *BlockedWeb
 	buckets map[uint64]*wbucket
 	target  int
-	repl    int    // replication factor k (1 = unreplicated)
 	origin  uint64 // seed
 
-	// missed records, per stale bucket replica (bucket × crashed durable
-	// host), the keys whose write-throughs the replica slept through.
-	// Unlike the routing web, bucket updates know their key, so the
-	// merkle reconcile gets exact divergence positions. Lazily allocated.
-	missed map[bucketMiss][]uint64
-}
-
-// bucketMiss keys one stale bucket replica. wbucket pointers are stable
-// (buckets are never pooled), so the pointer is a safe identity.
-type bucketMiss struct {
-	wb *wbucket
-	h  sim.HostID
+	// rep is the replica-layer state (replicas.go): churn-time draws come
+	// from the routing web's round-robin host sequence and its rng. A
+	// bucket's name in the miss log is its pointer, which is stable
+	// (buckets are never pooled); unlike the routing web, bucket updates
+	// know their key, so the log carries exact divergence positions.
+	rep replication[*wbucket]
 }
 
 type wbucket struct {
@@ -1836,7 +1461,7 @@ func NewBucketWeb(net Fabric, keys []uint64, target, m int, seed uint64, replica
 			return nil, fmt.Errorf("core: duplicate key %d", sorted[i])
 		}
 	}
-	b := &BucketWeb{net: net, buckets: make(map[uint64]*wbucket), target: target, repl: replicas, origin: seed}
+	b := &BucketWeb{net: net, buckets: make(map[uint64]*wbucket), target: target, origin: seed}
 	var mins []uint64
 	hostSeq := 0
 	nextBucketHost := func() sim.HostID {
@@ -1854,86 +1479,53 @@ func NewBucketWeb(net Fabric, keys []uint64, target, m int, seed uint64, replica
 			keys: append([]uint64(nil), sorted[start:end]...),
 			host: nextBucketHost(),
 		}
-		if k := b.replicaTarget(); k > 1 {
-			taken := []sim.HostID{wb.host}
-			for len(wb.mirrors) < k-1 {
-				m := nextBucketHost()
-				if slices.Contains(taken, m) {
-					continue
-				}
-				wb.mirrors = append(wb.mirrors, m)
-				taken = append(taken, m)
-			}
-		}
+		wb.mirrors = drawMirrors(net, replicas, nextBucketHost, wb.host)
 		b.buckets[wb.min] = wb
 		mins = append(mins, wb.min)
-		b.addBucketStorage(wb, len(wb.keys))
+		wb.replicas().addStorage(net, len(wb.keys))
 	}
 	web, err := NewBlockedWeb(net, mins, BlockedConfig{Seed: seed, M: m, Replicas: replicas})
 	if err != nil {
 		return nil, err
 	}
 	b.web = web
+	b.rep = replication[*wbucket]{net: net, k: replicas, draw: web.nextHost, rng: web.rng}
 	return b, nil
 }
 
-// replicaTarget returns min(replicas, live hosts) — how many distinct
-// hosts each bucket should be mirrored on right now.
-func (b *BucketWeb) replicaTarget() int {
-	k := b.repl
-	if live := b.net.LiveHosts(); k > live {
-		k = live
+// wbucket is its own replicaUnit: the unit is the bucket's key payload.
+func (wb *wbucket) replicas() replicaSet { return replicaSet{&wb.host, &wb.mirrors} }
+func (wb *wbucket) name() *wbucket       { return wb }
+func (wb *wbucket) size() int            { return len(wb.keys) }
+func (wb *wbucket) moved(*sim.Op)        {} // the routing web addresses buckets by separator
+
+// reconcile runs an inner key-level merkle walk whose dirty positions
+// come from the exact keys the stale replica missed, so only the leaves
+// covering them are re-shipped.
+func (wb *wbucket) reconcile(m missRecord) merkleCost {
+	pos := make([]int, len(m.keys))
+	for i, key := range m.keys {
+		// Position in the fresh sorted order; a deleted key maps to its
+		// would-be slot (merkleDiff clamps past-the-end).
+		pos[i], _ = slices.BinarySearch(wb.keys, key)
 	}
-	return k
+	return merkleDiff(len(wb.keys), pos)
 }
 
-// addBucketStorage charges delta storage units at every replica of wb.
-func (b *BucketWeb) addBucketStorage(wb *wbucket, delta int) {
-	b.net.AddStorage(wb.host, delta)
-	for _, m := range wb.mirrors {
-		b.net.AddStorage(m, delta)
+// eachBucket visits the buckets in ascending separator order — the
+// routing web's ground list — the deterministic order churn uses.
+func (b *BucketWeb) eachBucket(visit func(*wbucket)) {
+	ground := b.web.Ground()
+	for r := ground.Next(ground.Head()); r != NoRange; r = ground.Next(r) {
+		visit(b.buckets[ground.Key(r)])
 	}
 }
 
 // writeThrough returns the number of write-through messages an update
-// touching key in bucket wb actually pays — one per replica, minus the
-// replicas crashed on a durable fabric, whose copy instead records the
-// key as missed for the merkle reconcile at RestartHost time. On a
-// non-durable fabric it is exactly 1+len(mirrors), bit-identical to the
-// pre-durability arithmetic.
+// touching key in bucket wb pays — one per replica that is listening;
+// bucket messages are counted into the hop total, outside any Op.
 func (b *BucketWeb) writeThrough(wb *wbucket, key uint64) int {
-	if !b.net.Durable() {
-		return 1 + len(wb.mirrors)
-	}
-	n := 0
-	for slot := 0; slot < b.bucketReplicaCount(wb); slot++ {
-		h := b.bucketReplicaAt(wb, slot)
-		if b.net.Crashed(h) {
-			if b.missed == nil {
-				b.missed = make(map[bucketMiss][]uint64)
-			}
-			k := bucketMiss{wb, h}
-			b.missed[k] = append(b.missed[k], key)
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-// liveBucketHost resolves the bucket for routing: the primary when
-// alive, else the first live mirror; a fully dead bucket returns the
-// typed HostDownError.
-func (b *BucketWeb) liveBucketHost(wb *wbucket) (sim.HostID, error) {
-	if b.net.Alive(wb.host) {
-		return wb.host, nil
-	}
-	for _, m := range wb.mirrors {
-		if b.net.Alive(m) {
-			return m, nil
-		}
-	}
-	return sim.None, &sim.HostDownError{Host: wb.host}
+	return b.rep.writeThrough(nil, wb.replicas(), wb, nil, key)
 }
 
 // Len returns the number of keys stored.
@@ -1981,7 +1573,7 @@ func (b *BucketWeb) QueryCost(q uint64, origin sim.HostID) (uint64, bool, Cost, 
 	ground := b.web.Ground()
 	for ok {
 		wb := b.buckets[min]
-		bh, err := b.liveBucketHost(wb)
+		bh, err := wb.replicas().firstLive(b.net)
 		if err != nil {
 			return 0, false, c, err
 		}
@@ -2037,7 +1629,7 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 		wb.min = key
 		wb.keys = append([]uint64{key}, wb.keys...)
 		b.buckets[key] = wb
-		b.addBucketStorage(wb, 1)
+		wb.replicas().addStorage(b.net, 1)
 		return hops + b.writeThrough(wb, key), nil
 	}
 	wb := b.buckets[min]
@@ -2048,39 +1640,28 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	wb.keys = append(wb.keys, 0)
 	copy(wb.keys[i+1:], wb.keys[i:])
 	wb.keys[i] = key
-	b.addBucketStorage(wb, 1)
+	wb.replicas().addStorage(b.net, 1)
 	hops += b.writeThrough(wb, key) // write-through: one message per live replica
 	if len(wb.keys) > 2*b.target {
 		mid := len(wb.keys) / 2
 		upper := append([]uint64(nil), wb.keys[mid:]...)
 		wb.keys = wb.keys[:mid]
-		nb := &wbucket{min: upper[0], keys: upper, host: b.net.NextLive(wb.host)}
-		if k := b.replicaTarget(); k > 1 {
-			// Walk the cyclic live-host order from the new primary until
-			// k-1 distinct mirrors are found (k <= live, so they exist).
-			cur := nb.host
-			for len(nb.mirrors) < k-1 {
-				cur = b.net.NextLive(cur)
-				if cur == nb.host || slices.Contains(nb.mirrors, cur) {
-					continue
-				}
-				nb.mirrors = append(nb.mirrors, cur)
-			}
-		}
+		// The new bucket's replicas walk the cyclic live-host order from
+		// the old primary (k <= live, so k distinct hosts exist).
+		cur := wb.host
+		walk := func() sim.HostID { cur = b.net.NextLive(cur); return cur }
+		nb := &wbucket{min: upper[0], keys: upper, host: walk()}
+		nb.mirrors = drawMirrors(b.net, b.rep.k, walk, nb.host)
 		b.buckets[nb.min] = nb
-		b.addBucketStorage(wb, -len(upper))
-		b.addBucketStorage(nb, len(upper))
+		wb.replicas().addStorage(b.net, -len(upper))
+		nb.replicas().addStorage(b.net, len(upper))
 		// A crashed durable replica of wb slept through the split: its
 		// stale copy still holds the upper half, so every moved key is
 		// divergence the reconcile must truncate.
 		if b.net.Durable() {
-			for slot := 0; slot < b.bucketReplicaCount(wb); slot++ {
-				if h := b.bucketReplicaAt(wb, slot); b.net.Crashed(h) {
-					if b.missed == nil {
-						b.missed = make(map[bucketMiss][]uint64)
-					}
-					k := bucketMiss{wb, h}
-					b.missed[k] = append(b.missed[k], upper...)
+			for slot, n := 0, wb.replicas().count(); slot < n; slot++ {
+				if h := wb.replicas().at(slot); b.net.Crashed(h) {
+					b.rep.miss(wb, h, upper)
 				}
 			}
 		}
@@ -2121,7 +1702,7 @@ func (b *BucketWeb) RangeCost(lo, hi uint64, origin sim.HostID) ([]uint64, Cost,
 	var out []uint64
 	for r != NoRange {
 		wb := b.buckets[ground.Key(r)]
-		bh, err := b.liveBucketHost(wb)
+		bh, err := wb.replicas().firstLive(b.net)
 		if err != nil {
 			return out, c, err
 		}
@@ -2148,78 +1729,6 @@ func (b *BucketWeb) RangeCost(lo, hi uint64, origin sim.HostID) ([]uint64, Cost,
 	return out, c, nil
 }
 
-// sortedBuckets returns the buckets in ascending separator order — the
-// deterministic iteration order churn migration uses.
-func (b *BucketWeb) sortedBuckets() []*wbucket {
-	mins := make([]uint64, 0, len(b.buckets))
-	for m := range b.buckets {
-		mins = append(mins, m)
-	}
-	sort.Slice(mins, func(i, j int) bool { return mins[i] < mins[j] })
-	out := make([]*wbucket, len(mins))
-	for i, m := range mins {
-		out[i] = b.buckets[m]
-	}
-	return out
-}
-
-// bucketReplicaCount returns how many replicas bucket wb has.
-func (b *BucketWeb) bucketReplicaCount(wb *wbucket) int { return 1 + len(wb.mirrors) }
-
-// bucketReplicaAt returns replica slot `slot` of wb (0 = primary).
-func (b *BucketWeb) bucketReplicaAt(wb *wbucket, slot int) sim.HostID {
-	if slot == 0 {
-		return wb.host
-	}
-	return wb.mirrors[slot-1]
-}
-
-// setBucketReplicaAt rewrites replica slot `slot` of wb.
-func (b *BucketWeb) setBucketReplicaAt(wb *wbucket, slot int, h sim.HostID) {
-	if slot == 0 {
-		wb.host = h
-		return
-	}
-	wb.mirrors[slot-1] = h
-}
-
-// bucketHasReplica reports whether h already serves a replica of wb.
-func (b *BucketWeb) bucketHasReplica(wb *wbucket, h sim.HostID) bool {
-	if wb.host == h {
-		return true
-	}
-	return slices.Contains(wb.mirrors, h)
-}
-
-// moveBucketReplica migrates replica slot `slot` of wb's key payload to
-// host `to`, one message per key moved.
-func (b *BucketWeb) moveBucketReplica(wb *wbucket, slot int, to sim.HostID, op *sim.Op) {
-	from := b.bucketReplicaAt(wb, slot)
-	if to == from {
-		return
-	}
-	b.net.AddStorage(from, -len(wb.keys))
-	b.net.AddStorage(to, len(wb.keys))
-	b.setBucketReplicaAt(wb, slot, to)
-	for range wb.keys {
-		op.Send(to)
-	}
-}
-
-// dropBucketReplica discards replica slot `slot` of wb, discharging its
-// storage at the departing host; dropping the primary promotes the
-// first mirror.
-func (b *BucketWeb) dropBucketReplica(wb *wbucket, slot int) {
-	from := b.bucketReplicaAt(wb, slot)
-	b.net.AddStorage(from, -len(wb.keys))
-	if slot == 0 {
-		wb.host = wb.mirrors[0]
-		slot = 1
-	}
-	copy(wb.mirrors[slot-1:], wb.mirrors[slot:])
-	wb.mirrors = wb.mirrors[:len(wb.mirrors)-1]
-}
-
 // Rehome migrates the separator routing web off the departed host `from`
 // and moves every bucket replica it hosted (n/H keys each) to the next
 // live hosts (distinct from the bucket's surviving replicas), charging
@@ -2227,24 +1736,7 @@ func (b *BucketWeb) dropBucketReplica(wb *wbucket, slot int) {
 // dropped.
 func (b *BucketWeb) Rehome(from sim.HostID, op *sim.Op) {
 	b.web.Rehome(from, op)
-	for _, wb := range b.sortedBuckets() {
-		count := b.bucketReplicaCount(wb)
-		for slot := 0; slot < count; slot++ {
-			if b.bucketReplicaAt(wb, slot) != from {
-				continue
-			}
-			if b.net.LiveHosts() < count {
-				b.dropBucketReplica(wb, slot)
-			} else {
-				to := b.web.nextHost()
-				for b.bucketHasReplica(wb, to) {
-					to = b.web.nextHost()
-				}
-				b.moveBucketReplica(wb, slot, to, op)
-			}
-			break // replicas are distinct: at most one slot matches
-		}
-	}
+	retargetUnits(&b.rep, b.eachBucket, b.rep.leaving(from), op)
 }
 
 // Rebalance hands the freshly joined host `onto` its expected 1/H share
@@ -2253,173 +1745,25 @@ func (b *BucketWeb) Rehome(from sim.HostID, op *sim.Op) {
 // same bucket.
 func (b *BucketWeb) Rebalance(onto sim.HostID, op *sim.Op) {
 	b.web.Rebalance(onto, op)
-	live := b.net.LiveHosts()
-	for _, wb := range b.sortedBuckets() {
-		count := b.bucketReplicaCount(wb)
-		for slot := 0; slot < count; slot++ {
-			h := b.bucketReplicaAt(wb, slot)
-			// Alive guard after the draw (see BlockedWeb.Rebalance):
-			// dead replicas never relocate.
-			if h != onto && b.web.rng.Intn(live) == 0 && !b.bucketHasReplica(wb, onto) &&
-				b.net.Alive(h) {
-				b.moveBucketReplica(wb, slot, onto, op)
-			}
-		}
-	}
+	retargetUnits(&b.rep, b.eachBucket, b.rep.joining(onto), op)
 }
 
 // Repair re-replicates the routing web and every under-replicated
-// bucket after a crash: dead replicas are dropped, a live survivor is
-// promoted to primary when the primary died, and fresh distinct live
-// hosts are charged a full bucket copy (one message per key copied).
-// Buckets with no surviving replica are reported via a DataLossError.
+// bucket after a crash (repairUnits): a fresh replica is charged a full
+// bucket copy, one message per key. Blocks and buckets with no surviving
+// replica are reported via one DataLossError.
 func (b *BucketWeb) Repair(op *sim.Op) error {
-	lost := 0
-	var deadHosts map[sim.HostID]bool
-	markDead := func(h sim.HostID) {
-		if deadHosts == nil {
-			deadHosts = make(map[sim.HostID]bool)
-		}
-		deadHosts[h] = true
-	}
-	err := b.web.Repair(op)
-	var dl *DataLossError
-	if err != nil {
-		if !errors.As(err, &dl) {
-			return err
-		}
-		lost += dl.Units
-		for _, h := range dl.Hosts {
-			markDead(h)
-		}
-	}
-	target := b.replicaTarget()
-	for _, wb := range b.sortedBuckets() {
-		count := b.bucketReplicaCount(wb)
-		liveCount := 0
-		for slot := 0; slot < count; slot++ {
-			if b.net.Alive(b.bucketReplicaAt(wb, slot)) {
-				liveCount++
-			}
-		}
-		if liveCount == count && count >= target {
-			continue // fully replicated: allocate nothing
-		}
-		if liveCount == 0 {
-			lost += len(wb.keys)
-			for slot := 0; slot < count; slot++ {
-				markDead(b.bucketReplicaAt(wb, slot))
-			}
-			continue
-		}
-		liveSet := make([]sim.HostID, 0, target)
-		for slot := 0; slot < count; slot++ {
-			h := b.bucketReplicaAt(wb, slot)
-			if b.net.Alive(h) {
-				liveSet = append(liveSet, h)
-				continue
-			}
-			// The dead slot is dropped for good; discharge the durable
-			// host's on-disk image so a later Restart does not resurrect
-			// keys the repair re-homed elsewhere.
-			if b.net.Durable() && b.net.Crashed(h) {
-				b.net.AddStorage(h, -len(wb.keys))
-				delete(b.missed, bucketMiss{wb, h})
-			}
-		}
-		for len(liveSet) < target {
-			h := b.web.nextHost()
-			if slices.Contains(liveSet, h) {
-				continue
-			}
-			b.net.AddStorage(h, len(wb.keys))
-			for range wb.keys {
-				op.Send(h) // copied from a surviving replica
-			}
-			liveSet = append(liveSet, h)
-		}
-		wb.host = liveSet[0]
-		wb.mirrors = append(wb.mirrors[:0], liveSet[1:]...)
-	}
-	if lost > 0 {
-		hosts := make([]sim.HostID, 0, len(deadHosts))
-		for h := range deadHosts {
-			hosts = append(hosts, h)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		return &DataLossError{Units: lost, Hosts: hosts}
-	}
-	return nil
+	var lost lossTally
+	repairUnits(&b.web.rep, b.web.eachBlock, op, &lost)
+	repairUnits(&b.rep, b.eachBucket, op, &lost)
+	return lost.err()
 }
 
 // RestartHost reconciles host h's shard after a durable restart: the
-// routing web reconciles first, then h's bucket replicas, grouped by
-// reconcile peer (the first live co-replica) in separator order. Each
-// group exchanges an outer merkle walk over per-bucket digests; a
-// diverged bucket runs an inner key-level walk whose dirty positions
-// come from the exact keys recorded by writeThrough, so only the leaves
-// covering missed keys are re-shipped. Returns the number of storage
-// units re-copied; all messages are charged to op against h.
+// routing web first, then h's bucket replicas (reconcileUnits). Returns
+// the number of storage units re-copied.
 func (b *BucketWeb) RestartHost(h sim.HostID, op *sim.Op) int {
-	copied := b.web.RestartHost(h, op)
-	var groups map[sim.HostID][]*wbucket
-	var peers []sim.HostID
-	for _, wb := range b.sortedBuckets() {
-		if !b.bucketHasReplica(wb, h) {
-			continue
-		}
-		count := b.bucketReplicaCount(wb)
-		for slot := 0; slot < count; slot++ {
-			if p := b.bucketReplicaAt(wb, slot); p != h && b.net.Alive(p) {
-				if groups == nil {
-					groups = make(map[sim.HostID][]*wbucket)
-				}
-				if _, ok := groups[p]; !ok {
-					peers = append(peers, p)
-				}
-				groups[p] = append(groups[p], wb)
-				break
-			}
-		}
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	for _, p := range peers {
-		buckets := groups[p]
-		var dirty []int
-		for i, wb := range buckets {
-			if len(b.missed[bucketMiss{wb, h}]) > 0 {
-				dirty = append(dirty, i)
-			}
-		}
-		cost := merkleDiff(len(buckets), dirty)
-		for i := 0; i < cost.walk; i++ {
-			op.Send(h) // per-bucket digest exchange with peer p
-		}
-		for _, i := range dirty {
-			wb := buckets[i]
-			k := bucketMiss{wb, h}
-			pos := make([]int, 0, len(b.missed[k]))
-			for _, key := range b.missed[k] {
-				// Position in the fresh sorted order; a deleted key maps to
-				// its would-be slot (merkleDiff clamps past-the-end).
-				pos = append(pos, sort.Search(len(wb.keys), func(j int) bool { return wb.keys[j] >= key }))
-			}
-			ic := merkleDiff(len(wb.keys), pos)
-			for j := 0; j < ic.msgs(); j++ {
-				op.Send(h) // inner walk + diverged-leaf payloads
-			}
-			copied += ic.keys
-			delete(b.missed, k)
-		}
-	}
-	// Purge stale records for h: buckets repaired away while it was
-	// down, or with no live peer left to reconcile against.
-	for k := range b.missed {
-		if k.h == h {
-			delete(b.missed, k)
-		}
-	}
-	return copied
+	return b.web.RestartHost(h, op) + reconcileUnits(&b.rep, b.eachBucket, h, op)
 }
 
 // CheckInvariants verifies the separator web, that every bucket is keyed
@@ -2434,19 +1778,8 @@ func (b *BucketWeb) CheckInvariants() error {
 		if wb.min != min {
 			return fmt.Errorf("bucket keyed %d has min %d", min, wb.min)
 		}
-		if !b.net.Alive(wb.host) {
-			return fmt.Errorf("bucket %d on departed host %d", min, wb.host)
-		}
-		if want := b.replicaTarget(); b.bucketReplicaCount(wb) < want {
-			return fmt.Errorf("bucket %d has %d replicas, want %d", min, b.bucketReplicaCount(wb), want)
-		}
-		for i, m := range wb.mirrors {
-			if !b.net.Alive(m) {
-				return fmt.Errorf("bucket %d mirror on dead host %d", min, m)
-			}
-			if m == wb.host || slices.Contains(wb.mirrors[:i], m) {
-				return fmt.Errorf("bucket %d has duplicate replica %d", min, m)
-			}
+		if err := wb.replicas().check(b.net, b.rep.k); err != nil {
+			return fmt.Errorf("bucket %d: %w", min, err)
 		}
 		for i := 1; i < len(wb.keys); i++ {
 			if wb.keys[i] <= wb.keys[i-1] {
@@ -2479,6 +1812,6 @@ func (b *BucketWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 		return hops, fmt.Errorf("core: key %d not found", key)
 	}
 	wb.keys = append(wb.keys[:i], wb.keys[i+1:]...)
-	b.addBucketStorage(wb, -1)
+	wb.replicas().addStorage(b.net, -1)
 	return hops + b.writeThrough(wb, key), nil
 }

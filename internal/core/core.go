@@ -340,20 +340,9 @@ type Web[L, T, Q any] struct {
 
 	scratch updateScratch[*setNode[L, T]]
 
-	// missed records write-through messages suppressed because the target
-	// replica host was crashed on a durable fabric: the value counts the
-	// updates that unit's replica at that host slept through, and
-	// RestartHost treats any positive count as divergence the merkle
-	// reconcile must re-copy. Lazily allocated; nil until the first
-	// durable crash overlaps an update.
-	missed map[webMiss[L, T]]int
-}
-
-// webMiss keys one stale replica: range r of node n at crashed host h.
-type webMiss[L, T any] struct {
-	n *setNode[L, T]
-	r RangeID
-	h sim.HostID
+	// rep is the replica-layer state (replicas.go): a range's name in the
+	// miss log is its node and RangeID.
+	rep replication[nodeRange[*setNode[L, T]]]
 }
 
 // NewWeb builds a skip-web over items. The network supplies hosts for
@@ -371,6 +360,7 @@ func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*
 		cfg: cfg,
 		rng: xrand.New(cfg.Seed ^ 0x5eb5eb),
 	}
+	w.rep = replication[nodeRange[*setNode[L, T]]]{net: net, k: cfg.Replicas, draw: w.pickHost, rng: w.rng}
 	all := append([]T(nil), items...)
 	sorted := false
 	if b, ok := any(ops).(BulkOps[L, T]); ok {
@@ -457,7 +447,7 @@ func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent
 		size = max(size, int(r)+1)
 		return true
 	})
-	n.slab.init(size, w.cfg.Replicas-1)
+	n.slab.init(size, w.cfg.Replicas > 1)
 	w.ops.VisitRanges(s, func(r RangeID) bool {
 		w.placeRange(n, r)
 		return true
@@ -517,61 +507,10 @@ func (w *Web[L, T, Q]) pickHost() sim.HostID {
 	return w.net.LiveAt(w.rng.Intn(w.net.LiveHosts()))
 }
 
-// replicaTarget returns how many distinct live hosts each unit should be
-// mirrored on right now: the configured factor, capped by the live host
-// count (a 2-host cluster cannot hold 3 distinct replicas).
-func (w *Web[L, T, Q]) replicaTarget() int {
-	k := w.cfg.Replicas
-	if live := w.net.LiveHosts(); k > live {
-		k = live
-	}
-	return k
-}
-
-// pickHostExcluding draws a uniformly random live host not already in
-// taken. Rejection sampling keeps the draw uniform over the remaining
-// hosts; replica sets are O(k), so the membership scan is cheap. At
-// k = 1 it is never called with a non-empty taken set, so the rng
-// consumption matches pickHost exactly.
-func (w *Web[L, T, Q]) pickHostExcluding(taken []sim.HostID) sim.HostID {
-	for {
-		h := w.pickHost()
-		dup := false
-		for _, t := range taken {
-			if t == h {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			return h
-		}
-	}
-}
-
-// addStorageReplicas charges delta storage units at every replica of
-// range r of n — the primary plus each mirror, since every replica holds
-// a full copy of the range and its hyperlink pointers.
-func (w *Web[L, T, Q]) addStorageReplicas(n *setNode[L, T], r RangeID, delta int) {
-	w.net.AddStorage(n.slab.slots[r].host, delta)
-	for _, m := range n.slab.mirrorsOf(r) {
-		w.net.AddStorage(m, delta)
-	}
-}
-
-// sendReplicas charges one message to every replica of range r of n —
-// the write-through cost of an update touching that range. At k = 1 it
-// is exactly the single op.Send the unreplicated path charged. The
-// replicas are contacted in parallel, so the fan-out window makes the
-// operation's critical-path latency pay the slowest replica link, not
-// the sum; hop and message counters are unchanged by the window.
+// sendReplicas charges one write-through message to every replica of
+// range r of n — the cost of an update touching that range.
 func (w *Web[L, T, Q]) sendReplicas(op *sim.Op, n *setNode[L, T], r RangeID) {
-	op.FanoutBegin()
-	w.sendOne(op, n, r, n.slab.slots[r].host)
-	for _, m := range n.slab.mirrorsOf(r) {
-		w.sendOne(op, n, r, m)
-	}
-	op.FanoutEnd()
+	w.rep.writeThrough(op, n.slab.replicas(r), nodeRange[*setNode[L, T]]{n, r}, nil)
 }
 
 // notifyChildren sends one address-update message to every replica of
@@ -584,47 +523,10 @@ func (w *Web[L, T, Q]) notifyChildren(op *sim.Op, n *setNode[L, T], r RangeID) {
 	}
 }
 
-// sendOne charges one write-through message to replica host h of range r
-// — unless h is crashed on a durable fabric, in which case the message
-// is suppressed (nobody is listening) and the unit is recorded as
-// diverged: the replica pays for the missed update at RestartHost time
-// through the merkle reconcile instead. On a non-durable fabric the send
-// is unconditional, bit-identical to the pre-durability behavior.
-func (w *Web[L, T, Q]) sendOne(op *sim.Op, n *setNode[L, T], r RangeID, h sim.HostID) {
-	if w.net.Durable() && w.net.Crashed(h) {
-		if w.missed == nil {
-			w.missed = make(map[webMiss[L, T]]int)
-		}
-		w.missed[webMiss[L, T]{n, r, h}]++
-		return
-	}
-	op.Send(h)
-}
-
-// liveHost resolves the host serving range r of n for routing: the
-// primary when alive, else the first live mirror in slot order. The
-// failed-host set is consulted for free — the failure detector every
-// distributed store runs — so skipping a dead replica costs no probe;
-// the failover cost is the (charged) visit to wherever the live replica
-// actually sits. When every replica is down the unit is unreachable and
-// the caller fails fast with the returned HostDownError.
-func (w *Web[L, T, Q]) liveHost(n *setNode[L, T], r RangeID) (sim.HostID, error) {
-	h := n.slab.slots[r].host
-	if w.net.Alive(h) {
-		return h, nil
-	}
-	for _, m := range n.slab.mirrorsOf(r) {
-		if w.net.Alive(m) {
-			return m, nil
-		}
-	}
-	return sim.None, &sim.HostDownError{Host: h}
-}
-
 // visitRange moves op to the live replica serving range r of n, failing
 // fast when none survives.
 func (w *Web[L, T, Q]) visitRange(op *sim.Op, n *setNode[L, T], r RangeID) error {
-	h, err := w.liveHost(n, r)
+	h, err := n.slab.replicas(r).firstLive(w.net)
 	if err != nil {
 		return err
 	}
@@ -639,17 +541,10 @@ func (w *Web[L, T, Q]) placeRange(n *setNode[L, T], r RangeID) {
 	n.slab.grow(r)
 	h := w.pickHost()
 	n.slab.slots[r].host = h
-	payload := w.ops.Payload(n.s, r)
-	w.net.AddStorage(h, payload)
-	if k := w.replicaTarget(); k > 1 {
-		taken := append(make([]sim.HostID, 0, k), h)
-		for len(taken) < k {
-			m := w.pickHostExcluding(taken)
-			taken = append(taken, m)
-			w.net.AddStorage(m, payload)
-		}
-		n.slab.setMirrors(r, taken[1:])
+	if w.cfg.Replicas > 1 {
+		n.slab.mirrors[r] = append(n.slab.mirrors[r][:0], drawMirrors(w.net, w.cfg.Replicas, w.rep.draw, h)...)
 	}
+	n.slab.replicas(r).addStorage(w.net, w.ops.Payload(n.s, r))
 }
 
 // dropRange releases range r of node n: storage at every replica,
@@ -662,13 +557,9 @@ func (w *Web[L, T, Q]) dropRange(n *setNode[L, T], r RangeID) {
 	sl := &n.slab.slots[r]
 	anchors := n.slab.members(&sl.anchors)
 	if sl.host != sim.None {
-		w.addStorageReplicas(n, r, -w.ops.Payload(n.s, r)-len(anchors))
-		if len(w.missed) > 0 {
-			delete(w.missed, webMiss[L, T]{n, r, sl.host})
-			for _, m := range n.slab.mirrorsOf(r) {
-				delete(w.missed, webMiss[L, T]{n, r, m})
-			}
-		}
+		rs := n.slab.replicas(r)
+		rs.addStorage(w.net, -w.ops.Payload(n.s, r)-len(anchors))
+		w.rep.forget(rs, nodeRange[*setNode[L, T]]{n, r})
 	}
 	if n.parent != nil {
 		for _, a := range anchors {
@@ -689,7 +580,7 @@ func (w *Web[L, T, Q]) setAnchors(n *setNode[L, T], r RangeID, anchors []RangeID
 	for _, a := range old {
 		w.removeBackref(n.parent, a, n, r)
 	}
-	w.addStorageReplicas(n, r, len(anchors)-len(old))
+	n.slab.replicas(r).addStorage(w.net, len(anchors)-len(old))
 	n.slab.assign(set, anchors)
 	p, ref := &n.parent.slab, packBackref(n.side, r)
 	for _, a := range anchors {
@@ -1002,16 +893,14 @@ func (w *Web[L, T, Q]) chargeSteps(op *sim.Op, n *setNode[L, T], r RangeID, step
 	if !n.slab.placed(r) {
 		return
 	}
-	h, err := w.liveHost(n, r)
+	h, err := n.slab.replicas(r).firstLive(w.net)
 	if err != nil {
 		// Updates run post-repair (every replica live); a fully dead
 		// range can only be reached on an unrepaired k=1 web, whose
 		// routed query already failed before any steps were charged.
 		return
 	}
-	for i := 0; i < steps; i++ {
-		op.Send(h)
-	}
+	sendN(op, h, steps)
 }
 
 // anchorsEqual reports whether two hyperlink sets are identical as sets.
@@ -1259,7 +1148,7 @@ func (w *Web[L, T, Q]) redirectAnchor(parent, child *setNode[L, T], r RangeID, d
 	}
 	if len(out) != len(anchors) {
 		child.slab.shrink(set, len(out))
-		w.addStorageReplicas(child, r, len(out)-len(anchors))
+		child.slab.replicas(r).addStorage(w.net, len(out)-len(anchors))
 	}
 	if !hadTo {
 		parent.slab.add(&parent.slab.slots[to].backs, packBackref(child.side, r))
@@ -1280,10 +1169,7 @@ func (w *Web[L, T, Q]) splitLeaf(n *setNode[L, T], op *sim.Op) error {
 		// replica placed — amortized against the inserts that grew the
 		// leaf.
 		w.ops.VisitRanges(kid.s, func(r RangeID) bool {
-			op.Send(kid.slab.slots[r].host)
-			for _, m := range kid.slab.mirrorsOf(r) {
-				op.Send(m)
-			}
+			kid.slab.replicas(r).sendAll(op)
 			return true
 		})
 	}
@@ -1356,77 +1242,37 @@ func (w *Web[L, T, Q]) rangeUnits(n *setNode[L, T], r RangeID) int {
 	return w.ops.Payload(n.s, r) + int(n.slab.slots[r].anchors.n)
 }
 
-// replicaCount returns how many replicas range r of n currently has.
-func (w *Web[L, T, Q]) replicaCount(n *setNode[L, T], r RangeID) int {
-	return 1 + int(n.slab.slots[r].mirrors)
+// webUnit is one range of one level structure, as the replica layer sees
+// it (replicaUnit).
+type webUnit[L, T, Q any] struct {
+	w *Web[L, T, Q]
+	n *setNode[L, T]
+	r RangeID
 }
 
-// replicaAt returns replica slot `slot` of range r (slot 0 is the
-// primary, slot i > 0 is mirrors[i-1]).
-func (w *Web[L, T, Q]) replicaAt(n *setNode[L, T], r RangeID, slot int) sim.HostID {
-	if slot == 0 {
-		return n.slab.slots[r].host
-	}
-	return n.slab.mirrorsOf(r)[slot-1]
+func (u webUnit[L, T, Q]) replicas() replicaSet { return u.n.slab.replicas(u.r) }
+func (u webUnit[L, T, Q]) name() nodeRange[*setNode[L, T]] {
+	return nodeRange[*setNode[L, T]]{u.n, u.r}
+}
+func (u webUnit[L, T, Q]) size() int        { return u.w.rangeUnits(u.n, u.r) }
+func (u webUnit[L, T, Q]) moved(op *sim.Op) { u.w.notifyChildren(op, u.n, u.r) }
+
+// reconcile re-copies a diverged range in full, one message per storage
+// word: web units are a few words, so unit granularity is the leaf
+// granularity.
+func (u webUnit[L, T, Q]) reconcile(missRecord) merkleCost {
+	return merkleCost{leaves: u.size(), keys: u.size()}
 }
 
-// setReplicaAt rewrites replica slot `slot` of range r.
-func (w *Web[L, T, Q]) setReplicaAt(n *setNode[L, T], r RangeID, slot int, h sim.HostID) {
-	if slot == 0 {
-		n.slab.slots[r].host = h
-		return
-	}
-	n.slab.mirrorsOf(r)[slot-1] = h
-}
-
-// hasReplica reports whether h already serves a replica of range r.
-func (w *Web[L, T, Q]) hasReplica(n *setNode[L, T], r RangeID, h sim.HostID) bool {
-	if n.slab.slots[r].host == h {
-		return true
-	}
-	for _, m := range n.slab.mirrorsOf(r) {
-		if m == h {
+// eachUnit visits every range of every level structure: walkNodes order,
+// then VisitRanges order within a node.
+func (w *Web[L, T, Q]) eachUnit(visit func(webUnit[L, T, Q])) {
+	w.walkNodes(func(n *setNode[L, T]) {
+		w.ops.VisitRanges(n.s, func(r RangeID) bool {
+			visit(webUnit[L, T, Q]{w, n, r})
 			return true
-		}
-	}
-	return false
-}
-
-// moveReplica migrates replica slot `slot` of range r of node n to host
-// `to`: the replica's payload and hyperlink pointers transfer as
-// storage, one message is charged per unit moved, and every replica of
-// every child range anchored at r is sent one address-update message
-// (children dereference r by host when routing).
-func (w *Web[L, T, Q]) moveReplica(n *setNode[L, T], r RangeID, slot int, to sim.HostID, op *sim.Op) {
-	from := w.replicaAt(n, r, slot)
-	if to == from {
-		return
-	}
-	units := w.rangeUnits(n, r)
-	w.net.AddStorage(from, -units)
-	w.net.AddStorage(to, units)
-	w.setReplicaAt(n, r, slot, to)
-	for i := 0; i < units; i++ {
-		op.Send(to)
-	}
-	w.notifyChildren(op, n, r)
-}
-
-// dropReplicaSlot discards replica slot `slot` of range r of node n,
-// discharging its storage at `from` (a departing host whose copy cannot
-// be placed anywhere distinct). Slot 0 is handled by promoting the
-// first mirror to primary; children are notified of the address change.
-func (w *Web[L, T, Q]) dropReplicaSlot(n *setNode[L, T], r RangeID, slot int, op *sim.Op) {
-	from := w.replicaAt(n, r, slot)
-	w.net.AddStorage(from, -w.rangeUnits(n, r))
-	ms := n.slab.mirrorsOf(r)
-	if slot == 0 {
-		n.slab.slots[r].host = ms[0]
-		slot = 1
-		w.notifyChildren(op, n, r)
-	}
-	copy(ms[slot-1:], ms[slot:])
-	n.slab.slots[r].mirrors--
+		})
+	})
 }
 
 // Rehome migrates every replica placed on host `from` — which the
@@ -1439,170 +1285,27 @@ func (w *Web[L, T, Q]) dropReplicaSlot(n *setNode[L, T], r RangeID, slot int, op
 // the structure pays Θ(s) messages, the paper's per-host memory
 // M = O((n/H) log n) in expectation.
 func (w *Web[L, T, Q]) Rehome(from sim.HostID, op *sim.Op) {
-	w.walkNodes(func(n *setNode[L, T]) {
-		w.ops.VisitRanges(n.s, func(r RangeID) bool {
-			count := w.replicaCount(n, r)
-			for slot := 0; slot < count; slot++ {
-				if w.replicaAt(n, r, slot) != from {
-					continue
-				}
-				if w.net.LiveHosts() >= count {
-					// Replicas are distinct and `from` is no longer
-					// live, so excluding the other count-1 replicas
-					// still leaves a live host to draw.
-					if count == 1 {
-						w.moveReplica(n, r, slot, w.pickHost(), op)
-					} else {
-						w.moveReplica(n, r, slot, w.pickHostExcluding(w.otherReplicas(n, r, slot)), op)
-					}
-				} else {
-					w.dropReplicaSlot(n, r, slot, op)
-				}
-				break // replicas are distinct: at most one slot matches
-			}
-			return true
-		})
-	})
-}
-
-// otherReplicas materializes the replica hosts of range r except slot
-// `slot`, for distinctness-constrained draws. Only called on replicated
-// webs (cold churn path), so the small allocation is acceptable.
-func (w *Web[L, T, Q]) otherReplicas(n *setNode[L, T], r RangeID, slot int) []sim.HostID {
-	out := make([]sim.HostID, 0, w.replicaCount(n, r)-1)
-	for i := 0; i < w.replicaCount(n, r); i++ {
-		if i != slot {
-			out = append(out, w.replicaAt(n, r, i))
-		}
-	}
-	return out
+	retargetUnits(&w.rep, w.eachUnit, w.rep.leaving(from), op)
 }
 
 // Rebalance moves each replica independently onto the (freshly joined)
-// host `onto` with probability 1/LiveHosts, restoring the uniform
-// placement distribution a from-scratch build over the enlarged live set
-// would have produced: the joiner picks up an expected 1/H share of
-// every level, and every migration hop is charged to op. A replica
-// never moves onto a host that already serves another replica of the
-// same range (replica sets stay distinct).
+// host `onto` with probability 1/LiveHosts (replication.joining), every
+// migration hop charged to op.
 func (w *Web[L, T, Q]) Rebalance(onto sim.HostID, op *sim.Op) {
-	live := w.net.LiveHosts()
-	w.walkNodes(func(n *setNode[L, T]) {
-		w.ops.VisitRanges(n.s, func(r RangeID) bool {
-			count := w.replicaCount(n, r)
-			for slot := 0; slot < count; slot++ {
-				// Draw unconditionally so the randomness stream per
-				// (range, slot) is independent of skip decisions. A dead
-				// slot (lost in a crash that exceeded the tolerance)
-				// never moves: relocating it would resurrect data the
-				// crash destroyed and discharge a storage counter the
-				// crash already zeroed.
-				if w.rng.Intn(live) == 0 && !w.hasReplica(n, r, onto) &&
-					w.net.Alive(w.replicaAt(n, r, slot)) {
-					w.moveReplica(n, r, slot, onto, op)
-				}
-			}
-			return true
-		})
-	})
+	retargetUnits(&w.rep, w.eachUnit, w.rep.joining(onto), op)
 }
 
-// Repair re-replicates every under-replicated range after a crash (or a
-// join that raised the feasible replica count): dead replicas are
-// dropped from the replica set, a surviving live replica is promoted to
-// primary when the primary died, and fresh distinct live hosts are
-// charged a full copy — one message per storage unit copied — until the
-// range is back to min(Replicas, live hosts) replicas. Ranges with no
-// surviving replica are left in place (queries against them keep
-// failing fast with a HostDownError) and reported via a DataLossError.
+// Repair re-replicates every under-replicated range (repairUnits),
+// notifying anchored children when a new primary is promoted. Ranges with
+// no surviving replica are reported via a DataLossError.
 func (w *Web[L, T, Q]) Repair(op *sim.Op) error {
-	lost := 0
-	var deadHosts map[sim.HostID]bool
-	target := w.replicaTarget()
-	w.walkNodes(func(n *setNode[L, T]) {
-		w.ops.VisitRanges(n.s, func(r RangeID) bool {
-			count := w.replicaCount(n, r)
-			liveCount := 0
-			for slot := 0; slot < count; slot++ {
-				if w.net.Alive(w.replicaAt(n, r, slot)) {
-					liveCount++
-				}
-			}
-			if liveCount == count && count >= target {
-				return true // fully replicated: the overwhelmingly common case
-			}
-			if liveCount == 0 {
-				lost += w.rangeUnits(n, r)
-				if deadHosts == nil {
-					deadHosts = make(map[sim.HostID]bool)
-				}
-				for slot := 0; slot < count; slot++ {
-					deadHosts[w.replicaAt(n, r, slot)] = true
-				}
-				return true
-			}
-			w.repairRange(n, r, target, op)
-			return true
-		})
-	})
-	if lost > 0 {
-		hosts := make([]sim.HostID, 0, len(deadHosts))
-		for h := range deadHosts {
-			hosts = append(hosts, h)
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		return &DataLossError{Units: lost, Hosts: hosts}
-	}
-	return nil
+	var lost lossTally
+	repairUnits(&w.rep, w.eachUnit, op, &lost)
+	return lost.err()
 }
 
-// repairRange rebuilds range r's replica set from its live survivors,
-// topping it up to target distinct live hosts.
-func (w *Web[L, T, Q]) repairRange(n *setNode[L, T], r RangeID, target int, op *sim.Op) {
-	oldPrimary := n.slab.slots[r].host
-	units := w.rangeUnits(n, r)
-	liveSet := make([]sim.HostID, 0, target)
-	for slot := 0; slot < w.replicaCount(n, r); slot++ {
-		h := w.replicaAt(n, r, slot)
-		if w.net.Alive(h) {
-			liveSet = append(liveSet, h)
-			continue
-		}
-		// The dead slot is dropped from the replica set for good. On a
-		// durable fabric the crashed host's on-disk image still carries
-		// the replica, so discharge it there too: a later Restart must
-		// not resurrect units the repair re-homed elsewhere.
-		if w.net.Durable() && w.net.Crashed(h) {
-			w.net.AddStorage(h, -units)
-			delete(w.missed, webMiss[L, T]{n, r, h})
-		}
-	}
-	for len(liveSet) < target {
-		h := w.pickHostExcluding(liveSet)
-		liveSet = append(liveSet, h)
-		w.net.AddStorage(h, units)
-		for i := 0; i < units; i++ {
-			op.Send(h) // copied from a surviving replica
-		}
-	}
-	n.slab.slots[r].host = liveSet[0]
-	n.slab.setMirrors(r, liveSet[1:])
-	if liveSet[0] != oldPrimary {
-		w.notifyChildren(op, n, r)
-	}
-}
-
-// RestartHost reconciles host h's shard after a durable restart: h has
-// already replayed its checkpoint + WAL (Network.Restart), so its local
-// image is storage-exact, but any replica that slept through
-// write-throughs while h was down (recorded in w.missed by sendOne) is
-// stale. The shard reconciles with one live peer per unit: units are
-// grouped by peer, each group exchanges an outer merkle walk over its
-// per-unit digests (merkleDiff prices it; a clean group costs one root
-// exchange and copies nothing), and each diverged unit is re-copied in
-// full — web units are a few storage words, so unit granularity is the
-// leaf granularity. Returns the number of storage units re-copied; all
-// messages are charged to op against h.
+// RestartHost reconciles host h's shard after a durable restart
+// (reconcileUnits), returning the number of storage units re-copied.
 //
 // Note that the Web's restructure-heavy update path naturally erodes a
 // down host's stale image toward clean: applyInsert rebuilds touched
@@ -1615,64 +1318,7 @@ func (w *Web[L, T, Q]) repairRange(n *setNode[L, T], r RangeID, target int, op *
 // may legitimately copy zero units. Engines that mutate units in place
 // (BlockedWeb blocks, BucketWeb buckets) exercise the copy path.
 func (w *Web[L, T, Q]) RestartHost(h sim.HostID, op *sim.Op) int {
-	type unitRef = nodeRange[*setNode[L, T]]
-	// Group h's units by reconcile peer — the first live co-replica in
-	// slot order. A unit whose other replicas are all down has no fresher
-	// copy to learn from and is served as replayed.
-	var groups map[sim.HostID][]unitRef
-	w.walkNodes(func(n *setNode[L, T]) {
-		w.ops.VisitRanges(n.s, func(r RangeID) bool {
-			if !w.hasReplica(n, r, h) {
-				return true
-			}
-			for slot := 0; slot < w.replicaCount(n, r); slot++ {
-				if p := w.replicaAt(n, r, slot); p != h && w.net.Alive(p) {
-					if groups == nil {
-						groups = make(map[sim.HostID][]unitRef)
-					}
-					groups[p] = append(groups[p], unitRef{n, r})
-					break
-				}
-			}
-			return true
-		})
-	})
-	peers := make([]sim.HostID, 0, len(groups))
-	for p := range groups {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	copied := 0
-	for _, p := range peers {
-		units := groups[p]
-		var dirty []int
-		for i, u := range units {
-			if w.missed[webMiss[L, T]{u.node, u.r, h}] > 0 {
-				dirty = append(dirty, i)
-			}
-		}
-		cost := merkleDiff(len(units), dirty)
-		for i := 0; i < cost.walk; i++ {
-			op.Send(h) // subtree-digest exchange with peer p
-		}
-		for _, i := range dirty {
-			u := units[i]
-			uu := w.rangeUnits(u.node, u.r)
-			for j := 0; j < uu; j++ {
-				op.Send(h) // diverged unit re-copied from the peer
-			}
-			copied += uu
-			delete(w.missed, webMiss[L, T]{u.node, u.r, h})
-		}
-	}
-	// Purge stale records for h: units repaired away while it was down,
-	// or units with no live peer left to reconcile against.
-	for k := range w.missed {
-		if k.h == h {
-			delete(w.missed, k)
-		}
-	}
-	return copied
+	return reconcileUnits(&w.rep, w.eachUnit, h, op)
 }
 
 // GroundStructure exposes the level-0 structure D(S) (for answer
@@ -1744,7 +1390,7 @@ func (w *Web[L, T, Q]) CheckInvariants() error {
 			live[r] = true
 		}
 		for i, sl := range n.slab.slots {
-			if !live[i] && sl != emptySlot {
+			if !live[i] && (sl != emptySlot || n.slab.mirrors != nil && len(n.slab.mirrors[i]) > 0) {
 				return fmt.Errorf("core: depth %d: slot %d is not a live range but holds %+v", n.depth, i, sl)
 			}
 		}
@@ -1759,30 +1405,8 @@ func (w *Web[L, T, Q]) CheckInvariants() error {
 			}
 		}
 		for _, r := range ranges {
-			h := n.slab.slots[r].host
-			if !w.net.Alive(h) {
-				return fmt.Errorf("core: depth %d: range %d placed on departed host %d", n.depth, r, h)
-			}
-			// Replica contract: min(Replicas, live) distinct live hosts
-			// serve every range — the crash-tolerance invariant Repair
-			// restores.
-			if want := w.replicaTarget(); w.replicaCount(n, r) < want {
-				return fmt.Errorf("core: depth %d: range %d has %d replicas, want %d",
-					n.depth, r, w.replicaCount(n, r), want)
-			}
-			mirrors := n.slab.mirrorsOf(r)
-			for i, m := range mirrors {
-				if !w.net.Alive(m) {
-					return fmt.Errorf("core: depth %d: range %d mirror on dead host %d", n.depth, r, m)
-				}
-				if m == h {
-					return fmt.Errorf("core: depth %d: range %d mirror duplicates primary %d", n.depth, r, m)
-				}
-				for _, m2 := range mirrors[:i] {
-					if m2 == m {
-						return fmt.Errorf("core: depth %d: range %d has duplicate mirror %d", n.depth, r, m)
-					}
-				}
+			if err := n.slab.replicas(r).check(w.net, w.cfg.Replicas); err != nil {
+				return fmt.Errorf("core: depth %d: range %d: %w", n.depth, r, err)
 			}
 			got := n.slab.anchorsOf(r)
 			if n.parent != nil {

@@ -305,9 +305,10 @@ func TestDroppedRangeForgetsDivergence(t *testing.T) {
 		if err := s.remove(i); err != nil {
 			t.Fatal(err)
 		}
-		for k := range s.w.missed {
-			if !k.n.slab.placed(k.r) || !s.w.hasReplica(k.n, k.r, k.h) {
-				t.Fatalf("after delete %d: divergence still recorded for dropped range %d at host %d", i, k.r, k.h)
+		for k := range s.w.rep.missed {
+			n, r := k.unit.node, k.unit.r
+			if !n.slab.placed(r) || !n.slab.replicas(r).has(k.h) {
+				t.Fatalf("after delete %d: divergence still recorded for dropped range %d at host %d", i, r, k.h)
 			}
 		}
 	}

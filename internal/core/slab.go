@@ -31,11 +31,9 @@ type rangeSet struct {
 // slot is everything the engine stores about one range of one level
 // structure. A slot that is not in use equals emptySlot exactly.
 type slot struct {
-	// host is the primary replica, sim.None while the range is not placed.
+	// host is the primary replica, sim.None while the range is not placed;
+	// secondary replicas live in rangeSlab.mirrors.
 	host sim.HostID
-	// mirrors counts the secondary replica hosts in use in this range's
-	// window of rangeSlab.mirrors (always 0 on an unreplicated web).
-	mirrors int32
 	// anchors are the hyperlinks: ranges of the parent structure.
 	anchors rangeSet
 	// backs are the child ranges anchored here, packed by packBackref.
@@ -52,10 +50,10 @@ func packBackref(side uint8, r RangeID) RangeID { return r<<1 | RangeID(side) }
 // rangeSlab is the RangeID-indexed slot table of one level structure.
 type rangeSlab struct {
 	slots []slot
-	// mirrors holds stride secondary-replica hosts per slot, back to back;
-	// nil when stride is 0 (Replicas <= 1).
-	mirrors []sim.HostID
-	stride  int
+	// mirrors holds each slot's secondary replica hosts, parallel to slots;
+	// nil on an unreplicated web (Replicas <= 1), so the table stays
+	// pointer-free there.
+	mirrors [][]sim.HostID
 	// spill holds the member lists of sets larger than inlineCap; free
 	// lists the spill indices available for reuse.
 	spill [][]RangeID
@@ -63,14 +61,13 @@ type rangeSlab struct {
 }
 
 // init sizes the table for RangeIDs below size, with no slack.
-func (s *rangeSlab) init(size, stride int) {
-	s.stride = stride
+func (s *rangeSlab) init(size int, replicated bool) {
 	s.slots = make([]slot, size)
 	for i := range s.slots {
 		s.slots[i] = emptySlot
 	}
-	if stride > 0 {
-		s.mirrors = make([]sim.HostID, size*stride)
+	if replicated {
+		s.mirrors = make([][]sim.HostID, size)
 	}
 }
 
@@ -80,8 +77,8 @@ func (s *rangeSlab) grow(r RangeID) {
 	for int(r) >= len(s.slots) {
 		s.slots = append(s.slots, emptySlot)
 	}
-	if want := len(s.slots) * s.stride; want > len(s.mirrors) {
-		s.mirrors = append(s.mirrors, make([]sim.HostID, want-len(s.mirrors))...)
+	if s.mirrors != nil {
+		s.mirrors = append(s.mirrors, make([][]sim.HostID, len(s.slots)-len(s.mirrors))...)
 	}
 }
 
@@ -171,17 +168,13 @@ func (s *rangeSlab) remove(set *rangeSet, x RangeID) {
 	}
 }
 
-// mirrorsOf returns the secondary replica hosts of range r (empty on an
-// unreplicated web). The view's capacity is the slot's whole window.
-func (s *rangeSlab) mirrorsOf(r RangeID) []sim.HostID {
-	off := int(r) * s.stride
-	return s.mirrors[off : off+int(s.slots[r].mirrors) : off+s.stride]
-}
-
-// setMirrors replaces range r's secondary replica hosts; len(hosts) must
-// not exceed the stride.
-func (s *rangeSlab) setMirrors(r RangeID, hosts []sim.HostID) {
-	s.slots[r].mirrors = int32(copy(s.mirrors[int(r)*s.stride:][:s.stride], hosts))
+// replicas returns the slot view over range r's replica hosts.
+func (s *rangeSlab) replicas(r RangeID) replicaSet {
+	rs := replicaSet{primary: &s.slots[r].host}
+	if s.mirrors != nil {
+		rs.mirrors = &s.mirrors[r]
+	}
+	return rs
 }
 
 // release returns slot r to the empty state, recycling any spill lists,
@@ -191,6 +184,9 @@ func (s *rangeSlab) release(r RangeID) {
 	s.shrink(&sl.anchors, 0)
 	s.shrink(&sl.backs, 0)
 	*sl = emptySlot
+	if s.mirrors != nil {
+		s.mirrors[r] = s.mirrors[r][:0]
+	}
 }
 
 // nodeRange names one range of one set-tree node.
