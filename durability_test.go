@@ -159,6 +159,74 @@ func TestRestartAfterDivergence(t *testing.T) {
 	}
 }
 
+// TestRestartAfterFailedInserts pins the all-or-nothing Insert contract
+// of Blocked and Bucketed through the public API: an unreplicated durable
+// cluster loses a host, a long stream of inserts runs against it — those
+// whose climb meets a block on the down host fail with a host-down error
+// half-way up — and the host restarts. No data was lost, so the cluster
+// must check consistent, every acknowledged key must be found, and every
+// refused key must be absent: a failed Insert leaves no trace.
+func TestRestartAfterFailedInserts(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := xrand.New(seed)
+		keys := distinctKeys(rng, 1800)
+		c := NewCluster(16)
+		opts := Options{Seed: seed, BucketSize: 8, Durable: true}
+		blocked, err := NewBlocked(c, keys[:600], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bucketed, err := NewBucketed(c, keys[:600], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := c.HostAt(3)
+		if err := c.Crash(victim); err != nil {
+			t.Fatalf("durable crash: %v", err)
+		}
+		type row struct {
+			name   string
+			insert func(uint64, HostID) (int, error)
+			floor  func(uint64, HostID) (FloorResult, error)
+			lost   map[uint64]bool
+		}
+		rows := []row{
+			{"blocked", blocked.Insert, blocked.Floor, map[uint64]bool{}},
+			{"bucketed", bucketed.Insert, bucketed.Floor, map[uint64]bool{}},
+		}
+		for _, r := range rows {
+			for _, k := range keys[600:] {
+				if _, err := r.insert(k, c.HostAt(0)); err != nil {
+					if !errors.Is(err, ErrHostDown) {
+						t.Fatalf("seed %d: %s insert %d: %v, want a host-down error", seed, r.name, k, err)
+					}
+					r.lost[k] = true
+				}
+			}
+			if len(r.lost) == 0 {
+				t.Fatalf("seed %d: no %s insert failed; the crash is not in the way", seed, r.name)
+			}
+		}
+		if _, err := c.Restart(victim); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if err := c.CheckConsistent(); err != nil {
+			t.Fatalf("seed %d: after restart: %v", seed, err)
+		}
+		for _, r := range rows {
+			for i, k := range keys {
+				res, err := r.floor(k, c.HostAt(i))
+				if err != nil {
+					t.Fatalf("seed %d: %s floor %d: %v", seed, r.name, k, err)
+				}
+				if found := res.Found && res.Key == k; found == r.lost[k] {
+					t.Fatalf("seed %d: %s key %d: found %v, insert refused %v", seed, r.name, k, found, r.lost[k])
+				}
+			}
+		}
+	}
+}
+
 // TestRestartValidation pins the clean-error contract of
 // Cluster.Restart.
 func TestRestartValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -48,6 +49,9 @@ type BlockedWeb struct {
 	// memberScratch is the stratum enumeration buffer of splitBlock and
 	// retargetBlocks, reused across operations.
 	memberScratch []*bnode
+	// splitScratch lists the blocks the climb in progress has split
+	// (lower half's index), so a failed climb can merge them back.
+	splitScratch []blockUnit
 	// keysScratch and halfScratch are splitLeaf's key snapshot and
 	// bit-partition buffers, reused across operations.
 	keysScratch []uint64
@@ -339,7 +343,7 @@ func (w *BlockedWeb) visitBlock(bn *bnode, bi int, op *sim.Op) error {
 // drawBlockMirrors draws the secondary hosts of a fresh block whose
 // primary is already drawn.
 func (w *BlockedWeb) drawBlockMirrors(primary sim.HostID) []sim.HostID {
-	return drawMirrors(w.net, w.rep.k, w.nextHost, primary)
+	return drawMirrors(w.net, w.rep.k, w.rep.draw, primary)
 }
 
 // buildSubtree constructs the set node over keys, which must be strictly
@@ -763,6 +767,11 @@ func (w *BlockedWeb) InsertRun(keys []uint64, origin sim.HostID, hops []int, err
 
 // Insert adds a key, climbing its bit path and paying messages only at
 // stratum boundaries (Section 4: O(log n / log log n) expected for 1-d).
+// Insert is all-or-nothing: when it returns an error (a duplicate, or a
+// host-down error from a block with no live replica met by the routed
+// query or half-way up the climb) the key is in no level and every
+// host's storage is what it was before the call. Messages charged for
+// the attempt stay charged.
 func (w *BlockedWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	op := w.net.NewOp(origin)
 	defer op.Free()
@@ -773,7 +782,31 @@ func (w *BlockedWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	if !w.root.lvl.IsHead(t0) && w.root.lvl.Key(t0) == key {
 		return op.Hops(), fmt.Errorf("core: duplicate key %d", key)
 	}
+	err = w.climb(key, t0, true, op)
+	return op.Hops(), err
+}
+
+// reinsert puts back a key that Delete just removed, without routing:
+// each level's splice point comes from a local search, so no block is
+// read and the climb cannot fail. BucketWeb restores a separator with it
+// when the second half of a rekey fails. Returns the messages charged.
+func (w *BlockedWeb) reinsert(key uint64, origin sim.HostID) int {
+	op := w.net.NewOp(origin)
+	defer op.Free()
+	_ = w.climb(key, w.root.lvl.Locate(key), false, op) // unrouted: reads no block, cannot fail
+	return op.Hops()
+}
+
+// climb splices key, absent from every level, into each level on its bit
+// path, starting from its ground-level terminal t0. A routed climb derives
+// each child terminal by the charged walk of childTerminal; when that
+// walk meets a block with no live replica the splices already applied —
+// and any block split they triggered — are undone, deepest level first,
+// before the error is returned.
+func (w *BlockedWeb) climb(key uint64, t0 RangeID, routed bool, op *sim.Op) (err error) {
 	w.resetSeen()
+	w.splitScratch = w.splitScratch[:0]
+	seq := w.hostSeq
 	node, hint := w.root, t0
 	for {
 		id := w.insertAt(node, key, hint, op)
@@ -783,9 +816,20 @@ func (w *BlockedWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 		child := node.kids[w.bitAt(key, node.depth)]
 		// Derive the child terminal: walk left in node's level from key's
 		// newly spliced range to the nearest key present in the child.
-		hint, err = w.childTerminal(node, child, key, id, op)
-		if err != nil {
-			return op.Hops(), err
+		if !routed {
+			hint = child.lvl.Locate(key)
+		} else if hint, err = w.childTerminal(node, child, key, id, op); err != nil {
+			for n := node; n != nil; n = n.parent {
+				if k := len(w.splitScratch) - 1; k >= 0 && w.splitScratch[k].bn == n {
+					w.unsplitBlock(n, w.splitScratch[k].bi)
+					w.splitScratch = w.splitScratch[:k]
+				}
+				if rerr := w.removeAt(n, key); rerr != nil {
+					err = errors.Join(err, rerr)
+				}
+			}
+			w.hostSeq = seq
+			return err
 		}
 		node = child
 	}
@@ -796,7 +840,7 @@ func (w *BlockedWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 		w.splitLeaf(node, op)
 	}
 	w.n++
-	return op.Hops(), nil
+	return nil
 }
 
 // insertAt splices key into node's level. One message is charged per
@@ -924,8 +968,9 @@ func (w *BlockedWeb) splitBlock(bn *bnode, bi int, op *sim.Op) {
 	}
 	fresh := replicaSet{&newHost, &newMirrors}
 	for _, n := range w.stratumMembers(bn) {
-		w.transferSpanStorage(n, bn, bi, medKey, hi, hasHi, fresh)
+		w.transferSpanStorage(n, bn, bi, medKey, hi, hasHi, fresh, 1)
 	}
+	w.splitScratch = append(w.splitScratch, blockUnit{w, bn, bi})
 	// Splice the new block into the directory.
 	bn.blockStarts = slices.Insert(bn.blockStarts, bi+1, medKey)
 	bn.blockHosts = slices.Insert(bn.blockHosts, bi+1, newHost)
@@ -938,6 +983,30 @@ func (w *BlockedWeb) splitBlock(bn *bnode, bi int, op *sim.Op) {
 	// (amortized against the inserts that grew the block).
 	for i := 0; i < moved; i++ {
 		fresh.sendAll(op)
+	}
+}
+
+// unsplitBlock merges block bi+1 of bn, split off block bi by the climb
+// now being unwound, back into it: the exact inverse of splitBlock's
+// storage transfer and directory splice (the messages stay charged). Every
+// stratum member must be as it was when the split ran — the unwind
+// removes the key from the deeper members first.
+func (w *BlockedWeb) unsplitBlock(bn *bnode, bi int) {
+	var hi uint64
+	hasHi := bi+2 < len(bn.blockStarts)
+	if hasHi {
+		hi = bn.blockStarts[bi+2]
+	}
+	fresh := w.blockReplicas(bn, bi+1)
+	for _, n := range w.stratumMembers(bn) {
+		w.transferSpanStorage(n, bn, bi, bn.blockStarts[bi+1], hi, hasHi, fresh, -1)
+	}
+	bn.blockSizes[bi] += bn.blockSizes[bi+1]
+	bn.blockStarts = slices.Delete(bn.blockStarts, bi+1, bi+2)
+	bn.blockHosts = slices.Delete(bn.blockHosts, bi+1, bi+2)
+	bn.blockSizes = slices.Delete(bn.blockSizes, bi+1, bi+2)
+	if w.rep.k > 1 {
+		bn.blockMirrors = slices.Delete(bn.blockMirrors, bi+1, bi+2)
 	}
 }
 
@@ -963,8 +1032,10 @@ func (w *BlockedWeb) splitBlock(bn *bnode, bi int, op *sim.Op) {
 // (Cluster.Leave asserts exact drains) rests on that — at O(span) cost
 // with a single search to find the span floor. Every replica of the old
 // block discharges the span; every replica of the new block (fresh) is
-// charged its copy.
-func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, hasHi bool, fresh replicaSet) {
+// charged its copy. sign -1 runs the transfer backwards (unsplitBlock):
+// which block the predecessor lies in reads the same before and after
+// the splice, so the inverse is exact against the spliced directory.
+func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, hasHi bool, fresh replicaSet, sign int) {
 	r := n.lvl.Locate(lo) // floor: the last range with key <= lo
 	var pred, s1 RangeID
 	if !n.lvl.IsHead(r) && n.lvl.Key(r) == lo {
@@ -976,13 +1047,13 @@ func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, ha
 		return // no member range in the span: footprint unchanged
 	}
 	for s := s1; s != NoRange && (!hasHi || n.lvl.Key(s) < hi); s = n.lvl.Next(s) {
-		w.addBlockStorage(bn, bi, -2)
-		fresh.addStorage(w.net, 2)
+		w.addBlockStorage(bn, bi, -2*sign)
+		fresh.addStorage(w.net, 2*sign)
 	}
 	if w.blockIndex(bn, w.rangeKey(n, pred)) != bi {
-		w.addBlockStorage(bn, bi, -1)
+		w.addBlockStorage(bn, bi, -sign)
 	}
-	fresh.addStorage(w.net, 1)
+	fresh.addStorage(w.net, sign)
 }
 
 // spanRanges visits, in member n, the ranges whose storage footprint
@@ -1030,30 +1101,10 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		// Discharge before the unsplice, while the dying range's key and
-		// neighbors are still readable: its primary copy and straddle,
-		// plus the predecessor's straddle for the old pair (pred, r) —
-		// the pair (pred, next-of-r) is recharged after the delete. This
-		// keeps per-host storage exact (Leave asserts exact drains).
-		r, ok := n.lvl.ByKey(key)
-		if !ok {
-			return op.Hops(), fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
-		}
-		pred, nx := n.lvl.Prev(r), n.lvl.Next(r)
-		w.chargeRangeStorage(n, r, -1)
-		w.straddleCopy(n, pred, r, -1)
-		if _, _, err := n.lvl.DeleteKey(key); err != nil {
+		if err := w.removeAt(n, key); err != nil {
 			return op.Hops(), err
 		}
-		w.straddleCopy(n, pred, nx, 1)
-		n.count--
 		w.chargeBlockOnce(n.base, w.blockIndex(n.base, key), op)
-		if n.base == n {
-			bi := w.blockIndex(n, key)
-			if n.blockSizes[bi] > 0 {
-				n.blockSizes[bi]--
-			}
-		}
 	}
 	leaf := path[len(path)-1]
 	if leaf.kids[0] == nil && leaf.count == 0 {
@@ -1067,6 +1118,34 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 	}
 	w.n--
 	return op.Hops(), nil
+}
+
+// removeAt unsplices key from node n's level — the inverse of insertAt,
+// shared by Delete and by a failed Insert's unwind. It discharges before
+// the unsplice, while the dying range's key and neighbors are still
+// readable: its primary copy and straddle, plus the predecessor's
+// straddle for the old pair (pred, r) — the pair (pred, next-of-r) is
+// recharged after the delete. This keeps per-host storage exact (Leave
+// asserts exact drains).
+func (w *BlockedWeb) removeAt(n *bnode, key uint64) error {
+	r, ok := n.lvl.ByKey(key)
+	if !ok {
+		return fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
+	}
+	pred, nx := n.lvl.Prev(r), n.lvl.Next(r)
+	w.chargeRangeStorage(n, r, -1)
+	w.straddleCopy(n, pred, r, -1)
+	if _, _, err := n.lvl.DeleteKey(key); err != nil {
+		return err
+	}
+	w.straddleCopy(n, pred, nx, 1)
+	n.count--
+	if n.base == n {
+		if bi := w.blockIndex(n, key); n.blockSizes[bi] > 0 {
+			n.blockSizes[bi]--
+		}
+	}
+	return nil
 }
 
 // splitLeaf splits an overfull set-tree leaf into two halves. The key
@@ -1215,11 +1294,12 @@ func (w *BlockedWeb) retargetBlocks(decide retarget, op *sim.Op) {
 			})
 		}
 		for bi, m := range plan {
-			switch rs := w.blockReplicas(bn, bi); {
-			case m.slot < 0:
-			case m.drop:
+			if m.slot < 0 {
+				continue
+			}
+			if rs := w.blockReplicas(bn, bi); m.drop {
 				rs.drop(m.slot)
-			default:
+			} else {
 				rs.set(m.slot, m.to)
 			}
 		}
@@ -1303,6 +1383,9 @@ func (u blockUnit) moved(*sim.Op)        {} // nobody dereferences a block by ho
 func (u blockUnit) size() int {
 	units, ok := u.w.footprints[u.bn]
 	if !ok {
+		if u.w.footprints == nil {
+			u.w.footprints = make(map[*bnode][]int)
+		}
 		units = u.w.blockUnits(u.bn)
 		u.w.footprints[u.bn] = units
 	}
@@ -1320,7 +1403,7 @@ func (u blockUnit) reconcile(m missRecord) merkleCost {
 // eachBlock visits every block: basic nodes in DFS order, blocks in
 // directory order.
 func (w *BlockedWeb) eachBlock(visit func(blockUnit)) {
-	w.footprints = make(map[*bnode][]int)
+	w.footprints = nil
 	for _, bn := range w.basicNodes() {
 		for bi := range bn.blockHosts {
 			visit(blockUnit{w, bn, bi})
@@ -1424,6 +1507,7 @@ type BucketWeb struct {
 	web     *BlockedWeb
 	buckets map[uint64]*wbucket
 	target  int
+	n       int    // keys stored, over all buckets
 	origin  uint64 // seed
 
 	// rep is the replica-layer state (replicas.go): churn-time draws come
@@ -1484,6 +1568,7 @@ func NewBucketWeb(net Fabric, keys []uint64, target, m int, seed uint64, replica
 		mins = append(mins, wb.min)
 		wb.replicas().addStorage(net, len(wb.keys))
 	}
+	b.n = len(sorted)
 	web, err := NewBlockedWeb(net, mins, BlockedConfig{Seed: seed, M: m, Replicas: replicas})
 	if err != nil {
 		return nil, err
@@ -1529,13 +1614,7 @@ func (b *BucketWeb) writeThrough(wb *wbucket, key uint64) int {
 }
 
 // Len returns the number of keys stored.
-func (b *BucketWeb) Len() int {
-	n := 0
-	for _, wb := range b.buckets {
-		n += len(wb.keys)
-	}
-	return n
-}
+func (b *BucketWeb) Len() int { return b.n }
 
 // NumBuckets returns the bucket count H.
 func (b *BucketWeb) NumBuckets() int { return len(b.buckets) }
@@ -1599,7 +1678,12 @@ func (b *BucketWeb) QueryCost(q uint64, origin sim.HostID) (uint64, bool, Cost, 
 }
 
 // Insert routes to the bucket and adds the key, splitting overfull
-// buckets (amortized separator insertion).
+// buckets (amortized separator insertion). Insert is all-or-nothing: on
+// an error the key is stored nowhere and separators and buckets still
+// correspond one to one — every separator update is attempted before the
+// bucket directory is touched. A split whose separator insert fails is
+// not an error: the key is stored, and the split is left for the next
+// insert that finds the bucket over 2·target.
 func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	min, ok, hops, err := b.web.Query(key, origin)
 	if err != nil {
@@ -1614,8 +1698,6 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 			return hops, fmt.Errorf("core: bucket web is empty")
 		}
 		oldMin := ground.Key(first)
-		wb := b.buckets[oldMin]
-		delete(b.buckets, oldMin)
 		h1, err := b.web.Delete(oldMin, origin)
 		hops += h1
 		if err != nil {
@@ -1624,11 +1706,15 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 		h2, err := b.web.Insert(key, origin)
 		hops += h2
 		if err != nil {
-			return hops, err
+			// The old separator is already gone: put it back unrouted.
+			return hops + b.web.reinsert(oldMin, origin), err
 		}
+		wb := b.buckets[oldMin]
+		delete(b.buckets, oldMin)
 		wb.min = key
 		wb.keys = append([]uint64{key}, wb.keys...)
 		b.buckets[key] = wb
+		b.n++
 		wb.replicas().addStorage(b.net, 1)
 		return hops + b.writeThrough(wb, key), nil
 	}
@@ -1640,10 +1726,16 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	wb.keys = append(wb.keys, 0)
 	copy(wb.keys[i+1:], wb.keys[i:])
 	wb.keys[i] = key
+	b.n++
 	wb.replicas().addStorage(b.net, 1)
 	hops += b.writeThrough(wb, key) // write-through: one message per live replica
 	if len(wb.keys) > 2*b.target {
 		mid := len(wb.keys) / 2
+		sh, err := b.web.Insert(wb.keys[mid], origin)
+		hops += sh
+		if err != nil {
+			return hops, nil // the key is stored; the split waits for the next insert
+		}
 		upper := append([]uint64(nil), wb.keys[mid:]...)
 		wb.keys = wb.keys[:mid]
 		// The new bucket's replicas walk the cyclic live-host order from
@@ -1657,19 +1749,10 @@ func (b *BucketWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 		nb.replicas().addStorage(b.net, len(upper))
 		// A crashed durable replica of wb slept through the split: its
 		// stale copy still holds the upper half, so every moved key is
-		// divergence the reconcile must truncate.
-		if b.net.Durable() {
-			for slot, n := 0, wb.replicas().count(); slot < n; slot++ {
-				if h := wb.replicas().at(slot); b.net.Crashed(h) {
-					b.rep.miss(wb, h, upper)
-				}
-			}
-		}
-		sh, err := b.web.Insert(nb.min, origin)
-		if err != nil {
-			return hops, err
-		}
-		hops += sh + b.writeThrough(nb, nb.min)
+		// divergence the reconcile must truncate. The split's own transfer
+		// is priced by the separator insert, so the paid count is unused.
+		b.rep.writeThrough(nil, wb.replicas(), wb, nil, upper...)
+		hops += b.writeThrough(nb, nb.min)
 	}
 	return hops, nil
 }
@@ -1793,6 +1876,13 @@ func (b *BucketWeb) CheckInvariants() error {
 	if ground.Len() != len(b.buckets) {
 		return fmt.Errorf("routing web holds %d separators for %d buckets", ground.Len(), len(b.buckets))
 	}
+	stored := 0
+	for _, wb := range b.buckets {
+		stored += len(wb.keys)
+	}
+	if stored != b.n {
+		return fmt.Errorf("buckets hold %d keys, Len reports %d", stored, b.n)
+	}
 	return nil
 }
 
@@ -1812,6 +1902,7 @@ func (b *BucketWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 		return hops, fmt.Errorf("core: key %d not found", key)
 	}
 	wb.keys = append(wb.keys[:i], wb.keys[i+1:]...)
+	b.n--
 	wb.replicas().addStorage(b.net, -1)
 	return hops + b.writeThrough(wb, key), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -328,12 +329,170 @@ type scheduleStepper interface {
 // fuzzUniverse is the candidate count of each FuzzWebUpdates web.
 const fuzzUniverse = 24
 
+// keyedEngine is one of the two keyed engines a keyedSchedule drives.
+type keyedEngine struct {
+	name           string
+	insert, remove func(k uint64, origin sim.HostID) (int, error)
+	query          func(k uint64, origin sim.HostID) (uint64, bool, int, error)
+	rehome         func(from sim.HostID, op *sim.Op)
+	rebalance      func(onto sim.HostID, op *sim.Op)
+	repair         func(op *sim.Op) error
+	restart        func(h sim.HostID, op *sim.Op) int
+	check          func() error
+	present        []bool
+}
+
+// keyedSchedule drives a BlockedWeb and a BucketWeb side by side on one
+// durable fabric, each against its own present-bit model. Two anchor keys
+// above the universe are never removed, so the bucket web never runs out
+// of separators and most universe inserts take its separator-rekey path.
+// Its crash step is an outage — crash, insert, restart — rather than the
+// generic webs' crash + Repair: with every replica of some block down, an
+// insert can fail half-way up its climb and must then leave no trace.
+type keyedSchedule struct {
+	net      *sim.Network
+	engines  []*keyedEngine
+	universe []uint64
+	replicas int
+}
+
+func newKeyedSchedule(hosts int, universe []uint64, seed uint64, replicas int) (*keyedSchedule, error) {
+	net := sim.NewNetwork(hosts)
+	net.EnableDurability(0)
+	anchors := []uint64{1 << 20, 1 << 21}
+	w, err := NewBlockedWeb(net, anchors, BlockedConfig{Seed: seed, M: 2, LeafMax: 2, MergeMin: 1, Replicas: replicas})
+	if err != nil {
+		return nil, err
+	}
+	b, err := NewBucketWeb(net, anchors, 2, 2, seed, replicas)
+	if err != nil {
+		return nil, err
+	}
+	return &keyedSchedule{net: net, universe: universe, replicas: replicas, engines: []*keyedEngine{
+		{"blocked", w.Insert, w.Delete, w.Query, w.Rehome, w.Rebalance, w.Repair, w.RestartHost, w.CheckInvariants, make([]bool, len(universe))},
+		{"bucket", b.Insert, b.Delete, b.Query, b.Rehome, b.Rebalance, b.Repair, b.RestartHost, b.CheckInvariants, make([]bool, len(universe))},
+	}}, nil
+}
+
+func (s *keyedSchedule) origin(i int) sim.HostID {
+	return s.net.LiveAt(i % s.net.LiveHosts())
+}
+
+// update runs one insert or delete of candidate i on every engine. A call
+// that must fail (present insert, absent delete) has to fail; one that
+// should succeed may fail only with a host-down error during an outage,
+// and then the model does not move.
+func (s *keyedSchedule) update(i int, insert, outage bool) error {
+	for _, e := range s.engines {
+		call := e.remove
+		if insert {
+			call = e.insert
+		}
+		_, err := call(s.universe[i], s.origin(i))
+		switch {
+		case e.present[i] == insert:
+			if err == nil {
+				return fmt.Errorf("%s: redundant update of %d succeeded", e.name, s.universe[i])
+			}
+		case err == nil:
+			e.present[i] = insert
+		case !outage || !errors.Is(err, sim.ErrHostDown):
+			return fmt.Errorf("%s: update of %d: %w", e.name, s.universe[i], err)
+		}
+	}
+	return nil
+}
+
+func (s *keyedSchedule) insert(i int) error { return s.update(i, true, false) }
+func (s *keyedSchedule) remove(i int) error { return s.update(i, false, false) }
+
+func (s *keyedSchedule) leave(i int) {
+	if s.net.LiveHosts() <= s.replicas+1 {
+		return
+	}
+	h := s.origin(i)
+	s.net.RemoveHost(h)
+	op := s.net.NewOp(sim.None)
+	defer op.Free()
+	for _, e := range s.engines {
+		e.rehome(h, op)
+	}
+}
+
+func (s *keyedSchedule) join() error {
+	if s.net.Hosts() >= 24 {
+		return nil
+	}
+	h := s.net.AddHost()
+	op := s.net.NewOp(h)
+	defer op.Free()
+	for _, e := range s.engines {
+		e.rebalance(h, op)
+		if err := e.repair(op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// crash is the outage step: as many adjacent hosts as there are replicas
+// go down at once (round-robin placement puts a unit's replicas on
+// neighbours, so whole units become unreachable), four candidates are
+// inserted past them, and the hosts restart and reconcile.
+func (s *keyedSchedule) crash(i int) error {
+	if s.net.LiveHosts() <= s.replicas+1 {
+		return nil
+	}
+	down := []sim.HostID{s.origin(i)}
+	for len(down) < s.replicas {
+		down = append(down, s.net.NextLive(down[len(down)-1]))
+	}
+	for _, h := range down {
+		s.net.Crash(h)
+	}
+	for j := 0; j < 4; j++ {
+		if err := s.update((i+j)%len(s.universe), true, true); err != nil {
+			return err
+		}
+	}
+	for _, h := range down {
+		s.net.Restart(h)
+		op := s.net.NewOp(h)
+		for _, e := range s.engines {
+			e.restart(h, op)
+		}
+		op.Free()
+	}
+	return nil
+}
+
+func (s *keyedSchedule) verify() error {
+	for _, e := range s.engines {
+		if err := e.check(); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		for i, k := range s.universe {
+			got, ok, _, err := e.query(k, s.origin(i))
+			if err != nil {
+				return fmt.Errorf("%s: query %d: %w", e.name, k, err)
+			}
+			if found := ok && got == k; found != e.present[i] {
+				return fmt.Errorf("%s: key %d found %v, model says %v", e.name, k, found, e.present[i])
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzWebUpdates decodes its input into an insert / delete / leave+Rehome /
-// join+Rebalance / crash+Repair schedule and runs it on a sorted-list web
-// and a trie web, verifying both against the model after every step.
-// Byte 0 picks the replication factor and the placement seed; each later
-// pair of bytes is one step. The seed corpus (testdata/fuzz/FuzzWebUpdates)
-// holds a drain-to-empty schedule and a RangeID-reuse schedule.
+// join+Rebalance / crash schedule and runs it on a sorted-list web, a trie
+// web and a BlockedWeb/BucketWeb pair, verifying each against its model
+// after every step. The crash step is crash+Repair on the generic webs and
+// a durable outage — crash, insert, restart — on the keyed pair. Byte 0
+// picks the replication factor and the placement seed; each later pair of
+// bytes is one step. The seed corpus (testdata/fuzz/FuzzWebUpdates) holds a
+// drain-to-empty schedule, a RangeID-reuse schedule and the torn-insert
+// schedule (an outage insert that fails half-way up the climb).
 func FuzzWebUpdates(f *testing.F) {
 	keys := distinctKeys(xrand.New(104), fuzzUniverse, 1<<16)
 	strs := randStrings(xrand.New(105), fuzzUniverse, "ab", 1, 9)
@@ -356,10 +515,14 @@ func runUpdateSchedule(t *testing.T, keys []uint64, strs []string, data []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	pair, err := newKeyedSchedule(6, keys, cfg.Seed, cfg.Replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
 	webs := []struct {
 		name string
 		s    scheduleStepper
-	}{{"list", list}, {"trie", tr}}
+	}{{"list", list}, {"trie", tr}, {"keyed", pair}}
 	for at := 1; at+1 < len(data); at += 2 {
 		kind, arg := int(data[at]%5), int(data[at+1])
 		for _, web := range webs {

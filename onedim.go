@@ -290,6 +290,11 @@ func (b *Blocked) Range(lo, hi uint64, origin HostID) ([]uint64, int, error) {
 // log M) expected messages (Section 4): updates confined to one
 // stratum's co-located copies cost a single message per stratum. The
 // update holds only its stripe's writer lock.
+//
+// Insert is all-or-nothing. An error — a duplicate key, or ErrHostDown
+// when the route or the climb meets a block with no live replica —
+// means the key was stored nowhere and every host holds exactly what it
+// held before the call; only the messages the attempt sent stay charged.
 func (b *Blocked) Insert(key uint64, origin HostID) (int, error) { return b.insert(key, origin) }
 
 // Delete removes a key, returning the update's message cost — O(log n /
@@ -408,6 +413,14 @@ func (b *Bucketed) Range(lo, hi uint64, origin HostID) ([]uint64, int, error) {
 // expected messages: a routed floor query plus one hop into the bucket,
 // with amortized separator insertions on bucket splits. The update
 // holds only its stripe's writer lock.
+//
+// Insert is all-or-nothing. An error — a duplicate key, or ErrHostDown
+// when routing over the separators meets a block with no live replica —
+// means the key was stored nowhere, and separators and buckets still
+// correspond one to one; the messages the attempt sent stay charged. A
+// bucket split whose separator insert is refused is not an error: the
+// key is stored, and the split is retried by the next insert that finds
+// the bucket over twice its target size.
 func (b *Bucketed) Insert(key uint64, origin HostID) (int, error) { return b.insert(key, origin) }
 
 // Delete removes a key, returning the update's message cost — Õ(log_M
