@@ -97,8 +97,10 @@ func (rs replicaSet) assign(hosts []sim.HostID) {
 // cost is the (charged) visit to wherever the live replica actually
 // sits. When every replica is down the unit is unreachable and the
 // caller fails fast with the returned HostDownError. The primary-alive
-// case is all an unreplicated, crash-free descent ever runs, so it is
-// kept small enough to inline into the engines' visit helpers.
+// case is all an unreplicated, crash-free descent ever runs, so it is one
+// direct call and one Alive check, with the mirror scan split off into
+// failover (the compiler prices the pair above its inlining budget, as
+// it did each of the three per-engine functions this replaces).
 func (rs replicaSet) firstLive(net Fabric) (sim.HostID, error) {
 	if h := *rs.primary; net.Alive(h) {
 		return h, nil
