@@ -2,13 +2,18 @@
 // the update climb. These pin the allocation-free descent guarantees
 // documented in README.md's Performance section — `go test -bench=Allocs`
 // shows allocs/op alongside the paper's msgs/op metric, and CI's bench
-// smoke job keeps them from regressing silently.
+// smoke job keeps them from regressing silently. The accounting plane of
+// the wire protocol has its ceilings here too (TestWireAllocCeilings).
 package skipwebs
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
+	"time"
 
 	"github.com/skipwebs/skipwebs/internal/experiments"
+	"github.com/skipwebs/skipwebs/internal/wire"
 	"github.com/skipwebs/skipwebs/internal/xrand"
 )
 
@@ -176,4 +181,66 @@ func BenchmarkInsertAllocs(b *testing.B) {
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "msgs/insert")
 	})
+}
+
+// TestWireAllocCeilings holds the wire protocol's accounting exchanges to
+// the wire_ceilings of bench_baseline.json: one Client.Hop, and one
+// counted exchange (SendMsgs + AwaitAck) — the frame a daemon sends per
+// charged host per operation. Both sides of the socket are in this
+// process, so a count covers the client's write and read and the node's
+// read, count and ack.
+func TestWireAllocCeilings(t *testing.T) {
+	raw, err := os.ReadFile("bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base struct {
+		Ceilings []struct {
+			Name   string  `json:"name"`
+			Allocs float64 `json:"max_allocs_per_op"`
+		} `json:"wire_ceilings"`
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("bench_baseline.json: %v", err)
+	}
+	n, err := wire.NewNode(wire.NodeConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Drop()
+	cl, err := wire.Dial(0, n.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	exchanges := map[string]func() error{
+		"wire/hop": cl.Hop,
+		"wire/counted-exchange": func() error {
+			id, err := cl.SendMsgs(9)
+			if err != nil {
+				return err
+			}
+			return cl.AwaitAck(id)
+		},
+	}
+	if len(base.Ceilings) != len(exchanges) {
+		t.Fatalf("bench_baseline.json has %d wire_ceilings, this test measures %d", len(base.Ceilings), len(exchanges))
+	}
+	for _, c := range base.Ceilings {
+		exchange, ok := exchanges[c.Name]
+		if !ok {
+			t.Fatalf("wire ceiling %q names no exchange this test measures", c.Name)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := exchange(); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+		})
+		if got > c.Allocs {
+			t.Errorf("%s: %.0f allocs/op exceeds ceiling %.0f", c.Name, got, c.Allocs)
+		}
+	}
+	if got := n.Messages(); got == 0 {
+		t.Fatal("the measured exchanges charged nothing")
+	}
 }

@@ -22,6 +22,7 @@ type wireRow struct {
 	Queries     int     `json:"queries"`
 	SimMsgs     int64   `json:"sim_msgs_total"`
 	WireMsgs    int64   `json:"wire_msgs_total"`
+	WireFrames  int64   `json:"wire_frames_total"` // KMsg frames those messages arrived in
 	Identical   bool    `json:"per_host_identical"`
 	SimPerHost  []int64 `json:"sim_per_host"`
 	WirePerHost []int64 `json:"wire_per_host"`
@@ -90,8 +91,8 @@ func runWire(out io.Writer, jsonPath, serveBin string, basePort, hosts, keyN, op
 	}
 	fmt.Fprintf(out, "=== W1: sim-vs-wire parity (hosts=%d keys=%d ops=%d, %s) ===\n",
 		hosts, keyN, ops, label)
-	fmt.Fprintf(out, "%-10s %12s %12s %10s %10s %12s %12s\n",
-		"structure", "sim msgs", "wire msgs", "identical", "msgs/op", "p50 µs", "p99 µs")
+	fmt.Fprintf(out, "%-10s %12s %12s %12s %10s %10s %12s %12s\n",
+		"structure", "sim msgs", "wire msgs", "wire frames", "identical", "msgs/op", "p50 µs", "p99 µs")
 	for _, structure := range []string{"onedim", "blocked", "bucketed"} {
 		cfg := serve.Config{
 			Hosts:     hosts,
@@ -149,6 +150,7 @@ func runWire(out io.Writer, jsonPath, serveBin string, basePort, hosts, keyN, op
 		for h := range simRes.PerHost {
 			row.SimMsgs += simRes.PerHost[h]
 			row.WireMsgs += wireRes.PerHost[h]
+			row.WireFrames += wireRes.Frames[h]
 			if simRes.PerHost[h] != wireRes.PerHost[h] {
 				row.Identical = false
 			}
@@ -165,8 +167,8 @@ func runWire(out io.Writer, jsonPath, serveBin string, basePort, hosts, keyN, op
 			row.Killed, row.Recovered = 1, recovered
 		}
 		doc.Rows = append(doc.Rows, row)
-		fmt.Fprintf(out, "%-10s %12d %12d %10v %10.2f %12.0f %12.0f\n",
-			row.Structure, row.SimMsgs, row.WireMsgs, row.Identical, row.MsgsOp, row.P50Micros, row.P99Micros)
+		fmt.Fprintf(out, "%-10s %12d %12d %12d %10v %10.2f %12.0f %12.0f\n",
+			row.Structure, row.SimMsgs, row.WireMsgs, row.WireFrames, row.Identical, row.MsgsOp, row.P50Micros, row.P99Micros)
 		if restart {
 			fmt.Fprintf(out, "%-10s   killed host %d mid-workload; restarted daemon replayed %d WAL records\n",
 				"", row.Killed, row.Recovered)
@@ -384,12 +386,14 @@ func replayProcessesRestart(serveBin string, basePort int, cfg serve.Config, wl 
 
 	res := serve.RunResult{
 		PerHost:      make([]int64, hosts),
+		Frames:       make([]int64, hosts),
 		Floors:       append(res1.Floors, res2.Floors...),
 		Hops:         append(res1.Hops, res2.Hops...),
 		QueryLatency: append(res1.QueryLatency, res2.QueryLatency...),
 	}
 	for h := range res.PerHost {
 		res.PerHost[h] = res1.PerHost[h] + res2.PerHost[h]
+		res.Frames[h] = res1.Frames[h] + res2.Frames[h]
 	}
 	for h, cl := range clients {
 		var ok bool

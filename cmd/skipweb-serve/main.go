@@ -1,7 +1,7 @@
 // Command skipweb-serve runs one skip-web host as a network daemon: it
 // builds a deterministic replica of the configured structure from the
-// seed flags, listens for wire-protocol frames (named RPCs plus charged
-// KMsg hops), and serves until a SIGINT/SIGTERM or a shutdown RPC, then
+// seed flags, listens for wire-protocol frames (named RPCs plus counted
+// KMsg charges), and serves until a SIGINT/SIGTERM or a shutdown RPC, then
 // drains gracefully — queued requests finish before the listener closes.
 //
 // A 4-process cluster on one machine:

@@ -7,12 +7,16 @@
 // are deterministic given the same seed and the same operation sequence,
 // so every daemon can hold a complete replica and stay bit-identical by
 // applying the same updates in the same order. Second, the model's
-// charges are per-destination-host: when an operation runs at its origin
-// daemon with emission enabled, the sim.Network deliver hook fires once
-// per charged message, and the daemon sends one real KMsg frame to the
-// destination host's listener. Each receiving node counts frames, so the
-// per-host wire counters equal the simulator's per-host message counters
-// bit for bit — the load-bearing invariant the replay harness diffs.
+// charges are per-destination-host and their currency is a count: when an
+// operation runs at its origin daemon with emission enabled, the
+// sim.Network deliver hook fires once per charged message and the daemon
+// tallies it against the destination host; when the operation returns,
+// each destination that was charged gets one real KMsg frame carrying its
+// tally (the daemon's own host is credited directly — that message never
+// left the process). Each receiving node adds the counts it is sent, so
+// the per-host wire counters equal the simulator's per-host message
+// counters bit for bit — the load-bearing invariant the replay harness
+// diffs.
 package serve
 
 import (
@@ -131,22 +135,27 @@ func buildStructure(cfg Config, net *sim.Network, keys []uint64) (structure, err
 }
 
 // Daemon is one running host: a wire.Node serving the structure's
-// operations, a deliver hook that turns model charges into KMsg frames,
-// and one client per peer (including itself) to deliver them on.
+// operations, a deliver hook that tallies model charges per destination,
+// and one client per peer to deliver the tallies on.
 type Daemon struct {
 	cfg  Config
 	net  *sim.Network
 	st   structure
 	node *wire.Node
 
-	// peers[h] is the connection hops to host h ride on; nil until the
-	// connect RPC (or ConnectPeers) supplies the address list.
+	// peers[h] is the connection charges to host h ride on (none to the
+	// daemon's own host); nil until the connect RPC (or ConnectPeers)
+	// supplies the address list.
 	peers []*wire.Client
 
-	// emit and emitErr are touched only from the node's worker
+	// emit, pending and acks are touched only from the node's worker
 	// goroutine (handlers run serially there), so they need no lock.
+	// pending[h] is what the operation in flight has charged host h and
+	// not yet delivered — all zero between operations — and acks[h] the
+	// id of the frame flush sent for it.
 	emit    bool
-	emitErr error
+	pending []uint32
+	acks    []uint64
 
 	// applied is the daemon's current key set, the digest's input.
 	applied map[uint64]struct{}
@@ -199,9 +208,11 @@ type (
 		Hops int
 	}
 	// StatsReply reports the daemon's charged-message counter — the
-	// wire-side per-host number the parity check diffs against the sim.
+	// wire-side per-host number the parity check diffs against the sim —
+	// and the number of KMsg frames those messages arrived in.
 	StatsReply struct {
-		Msgs int64
+		Msgs   int64
+		Frames int64
 	}
 	// DigestReply summarizes the daemon's key set; equal digests across
 	// daemons certify the replicas stayed in sync.
@@ -231,6 +242,8 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		net:      net,
 		st:       st,
+		pending:  make([]uint32, cfg.Hosts),
+		acks:     make([]uint64, cfg.Hosts),
 		applied:  make(map[uint64]struct{}, len(keys)),
 		shutdown: make(chan struct{}),
 	}
@@ -245,11 +258,8 @@ func Start(cfg Config) (*Daemon, error) {
 	// The hook stays installed for the daemon's lifetime; emit gates it
 	// so construction and non-origin updates charge nothing.
 	net.SetDeliver(func(h sim.HostID) {
-		if !d.emit {
-			return
-		}
-		if err := d.peers[h].Hop(); err != nil && d.emitErr == nil {
-			d.emitErr = err
+		if d.emit {
+			d.pending[h]++
 		}
 	})
 	node, err := wire.NewNode(wire.NodeConfig{
@@ -351,14 +361,18 @@ func (d *Daemon) Close() {
 	d.wal.close()
 }
 
-// ConnectPeers dials every peer address (indexed by host id, including
-// this daemon's own), retrying each dial for up to wait.
+// ConnectPeers dials every other host's address (addrs is indexed by
+// host id and includes this daemon's own, which is not dialed), retrying
+// each dial for up to wait.
 func (d *Daemon) ConnectPeers(addrs []string, wait time.Duration) error {
 	if len(addrs) != d.cfg.Hosts {
 		return fmt.Errorf("serve: %d peer addrs for %d hosts", len(addrs), d.cfg.Hosts)
 	}
 	peers := make([]*wire.Client, len(addrs))
 	for h, a := range addrs {
+		if sim.HostID(h) == d.cfg.Host {
+			continue
+		}
 		cl, err := wire.Dial(sim.HostID(h), a, wait)
 		if err != nil {
 			for _, p := range peers {
@@ -396,8 +410,10 @@ func (d *Daemon) connect(args json.RawMessage) (any, error) {
 	return true, nil
 }
 
-// run executes fn with charge emission on and returns the first frame
-// delivery error, if any.
+// run executes fn with charge emission on, then delivers what it charged.
+// The flush happens whether or not fn failed: the model charged those
+// messages before the failure, and it leaves no tally behind for the next
+// operation. fn's own error wins; failing that, the first delivery error.
 func (d *Daemon) run(fn func() error) error {
 	if d.peers == nil {
 		return fmt.Errorf("serve: host %d has no peers connected", d.cfg.Host)
@@ -405,14 +421,51 @@ func (d *Daemon) run(fn func() error) error {
 	d.emit = true
 	err := fn()
 	d.emit = false
+	ferr := d.flush()
 	if err != nil {
 		return err
 	}
-	if e := d.emitErr; e != nil {
-		d.emitErr = nil
-		return fmt.Errorf("serve: hop delivery failed: %w", e)
+	if ferr != nil {
+		return fmt.Errorf("serve: hop delivery failed: %w", ferr)
 	}
 	return nil
+}
+
+// flush delivers the finished operation's tallies: the daemon's own share
+// straight into its node's counter, every other charged host's as one
+// counted KMsg frame. All frames are written before any ack is awaited, so
+// the destinations count concurrently and the operation waits about one
+// round trip, not one per destination. A dead peer costs its own count
+// only — the rest are still delivered — and the first error is returned.
+func (d *Daemon) flush() error {
+	self := d.cfg.Host
+	d.node.AddMessages(int64(d.pending[self]))
+	d.pending[self] = 0
+	var first error
+	for h, n := range d.pending {
+		if n == 0 {
+			continue
+		}
+		id, err := d.peers[h].SendMsgs(n)
+		if err != nil {
+			d.pending[h] = 0 // nothing to await
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		d.acks[h] = id
+	}
+	for h, n := range d.pending {
+		if n == 0 {
+			continue
+		}
+		d.pending[h] = 0
+		if err := d.peers[h].AwaitAck(d.acks[h]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func (d *Daemon) floor(args json.RawMessage) (any, error) {
@@ -486,7 +539,7 @@ func (d *Daemon) update(args json.RawMessage) (any, error) {
 }
 
 func (d *Daemon) stats(json.RawMessage) (any, error) {
-	return StatsReply{Msgs: d.node.Messages()}, nil
+	return StatsReply{Msgs: d.node.Messages(), Frames: d.node.Frames()}, nil
 }
 
 func (d *Daemon) resetMsgs(json.RawMessage) (any, error) {

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/skipwebs/skipwebs/internal/sim"
 	"github.com/skipwebs/skipwebs/internal/wire"
 )
 
@@ -14,7 +16,9 @@ import (
 // the wire nodes must match the simulator's per-host counters
 // bit-for-bit — along with every answer and hop count. Afterward, every
 // daemon's key-set digest must agree, certifying the replicas never
-// diverged.
+// diverged. Those messages must also have arrived coalesced: every op of
+// the workload emits at exactly one daemon, which sends each other host at
+// most one counted frame.
 func TestWireParity(t *testing.T) {
 	for _, structure := range []string{"onedim", "blocked", "bucketed"} {
 		structure := structure
@@ -59,6 +63,15 @@ func TestWireParity(t *testing.T) {
 				}
 			}
 
+			var frames int64
+			for _, f := range wireRes.Frames {
+				frames += f
+			}
+			if max := int64(cfg.Hosts-1) * int64(len(wl)); frames == 0 || frames > max {
+				t.Fatalf("%d KMsg frames for %d ops on %d hosts, want 1..%d (per host: %v)",
+					frames, len(wl), cfg.Hosts, max, wireRes.Frames)
+			}
+
 			digests, err := Digests(clients)
 			if err != nil {
 				t.Fatalf("Digests: %v", err)
@@ -69,6 +82,146 @@ func TestWireParity(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("dropped-peer", testDroppedPeerParity)
+}
+
+// testDroppedPeerParity is the failure path of the parity invariant: host
+// 1 dies mid-stream and the surviving origins keep serving floors. A floor
+// that charged the dead host returns the delivery error, but its flush
+// must not stop there — hosts 2 and 3 come after host 1 in flush order —
+// so the survivors' counters still equal the simulator's for the whole
+// stream.
+func testDroppedPeerParity(t *testing.T) {
+	const victim = sim.HostID(1)
+	cfg := Config{Hosts: 4, Structure: "blocked", Keys: 256, KeySeed: 42, Seed: 7}
+	all := NewWorkload(cfg, 99, 400)
+	half := len(all) / 2
+	wl := append([]WorkloadOp(nil), all[:half]...)
+	for _, op := range all[half:] { // after the death: floors from surviving origins
+		if op.Kind == OpQuery && op.Origin != victim {
+			wl = append(wl, op)
+		}
+	}
+	simRes, err := RunSim(cfg, wl)
+	if err != nil {
+		t.Fatalf("RunSim: %v", err)
+	}
+
+	daemons, clients, err := BootLocal(cfg)
+	if err != nil {
+		t.Fatalf("BootLocal: %v", err)
+	}
+	defer func() { CloseLocal(daemons, clients) }()
+	if _, err := Replay(clients, wl[:half]); err != nil {
+		t.Fatalf("Replay before the death: %v", err)
+	}
+	clients[victim].Close()
+	daemons[victim].Close()
+	clients[victim], daemons[victim] = nil, nil
+
+	failed := 0
+	for i := half; i < len(wl); i++ {
+		op := wl[i]
+		var fr FloorReply
+		err := clients[op.Origin].Call("floor", FloorArgs{Q: op.Key, Origin: int(op.Origin)}, &fr)
+		switch {
+		case err == nil:
+			if fr != simRes.Floors[i] {
+				t.Fatalf("op %d: wire %+v, sim %+v", i, fr, simRes.Floors[i])
+			}
+		case strings.Contains(err.Error(), "hop delivery failed"):
+			failed++
+		default:
+			t.Fatalf("op %d: got %v, want the delivery error", i, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatalf("none of %d floors charged the dead host — the case tested nothing", len(wl)-half)
+	}
+	for h, cl := range clients {
+		if cl == nil {
+			continue
+		}
+		var sr StatsReply
+		if err := cl.Call("stats", nil, &sr); err != nil {
+			t.Fatalf("stats host %d: %v", h, err)
+		}
+		if sr.Msgs != simRes.PerHost[h] {
+			t.Fatalf("surviving host %d counted %d messages, the simulator charged %d", h, sr.Msgs, simRes.PerHost[h])
+		}
+	}
+}
+
+// restartHost brings host h — whose daemon and client the caller has
+// closed — back on a fresh socket (from its WAL, when cfg has one),
+// redials it and reconnects the whole cluster on the new address list.
+func restartHost(t *testing.T, cfg Config, daemons []*Daemon, clients []*wire.Client, h sim.HostID) {
+	t.Helper()
+	cfg.Host, cfg.Listen = h, "127.0.0.1:0"
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("restart host %d: %v", h, err)
+	}
+	daemons[h] = d
+	addrs := make([]string, len(daemons))
+	for i, d := range daemons {
+		addrs[i] = d.Addr()
+	}
+	if clients[h], err = wire.Dial(h, addrs[h], 5*time.Second); err != nil {
+		t.Fatalf("redial host %d: %v", h, err)
+	}
+	for i, cl := range clients {
+		var ok bool
+		if err := cl.Call("connect", ConnectArgs{Addrs: addrs}, &ok); err != nil {
+			t.Fatalf("reconnect host %d: %v", i, err)
+		}
+	}
+}
+
+// TestFailedOpLeavesNoState pins run's per-op state: an op that fails for
+// its own reason while a peer is down must not leave its delivery error —
+// or any undelivered tally — behind for the next op. Duplicate inserts are
+// such ops: the descent charges, then the insert is refused.
+func TestFailedOpLeavesNoState(t *testing.T) {
+	cfg := Config{Hosts: 4, Structure: "blocked", Keys: 256, KeySeed: 42, Seed: 7}
+	daemons, clients, err := BootLocal(cfg)
+	if err != nil {
+		t.Fatalf("BootLocal: %v", err)
+	}
+	defer func() { CloseLocal(daemons, clients) }()
+
+	clients[1].Close()
+	daemons[1].Close()
+	for _, k := range cfg.InitialKeys()[:16] {
+		var ur UpdateReply
+		err := clients[0].Call("update", UpdateArgs{Op: "insert", Key: k, Origin: 0, Emit: true}, &ur)
+		if err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Fatalf("duplicate insert of %d: got %v, want the op's own error", k, err)
+		}
+	}
+
+	restartHost(t, cfg, daemons, clients, 1)
+	for h, cl := range clients {
+		if _, err := callReset(cl); err != nil {
+			t.Fatalf("reset host %d: %v", h, err)
+		}
+	}
+
+	var fr FloorReply
+	if err := clients[0].Call("floor", FloorArgs{Q: 1 << 39, Origin: 0}, &fr); err != nil {
+		t.Fatalf("floor after the failed ops and the reconnect: %v", err)
+	}
+	var msgs int64
+	for h, cl := range clients {
+		var sr StatsReply
+		if err := cl.Call("stats", nil, &sr); err != nil {
+			t.Fatalf("stats host %d: %v", h, err)
+		}
+		msgs += sr.Msgs
+	}
+	if msgs != int64(fr.Hops) {
+		t.Fatalf("the floor charged %d messages, the daemons counted %d", fr.Hops, msgs)
 	}
 }
 
@@ -176,32 +329,9 @@ func TestWALRecovery(t *testing.T) {
 	// the close (or a kill) loses nothing acknowledged.
 	daemons[1].Close()
 	clients[1].Close()
-	c1 := cfg
-	c1.Host = 1
-	c1.Listen = "127.0.0.1:0"
-	d1, err := Start(c1)
-	if err != nil {
-		t.Fatalf("restart host 1: %v", err)
-	}
-	daemons[1] = d1
-	if got := d1.Recovered(); got != updates {
+	restartHost(t, cfg, daemons, clients, 1)
+	if got := daemons[1].Recovered(); got != updates {
 		t.Fatalf("restarted daemon replayed %d WAL records, want %d", got, updates)
-	}
-	// Reconnect the whole cluster on the updated address list.
-	addrs := make([]string, cfg.Hosts)
-	for h, d := range daemons {
-		addrs[h] = d.Addr()
-	}
-	cl, err := wire.Dial(1, addrs[1], 5*time.Second)
-	if err != nil {
-		t.Fatalf("redial host 1: %v", err)
-	}
-	clients[1] = cl
-	for h, cl := range clients {
-		var ok bool
-		if err := cl.Call("connect", ConnectArgs{Addrs: addrs}, &ok); err != nil {
-			t.Fatalf("reconnect host %d: %v", h, err)
-		}
 	}
 
 	res2, err := Replay(clients, wl[half:])

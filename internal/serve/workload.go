@@ -75,6 +75,10 @@ type RunResult struct {
 	Floors  []FloorReply // indexed like wl; zero value for updates
 	Hops    []int        // model hops per operation
 
+	// Frames holds, per host, the KMsg frames its PerHost messages
+	// arrived in (replay side only; the simulator has no frames).
+	Frames []int64
+
 	// QueryLatency holds one wall-clock sample per query (replay side
 	// only): the real-socket round-trip the W1 table reports.
 	QueryLatency []time.Duration
@@ -160,12 +164,13 @@ func Replay(clients []*wire.Client, wl []WorkloadOp) (RunResult, error) {
 		}
 	}
 	res.PerHost = make([]int64, len(clients))
+	res.Frames = make([]int64, len(clients))
 	for h, cl := range clients {
 		var sr StatsReply
 		if err := cl.Call("stats", nil, &sr); err != nil {
 			return RunResult{}, fmt.Errorf("stats host %d: %w", h, err)
 		}
-		res.PerHost[h] = sr.Msgs
+		res.PerHost[h], res.Frames[h] = sr.Msgs, sr.Frames
 	}
 	return res, nil
 }

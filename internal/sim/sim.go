@@ -537,11 +537,11 @@ func (n *Network) Restart(h HostID) int {
 
 // SetDeliver installs fn as the message-delivery tap: it is called once
 // per charged message with the destination host, synchronously, from the
-// goroutine running the operation. The wire transport uses it to send a
-// real length-prefixed frame to the destination host's process for every
-// message the cost model charges. Install before any traffic flows (the
-// field is read without synchronization on the hot path); pass nil to
-// uninstall.
+// goroutine running the operation. The serve daemon uses it to tally an
+// operation's charges per destination host, which it then delivers to the
+// destinations' processes as counted frames. Install before any traffic
+// flows (the field is read without synchronization on the hot path); pass
+// nil to uninstall.
 func (n *Network) SetDeliver(fn func(HostID)) { n.deliver = fn }
 
 // SetCostModel installs m as the per-link latency model: every message

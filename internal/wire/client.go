@@ -17,13 +17,16 @@ import (
 // charged model messages (KMsg/KAck). Each Client serializes its
 // exchanges under a mutex — request, then matching reply — which keeps
 // the protocol trivially in order; callers that want concurrency open
-// more clients.
+// more clients. The one exchange that comes apart is the counted
+// message: SendMsgs writes, AwaitAck reads, so a caller charging several
+// hosts writes to all of them before it waits on any.
 type Client struct {
 	host sim.HostID
 
 	mu     sync.Mutex
 	c      net.Conn
 	r      *bufio.Reader
+	w      frameWriter
 	nextID atomic.Uint64
 
 	// timeout bounds each dial and each reply wait; 0 means forever.
@@ -74,29 +77,45 @@ func (cl *Client) Close() error {
 	return cl.c.Close()
 }
 
-// exchange writes one frame and reads the matching reply of kind want.
-// Caller holds cl.mu.
-func (cl *Client) exchange(kind byte, body []byte, want byte) (uint64, []byte, error) {
+// send arms the exchange's deadline and writes one frame, returning the
+// id its reply will echo. Caller holds cl.mu.
+func (cl *Client) send(kind byte, body []byte) (uint64, error) {
 	id := cl.nextID.Add(1)
 	if cl.timeout > 0 {
 		cl.c.SetDeadline(time.Now().Add(cl.timeout))
 	} else {
 		cl.c.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(cl.c, kind, id, body); err != nil {
-		return id, nil, cl.wrapErr(err)
+	if err := cl.w.write(cl.c, kind, id, body); err != nil {
+		return id, cl.wrapErr(err)
 	}
+	return id, nil
+}
+
+// await reads up to the reply of kind want that echoes id, under the
+// deadline send armed. The body follows readFrame's rule: use it before
+// the next read. Caller holds cl.mu.
+func (cl *Client) await(id uint64, want byte) ([]byte, error) {
 	for {
-		k, rid, rbody, err := readFrame(cl.r)
+		k, rid, body, err := readFrame(cl.r)
 		if err != nil {
-			return id, nil, cl.wrapErr(err)
+			return nil, cl.wrapErr(err)
 		}
 		if k != want || rid != id {
 			// A stale reply from an abandoned exchange; skip it.
 			continue
 		}
-		return id, rbody, nil
+		return body, nil
 	}
+}
+
+// exchange is one send and the await of its reply. Caller holds cl.mu.
+func (cl *Client) exchange(kind byte, body []byte, want byte) ([]byte, error) {
+	id, err := cl.send(kind, body)
+	if err != nil {
+		return nil, err
+	}
+	return cl.await(id, want)
 }
 
 // wrapErr maps a connection error to the transport's typed errors:
@@ -116,7 +135,27 @@ func (cl *Client) wrapErr(err error) error {
 func (cl *Client) Hop() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	_, _, err := cl.exchange(kMsg, nil, kAck)
+	_, err := cl.exchange(kMsg, nil, kAck)
+	return err
+}
+
+// SendMsgs writes one KMsg frame charging count (> 0) messages to the
+// node and returns without waiting for the KAck; pass the returned id to
+// AwaitAck. The pair is one exchange: no other exchange may run on this
+// client between the two calls, or its reply loop would discard the ack.
+func (cl *Client) SendMsgs(count uint32) (uint64, error) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	var body [4]byte
+	return cl.send(kMsg, countBody(body[:0], count))
+}
+
+// AwaitAck waits for the KAck of the SendMsgs that returned id: once it
+// returns nil the node has added the count to its counter.
+func (cl *Client) AwaitAck(id uint64) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	_, err := cl.await(id, kAck)
 	return err
 }
 
@@ -131,7 +170,7 @@ func (cl *Client) Call(method string, args any, reply any) error {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	_, body, err := cl.exchange(kCall, callBody(method, ab), kReply)
+	body, err := cl.exchange(kCall, callBody(method, ab), kReply)
 	if err != nil {
 		return err
 	}

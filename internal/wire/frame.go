@@ -10,10 +10,12 @@
 //
 // Frame kinds split into two planes:
 //
-//   - The accounting plane: KMsg is one charged model message. The paper's
-//     cost model charges every inter-host hop as a message; a KMsg frame
-//     delivered to a host's listener is exactly one such charge, counted
-//     by the receiving Node and acknowledged with KAck. Per-host KMsg
+//   - The accounting plane: a KMsg frame carries a count of charged model
+//     messages. The paper's cost model charges every inter-host hop as a
+//     message, and its currency is the count, not the envelope: one KMsg
+//     frame delivered to a host's listener charges that host the count it
+//     carries (an empty body is a count of one), which the receiving Node
+//     adds to its counter and acknowledges with KAck. Per-host charged
 //     counts are the wire-side numbers the sim-vs-wire parity check diffs
 //     bit-for-bit against sim.Network's per-host message counters.
 //   - The dispatch plane: KTask/KDone carry closure dispatch for the
@@ -32,7 +34,7 @@ import (
 
 // Frame kinds. The zero value is invalid so a torn read fails loudly.
 const (
-	kMsg   = byte(1) // charged model message; body empty; receiver counts and KAcks
+	kMsg   = byte(1) // charged model messages; body empty (one) or a u32 count; receiver adds it and KAcks
 	kAck   = byte(2) // acknowledgement of a KMsg (id echoed)
 	kTask  = byte(3) // closure-dispatch task; body: 1 sync flag byte
 	kDone  = byte(4) // sync task completion; body: 1 status byte + error text
@@ -55,8 +57,8 @@ const maxFrame = 16 << 20
 // headerLen is the payload header: kind byte + 8-byte id.
 const headerLen = 1 + 8
 
-// appendFrame serializes one frame into buf (reused by callers to avoid
-// per-frame allocation on the hop path).
+// appendFrame serializes one frame into buf, which frameWriter reuses
+// from frame to frame.
 func appendFrame(buf []byte, kind byte, id uint64, body []byte) []byte {
 	n := headerLen + len(body)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
@@ -68,30 +70,82 @@ func appendFrame(buf []byte, kind byte, id uint64, body []byte) []byte {
 // writeFrame writes one frame as a single Write call; the caller holds
 // the connection's write lock so concurrent frames never interleave.
 func writeFrame(w io.Writer, kind byte, id uint64, body []byte) error {
+	var fw frameWriter
+	return fw.write(w, kind, id, body)
+}
+
+// frameWriter is writeFrame with a buffer kept between frames, for a
+// connection that writes many: the owner serializes its writes, so one
+// buffer per connection suffices.
+type frameWriter struct {
+	buf []byte
+}
+
+func (fw *frameWriter) write(w io.Writer, kind byte, id uint64, body []byte) error {
 	if len(body) > maxFrame-headerLen {
 		return fmt.Errorf("wire: frame body %d bytes exceeds limit", len(body))
 	}
-	buf := appendFrame(make([]byte, 0, 4+headerLen+len(body)), kind, id, body)
-	_, err := w.Write(buf)
+	fw.buf = appendFrame(fw.buf[:0], kind, id, body)
+	_, err := w.Write(fw.buf)
 	return err
 }
 
-// readFrame reads one frame. body aliases a fresh slice owned by the
-// caller.
+// readFrame reads one frame. A body that fits r's buffer aliases it and
+// is valid only until the next read from r — a body-less frame (every
+// KAck) or a small one (a counted KMsg, most replies) costs no
+// allocation; a larger body is a fresh slice. Callers that keep body
+// bytes past the next read copy them.
 func readFrame(r *bufio.Reader) (kind byte, id uint64, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n < headerLen || n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if 4+n <= r.Size() {
+		frame, err := r.Peek(4 + n)
+		if err != nil {
+			return 0, 0, nil, fmt.Errorf("wire: torn frame: %w", err)
+		}
+		// Discard only advances past the peeked bytes; they stay in
+		// place until the next read refills the buffer.
+		r.Discard(4 + n)
+		return frame[4], binary.BigEndian.Uint64(frame[5:13]), frame[4+headerLen:], nil
+	}
+	frame, err := r.Peek(4 + headerLen)
+	if err != nil {
 		return 0, 0, nil, fmt.Errorf("wire: torn frame: %w", err)
 	}
-	return payload[0], binary.BigEndian.Uint64(payload[1:9]), payload[9:], nil
+	kind, id = frame[4], binary.BigEndian.Uint64(frame[5:13])
+	r.Discard(4 + headerLen)
+	body = make([]byte, n-headerLen)
+	if _, err = io.ReadFull(r, body); err != nil {
+		return 0, 0, nil, fmt.Errorf("wire: torn frame: %w", err)
+	}
+	return kind, id, body, nil
+}
+
+// countBody encodes a counted KMsg body.
+func countBody(buf []byte, count uint32) []byte {
+	return binary.BigEndian.AppendUint32(buf, count)
+}
+
+// msgCount decodes a KMsg body: empty is one charged message, four bytes
+// a big-endian count. Any other length, or a zero count — a frame that
+// charges nothing is never sent — is a protocol error.
+func msgCount(body []byte) (int64, error) {
+	switch len(body) {
+	case 0:
+		return 1, nil
+	case 4:
+		if n := binary.BigEndian.Uint32(body); n > 0 {
+			return int64(n), nil
+		}
+		return 0, fmt.Errorf("wire: message frame with a zero count")
+	}
+	return 0, fmt.Errorf("wire: message frame with a %d-byte count", len(body))
 }
 
 // callBody encodes a KCall body: u16 method length + method + args.

@@ -19,6 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		body []byte
 	}{
 		{kMsg, 1, nil},
+		{kMsg, 2, countBody(nil, 13)},
 		{kAck, 1 << 40, nil},
 		{kTask, 7, []byte{1}},
 		{kDone, 7, statusBody(statusOK, nil)},
@@ -126,9 +127,45 @@ func TestClientNodeRPC(t *testing.T) {
 	if got := n.Messages(); got != 5 {
 		t.Fatalf("node counted %d messages, want 5", got)
 	}
+	// A counted frame charges what it carries, in one exchange; written
+	// to before waited on, two of them are still acked by id, and the
+	// first ack — never awaited — is skipped as stale.
+	first, err := cl.SendMsgs(7)
+	if err != nil {
+		t.Fatalf("SendMsgs: %v", err)
+	}
+	second, err := cl.SendMsgs(1 << 20)
+	if err != nil {
+		t.Fatalf("SendMsgs: %v", err)
+	}
+	if first == second {
+		t.Fatalf("two frames share id %d", first)
+	}
+	if err := cl.AwaitAck(second); err != nil {
+		t.Fatalf("AwaitAck: %v", err)
+	}
+	n.AddMessages(3) // the same-host charge: no frame
+	if got, want := n.Messages(), int64(5+7+1<<20+3); got != want {
+		t.Fatalf("node counted %d messages, want %d", got, want)
+	}
+	if got := n.Frames(); got != 7 {
+		t.Fatalf("node counted %d frames, want 7 (5 hops + 2 counted)", got)
+	}
 	n.ResetMessages()
-	if got := n.Messages(); got != 0 {
-		t.Fatalf("reset left %d messages", got)
+	if got := n.Messages() + n.Frames(); got != 0 {
+		t.Fatalf("reset left %d messages + frames", got)
+	}
+
+	// A count the format forbids drops the connection uncounted.
+	cl.mu.Lock()
+	_, err = cl.exchange(kMsg, countBody(nil, 0), kAck)
+	cl.mu.Unlock()
+	var down *sim.HostDownError
+	if !errors.As(err, &down) {
+		t.Fatalf("zero-count frame: got %v, want the connection dropped", err)
+	}
+	if got := n.Messages() + n.Frames(); got != 0 {
+		t.Fatalf("zero-count frame moved the counters by %d", got)
 	}
 }
 

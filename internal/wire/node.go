@@ -18,10 +18,10 @@ type Handler func(args json.RawMessage) (any, error)
 // Node is one host's endpoint on the wire: a TCP listener whose inbound
 // frames feed a single worker goroutine draining an unbounded mailbox —
 // the same actor discipline as a sim.Cluster host, with the mailbox fed
-// by sockets instead of method calls. Charged model messages (KMsg
-// frames) are counted per node and acknowledged by the connection reader
-// without involving the worker, so accounting never deadlocks behind a
-// busy actor.
+// by sockets instead of method calls. Charged model messages (the counts
+// KMsg frames carry) are summed per node and acknowledged by the
+// connection reader without involving the worker, so accounting never
+// deadlocks behind a busy actor.
 type Node struct {
 	host sim.HostID
 	ln   net.Listener
@@ -36,7 +36,8 @@ type Node struct {
 	// transport can detect same-host re-entry (sim.Goid).
 	running *sync.Map
 
-	msgs atomic.Int64 // charged messages received (KMsg frames)
+	msgs   atomic.Int64 // charged messages: the counts of received KMsg frames plus AddMessages
+	frames atomic.Int64 // KMsg frames received
 
 	mu      sync.Mutex
 	queue   []ntask
@@ -97,14 +98,26 @@ func (n *Node) Host() sim.HostID { return n.host }
 // Addr returns the listener's address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Messages returns the number of charged model messages (KMsg frames)
-// delivered to this node — the wire-side counterpart of
-// sim.Network.Messages(host).
+// Messages returns the number of charged model messages delivered to
+// this node — the wire-side counterpart of sim.Network.Messages(host).
 func (n *Node) Messages() int64 { return n.msgs.Load() }
 
-// ResetMessages zeroes the charged-message counter, mirroring
+// Frames returns the number of KMsg frames that carried those messages
+// here: what the accounting plane cost in socket exchanges, where
+// Messages is what it counted.
+func (n *Node) Frames() int64 { return n.frames.Load() }
+
+// AddMessages charges count messages to this node with no frame at all:
+// a message whose sender and destination are the same host never
+// crosses a socket.
+func (n *Node) AddMessages(count int64) { n.msgs.Add(count) }
+
+// ResetMessages zeroes the charged-message and frame counters, mirroring
 // sim.Network.ResetTraffic for the replay harness.
-func (n *Node) ResetMessages() { n.msgs.Store(0) }
+func (n *Node) ResetMessages() {
+	n.msgs.Store(0)
+	n.frames.Store(0)
+}
 
 // Done is closed when the worker goroutine has exited (mailbox drained
 // after Close, or discarded after Drop).
@@ -180,7 +193,8 @@ func (n *Node) accept() {
 
 // serveConn reads frames off one connection. KMsg is counted and acked
 // inline (the accounting plane never waits on the worker); dispatch
-// frames enqueue on the mailbox and reply from the worker when done.
+// frames enqueue on the mailbox and reply from the worker when done. A
+// frame that does not parse is a protocol error and drops the connection.
 func (n *Node) serveConn(c net.Conn) {
 	defer n.acceptWg.Done()
 	defer func() {
@@ -190,6 +204,7 @@ func (n *Node) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	var wmu sync.Mutex // serializes reader acks with worker replies
+	var fw frameWriter // every write on c goes through it, under wmu
 	r := bufio.NewReader(c)
 	for {
 		kind, id, body, err := readFrame(r)
@@ -198,9 +213,14 @@ func (n *Node) serveConn(c net.Conn) {
 		}
 		switch kind {
 		case kMsg:
-			n.msgs.Add(1)
+			count, err := msgCount(body)
+			if err != nil {
+				return
+			}
+			n.msgs.Add(count)
+			n.frames.Add(1)
 			wmu.Lock()
-			err := writeFrame(c, kAck, id, nil)
+			err = fw.write(c, kAck, id, nil)
 			wmu.Unlock()
 			if err != nil {
 				return
@@ -218,7 +238,7 @@ func (n *Node) serveConn(c net.Conn) {
 				// fail it rather than leave it hanging.
 				if isSync {
 					wmu.Lock()
-					writeFrame(c, kDone, id, statusBody(statusError, []byte("wire: unknown task")))
+					fw.write(c, kDone, id, statusBody(statusError, []byte("wire: unknown task")))
 					wmu.Unlock()
 				}
 				continue
@@ -228,13 +248,13 @@ func (n *Node) serveConn(c net.Conn) {
 				t.reply = func() {
 					wmu.Lock()
 					defer wmu.Unlock()
-					writeFrame(c, kDone, id, statusBody(statusOK, nil))
+					fw.write(c, kDone, id, statusBody(statusOK, nil))
 				}
 			}
 			if !n.put(t) {
 				if isSync {
 					wmu.Lock()
-					writeFrame(c, kDone, id, statusBody(statusHostDown, nil))
+					fw.write(c, kDone, id, statusBody(statusHostDown, nil))
 					wmu.Unlock()
 				}
 			}
@@ -243,7 +263,7 @@ func (n *Node) serveConn(c net.Conn) {
 			reply := func(status byte, rest []byte) {
 				wmu.Lock()
 				defer wmu.Unlock()
-				writeFrame(c, kReply, id, statusBody(status, rest))
+				fw.write(c, kReply, id, statusBody(status, rest))
 			}
 			if err != nil {
 				reply(statusError, []byte(err.Error()))
@@ -254,6 +274,8 @@ func (n *Node) serveConn(c net.Conn) {
 				reply(statusError, []byte("wire: unknown method "+method))
 				continue
 			}
+			// args aliases the read buffer and the handler runs later, on
+			// the worker.
 			argsCopy := json.RawMessage(append([]byte(nil), args...))
 			var res any
 			var herr error
