@@ -20,19 +20,29 @@ import (
 // with both options off the query path is bit-identical to previous
 // builds (golden parity pins this).
 //
-// Correctness is an epoch check, not an invalidation broadcast. Every
-// cache entry records which stripes its answer was computed from and the
-// sum of those stripes' write counters (stripeSet.writes — bumped by
-// every writer-lock acquisition BEFORE the mutation, so a counter
-// observed under a reader lock is exactly the epoch of the data read)
-// plus a per-structure churn counter bumped by the rehome / rebalance /
-// repair / restart hooks. On lookup the same sum is recomputed from the
-// live counters: all counters are monotonic, so sum-equality implies
-// each component is unchanged, which implies no writer completed (or is
-// mid-flight — the counter bumps before the mutation) and no churn ran
-// since the entry was captured. Any mismatch evicts the entry and falls
-// through to a full descent. Entries never outlive their epoch; there is
-// nothing to flush on Join/Leave/Crash/Restart beyond the churn bump.
+// Correctness is an epoch check, not an invalidation broadcast. With
+// CacheFingers on, the structure's stripeSet carries an epoch table
+// (stripes.go:epochTable): every stripe's code range is cut at build into
+// a fixed number of rank-balanced buckets, each with a write epoch, and a
+// writer bumps the bucket of the key it is about to change — under the
+// stripe writer lock it already holds and BEFORE the mutation, so an
+// epoch observed under the stripe's reader lock is exactly the epoch of
+// the data read. Every cache entry records the bucket interval its
+// answer depends on (the code interval outside which no insert or delete
+// can change it — each query method states its own, see the table in
+// ARCHITECTURE.md) and the sum of those buckets' epochs plus a
+// per-structure churn counter bumped by the rehome / rebalance / repair
+// / restart hooks. On lookup the same sum is recomputed from the live
+// counters: all counters are monotonic, so sum-equality implies each
+// component is unchanged, which implies no writer to those buckets
+// completed (or is mid-flight — the epoch bumps before the mutation) and
+// no churn ran since the entry was captured. A bucket belongs to exactly
+// one stripe and is bumped only under that stripe's writer lock, so an
+// interval spanning several stripes is the sum of per-stripe parts each
+// read under its own reader lock. Any mismatch evicts the entry and
+// falls through to a full descent. Entries never outlive their epoch;
+// there is nothing to flush on Join/Leave/Crash/Restart beyond the churn
+// bump.
 //
 // The negative bloom is a per-stripe filter over the hashes of stored
 // keys with superset semantics: Insert adds (under the stripe writer
@@ -57,7 +67,8 @@ type CacheStats struct {
 	// stale entries; stale ones also count an Invalidation).
 	Misses int64
 	// Invalidations counts entries evicted because their epoch check
-	// failed — a write, delete, or churn event touched their stripes.
+	// failed — a write or delete touched their epoch buckets, or a churn
+	// event ran.
 	Invalidations int64
 	// BloomTrueNegatives counts membership queries answered "definitely
 	// absent" by the negative bloom (zero messages).
@@ -105,9 +116,9 @@ type cacheKey struct {
 	str   string
 }
 
-// cacheEntry is one LRU slot: the memoized value, the stripe range
-// [lo, hi] the answer was computed from, and the epoch sum (churn
-// counter + those stripes' write counters) at capture time.
+// cacheEntry is one LRU slot: the memoized value, the epoch-bucket
+// interval [lo, hi] the answer depends on, and the epoch sum (churn
+// counter + those buckets' write epochs) at capture time.
 type cacheEntry struct {
 	key        cacheKey
 	val        any
@@ -164,22 +175,24 @@ func (s *cacheShard) pushFront(i int) {
 }
 
 // readCache is one structure's finger/descent cache: a per-origin-host
-// shard map plus the structure's churn counter. st is the structure's
-// stripe set (Planar's single stripe never sees a writer, so its epochs
-// are churn-only).
+// shard map plus the structure's churn counter. ep is the epoch table of
+// the structure's stripe set, which the entries are validated against
+// (Planar's single bucket never sees a writer, so its epochs are
+// churn-only).
 type readCache struct {
-	st     *stripeSet
+	ep     *epochTable
 	churn  atomic.Uint64
 	mu     sync.RWMutex
 	shards map[HostID]*cacheShard
 }
 
-// shard returns origin's shard, creating it when create is set.
-func (rc *readCache) shard(origin HostID, create bool) *cacheShard {
+// shard returns origin's shard, creating it on the origin's first
+// lookup.
+func (rc *readCache) shard(origin HostID) *cacheShard {
 	rc.mu.RLock()
 	sh := rc.shards[origin]
 	rc.mu.RUnlock()
-	if sh != nil || !create {
+	if sh != nil {
 		return sh
 	}
 	rc.mu.Lock()
@@ -197,25 +210,18 @@ func (rc *readCache) shard(origin HostID, create bool) *cacheShard {
 // stored sum smaller than the live one — a conservative miss later.
 func (rc *readCache) churnNow() uint64 { return rc.churn.Load() }
 
-// current recomputes the epoch sum of stripe range [lo, hi] from the
-// live counters: churn plus each stripe's write counter. All atomic
-// loads, no locks.
+// current recomputes the epoch sum of bucket interval [lo, hi] from the
+// live counters: churn plus each bucket's write epoch. All atomic loads,
+// no locks.
 func (rc *readCache) current(lo, hi int) uint64 {
-	cur := rc.churn.Load()
-	for i := lo; i <= hi; i++ {
-		cur += uint64(rc.st.writeCount(i))
-	}
-	return cur
+	return rc.churn.Load() + rc.ep.sum(lo, hi)
 }
 
 // get returns the cached value for key at origin if its epoch check
 // passes. A stale entry is evicted (counting an invalidation) and
 // reported as a miss.
 func (rc *readCache) get(origin HostID, key cacheKey) (any, bool) {
-	sh := rc.shard(origin, false)
-	if sh == nil {
-		return nil, false
-	}
+	sh := rc.shard(origin)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i, ok := sh.idx[key]
@@ -239,13 +245,13 @@ func (rc *readCache) get(origin HostID, key cacheKey) (any, bool) {
 	return e.val, true
 }
 
-// put memoizes val for key at origin. lo/hi name the stripes the answer
-// was computed from and sum their epoch at capture: the caller's
-// pre-descent churn value plus each visited stripe's write counter read
-// under that stripe's reader lock — i.e. never newer than the data, so
-// a racing writer can only make the entry conservatively stale.
+// put memoizes val for key at origin. lo/hi name the epoch buckets the
+// answer depends on and sum their epoch at capture: the caller's
+// pre-descent churn value plus each bucket's write epoch read under its
+// stripe's reader lock — i.e. never newer than the data, so a racing
+// writer can only make the entry conservatively stale.
 func (rc *readCache) put(origin HostID, key cacheKey, val any, lo, hi int, sum uint64) {
-	sh := rc.shard(origin, true)
+	sh := rc.shard(origin)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if i, ok := sh.idx[key]; ok {
@@ -276,8 +282,9 @@ func (rc *readCache) put(origin HostID, key cacheKey, val any, lo, hi int, sum u
 // probe and memo are the one cache protocol every query method follows.
 // probe returns the memoized answer for key at origin when its epoch
 // check passes; otherwise it returns the churn epoch captured before the
-// descent, to which the caller adds the write epoch of every stripe it
-// reads (striped.rlock returns it) before handing the sum to memo. Both
+// descent, to which the caller adds the write epochs of the buckets its
+// answer depends on (striped.epochs, read under each stripe's reader
+// lock) before handing the sum to memo. Both
 // are no-ops on a nil cache, and generic so that nothing is boxed then:
 // with caches off the query path stays allocation-free.
 func probe[R any](rc *readCache, origin HostID, key cacheKey) (val R, sum uint64, hit bool) {
@@ -290,7 +297,7 @@ func probe[R any](rc *readCache, origin HostID, key cacheKey) (val R, sum uint64
 	return val, rc.churnNow(), false
 }
 
-// memo stores val, computed from stripes [lo, hi] at epoch sum.
+// memo stores val, which depends on epoch buckets [lo, hi], at epoch sum.
 func memo[R any](rc *readCache, origin HostID, key cacheKey, val R, lo, hi int, sum uint64) {
 	if rc != nil {
 		rc.put(origin, key, val, lo, hi, sum)
@@ -364,7 +371,7 @@ type readPath struct {
 func newReadPath[T any](opts Options, st *stripeSet, parts [][]T, hash func(T) uint64) readPath {
 	var rp readPath
 	if opts.CacheFingers {
-		rp.rc = &readCache{st: st, shards: make(map[HostID]*cacheShard)}
+		rp.rc = &readCache{ep: st.ep, shards: make(map[HostID]*cacheShard)}
 	}
 	if opts.NegativeBloom && hash != nil {
 		rp.nb = &negBloom{

@@ -1,8 +1,11 @@
 package skipwebs
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"sort"
 	"sync"
 	"testing"
 
@@ -527,8 +530,9 @@ func TestCacheInvalidationUpdateThenQuery(t *testing.T) {
 }
 
 // TestCacheStatsByHostMatchesAggregate checks the observability
-// contract: per-host counters sum to the cluster aggregate, and hits
-// land on the origin hosts that repeated their queries.
+// contract: per-host counters sum to the cluster aggregate, hits land on
+// the origin hosts that repeated their queries, and every cache lookup is
+// counted as exactly one hit or miss — an origin's first one included.
 func TestCacheStatsByHostMatchesAggregate(t *testing.T) {
 	c := NewCluster(6)
 	rng := xrand.New(29)
@@ -563,10 +567,20 @@ func TestCacheStatsByHostMatchesAggregate(t *testing.T) {
 	if agg.CacheHits == 0 || agg.BloomTrueNegatives == 0 {
 		t.Fatalf("counters flat: %+v", agg)
 	}
+	// Each host issued 60 floors and 60 absent-key membership queries;
+	// every floor looks the cache up, and so does every membership query
+	// the bloom did not answer.
 	for h := HostID(0); h < 6; h++ {
-		if byHost[h].Hits == 0 {
-			t.Fatalf("host %d repeated its queries but shows no hits: %+v", h, byHost[h])
+		cs := byHost[h]
+		if cs.Hits == 0 {
+			t.Fatalf("host %d repeated its queries but shows no hits: %+v", h, cs)
 		}
+		if lookups := 120 - cs.BloomTrueNegatives; cs.Hits+cs.Misses != lookups {
+			t.Fatalf("host %d: %d hits + %d misses != %d cache lookups issued", h, cs.Hits, cs.Misses, lookups)
+		}
+	}
+	if lookups := 720 - agg.BloomTrueNegatives; agg.CacheHits+agg.CacheMisses != lookups {
+		t.Fatalf("aggregate: %d hits + %d misses != %d cache lookups issued", agg.CacheHits, agg.CacheMisses, lookups)
 	}
 }
 
@@ -778,4 +792,495 @@ func bloomCrashRow[T any](t *testing.T, present, absent []T,
 	if tn := cb.Stats().BloomTrueNegatives; tn < int64(provedAbsent) {
 		t.Fatalf("%d bloom true negatives counted, %d observed", tn, provedAbsent)
 	}
+}
+
+// advTwin is one structure under the adversarial replay: its cached
+// query methods with the answer rendered to a string (hops kept apart —
+// they are compared with <=, not ==), and its update methods (nil for the
+// static Planar). stripe, when set, names an item's write stripe for a
+// structure whose stripes must not be drained empty: a quadtree without
+// points has no root cell, and core.Web then refuses the next insert.
+type advTwin[T any] struct {
+	reads                []func(x T, origin HostID) (string, int, error)
+	insert, remove       func(x T, origin HostID) (int, error)
+	insertRun, removeRun func(xs []T, origins []HostID) ([]int, error)
+	stripe               func(x T) int
+	check                func() error
+}
+
+// render turns a query's answer into the string the twins are compared
+// on.
+func render(v any, hops int, err error) (string, int, error) { return fmt.Sprint(v), hops, err }
+
+// advSortedSet and advStrings wrap a sorted set and a string web; their
+// first read is the structure's search (Floor, Search), the second
+// Contains.
+func advSortedSet(w sortedSetAPI) advTwin[uint64] {
+	return advTwin[uint64]{
+		reads: []func(uint64, HostID) (string, int, error){
+			func(q uint64, o HostID) (string, int, error) {
+				r, err := w.Floor(q, o)
+				return render([]any{r.Key, r.Found}, r.Hops, err)
+			},
+			func(q uint64, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
+		},
+		insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+		check: w.CheckConsistent,
+	}
+}
+
+func advStrings(w *Strings) advTwin[string] {
+	prefix := func(max int) func(string, HostID) (string, int, error) {
+		return func(q string, o HostID) (string, int, error) { return render(w.PrefixSearch(q, max, o)) }
+	}
+	return advTwin[string]{
+		reads: []func(string, HostID) (string, int, error){
+			func(q string, o HostID) (string, int, error) {
+				r, err := w.Search(q, o)
+				return render([]any{r.Locus, r.IsKey, r.Exact}, r.Hops, err)
+			},
+			func(q string, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
+			prefix(0), prefix(2),
+		},
+		insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+		check: w.CheckConsistent,
+	}
+}
+
+// advReplay drives one seeded adversarial stream against a cached and a
+// cache-free twin of one structure, op for op: every answer must be
+// identical and every op's hops at most the control's. universe is a
+// small dense candidate set in code order, so that a build of a third of
+// it puts about one key in every epoch bucket (a stripe of fewer keys
+// than buckets gets one bucket per key) and every read lands on, or next
+// to, a key some write moves. The stream has four phases: random reads
+// and writes around a few hot items from two origins; a drain from the
+// top of the universe down to its lowest stored items (or, see
+// advTwin.stripe, each stripe's) in batches, with
+// the hot items re-read between batches (floors fall through one, two
+// and three stripes, tries and quadtrees prune up to the root); a refill
+// in sorted single-origin batches (the sorted sets' insertRun path); and
+// the random phase again after a Join and a Leave. The first four items
+// of the universe are never stored: reads of them lie below the minimum.
+func advReplay[T any](t *testing.T, seed uint64, stripes int, universe []T,
+	mk func(c *Cluster, build []T, o Options) (advTwin[T], error)) {
+	t.Helper()
+	const hosts, reserved = 8, 4
+	rng := xrand.New(seed)
+	present := make([]bool, len(universe))
+	var build []T
+	for i := reserved; i < len(universe); i++ {
+		if rng.Intn(3) == 0 {
+			present[i] = true
+			build = append(build, universe[i])
+		}
+	}
+	rng.Shuffle(len(build), func(a, b int) { build[a], build[b] = build[b], build[a] })
+	cc, ctl := NewCluster(hosts), NewCluster(hosts)
+	cached, err := mk(cc, build, Options{Seed: seed, WriteStripes: stripes, BucketSize: 4, CacheFingers: true, NegativeBloom: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := mk(ctl, build, Options{Seed: seed, WriteStripes: stripes, BucketSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	defer ctl.Close()
+
+	step := 0
+	origin := func() HostID { return cc.HostAt(rng.Intn(2)) }
+	read := func(kind, i int, o HostID) {
+		t.Helper()
+		step++
+		a, ah, err1 := cached.reads[kind](universe[i], o)
+		b, bh, err2 := control.reads[kind](universe[i], o)
+		if (err1 == nil) != (err2 == nil) || a != b {
+			t.Fatalf("seed %d stripes %d step %d: read %d of %v diverged: cached %s (%v), control %s (%v)",
+				seed, stripes, step, kind, universe[i], a, err1, b, err2)
+		}
+		if ah > bh {
+			t.Fatalf("seed %d stripes %d step %d: read %d of %v: cached %d hops > control %d",
+				seed, stripes, step, kind, universe[i], ah, bh)
+		}
+	}
+	same := func(what string, ah []int, err1 error, bh []int, err2 error) {
+		t.Helper()
+		step++
+		if (err1 == nil) != (err2 == nil) || fmt.Sprint(ah) != fmt.Sprint(bh) {
+			t.Fatalf("seed %d stripes %d step %d: %s diverged: cached %v (%v), control %v (%v)",
+				seed, stripes, step, what, ah, err1, bh, err2)
+		}
+	}
+	write := func(i int, o HostID) { // flips item i: a delete when stored, an insert when not
+		t.Helper()
+		op, ctlOp := cached.insert, control.insert
+		if present[i] {
+			op, ctlOp = cached.remove, control.remove
+		}
+		ah, err1 := op(universe[i], o)
+		bh, err2 := ctlOp(universe[i], o)
+		same("write", []int{ah}, err1, []int{bh}, err2)
+		if err1 != nil {
+			t.Fatalf("seed %d stripes %d step %d: write of %v: %v", seed, stripes, step, universe[i], err1)
+		}
+		present[i] = !present[i]
+	}
+	batch := func(idx []int, insert bool, o HostID) {
+		t.Helper()
+		op, ctlOp := cached.removeRun, control.removeRun
+		if insert {
+			op, ctlOp = cached.insertRun, control.insertRun
+		}
+		var xs []T
+		for _, i := range idx {
+			if present[i] != insert {
+				xs = append(xs, universe[i])
+				present[i] = insert
+			}
+		}
+		if len(xs) == 0 {
+			return
+		}
+		origins := make([]HostID, len(xs))
+		for i := range origins {
+			origins[i] = o
+		}
+		ah, err1 := op(xs, origins)
+		bh, err2 := ctlOp(xs, origins)
+		same("batch", ah, err1, bh, err2)
+	}
+
+	hot := []int{0, reserved, len(universe) - 1}
+	for len(hot) < 10 {
+		hot = append(hot, rng.Intn(len(universe)))
+	}
+	near := func() int { // a hot item or one of its neighbours
+		i := hot[rng.Intn(len(hot))] + rng.Intn(3) - 1
+		return min(max(i, 0), len(universe)-1)
+	}
+	random := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			i := near()
+			if rng.Intn(4) == 0 {
+				i = rng.Intn(len(universe))
+			}
+			if r := rng.Intn(100); r < 70 || cached.insert == nil || i < reserved {
+				read(rng.Intn(len(cached.reads)), i, origin())
+			} else {
+				write(i, origin())
+			}
+		}
+	}
+	sweep := func() { // every read of every hot item: each re-reads what the sweep before the last batch memoized
+		t.Helper()
+		for _, i := range hot {
+			for k := range cached.reads {
+				read(k, i, cc.HostAt(0))
+			}
+		}
+	}
+
+	random(500)
+	if cached.insert != nil {
+		left, stored := reserved, 0 // the drain stops above the third-lowest stored item
+		for ; left < len(universe)-1; left++ {
+			if present[left] {
+				if stored++; stored == 3 {
+					break
+				}
+			}
+		}
+		keep := map[int]bool{} // the lowest stored item of every stripe
+		if cached.stripe != nil {
+			seen := map[int]bool{}
+			for i := range universe {
+				if s := cached.stripe(universe[i]); present[i] && !seen[s] {
+					seen[s], keep[i] = true, true
+				}
+			}
+		}
+		const chunk = 8
+		for hi := len(universe); hi > left+1; hi -= chunk {
+			var idx []int
+			for i := max(hi-chunk, left+1); i < hi; i++ {
+				if !keep[i] {
+					idx = append(idx, i)
+				}
+			}
+			batch(idx, false, origin())
+			sweep()
+		}
+		for lo := left + 1; lo < len(universe); lo += chunk {
+			var idx []int
+			for i := lo; i < min(lo+chunk, len(universe)); i++ {
+				if rng.Intn(2) == 0 {
+					idx = append(idx, i)
+				}
+			}
+			batch(idx, true, origin())
+			sweep()
+		}
+	}
+	cc.Join()
+	ctl.Join()
+	if err := cc.Leave(cc.HostAt(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Leave(ctl.HostAt(2)); err != nil {
+		t.Fatal(err)
+	}
+	random(500)
+	if err := cached.check(); err != nil {
+		t.Fatalf("seed %d stripes %d: %v", seed, stripes, err)
+	}
+	if st := cc.Stats(); st.CacheHits == 0 || (cached.insert != nil && st.CacheInvalidations == 0) {
+		t.Fatalf("seed %d stripes %d: the replay never re-read or never voided an entry: %+v", seed, stripes, st)
+	}
+}
+
+// TestCacheParityAdversarial pins the dependency intervals of the finger
+// cache (the table in ARCHITECTURE.md "Read-path caching"): cached and
+// cache-free twins of all six structures replay advReplay's stream, 20
+// seeds at WriteStripes 0 (one stripe, still cut into epoch buckets) and
+// 4. Narrowing any one interval to the query's own bucket fails it.
+func TestCacheParityAdversarial(t *testing.T) {
+	keys := make([]uint64, 160)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	// Strings over {a, b} up to six bytes, plus a family sharing one
+	// eight-byte prefix — one stripe code, so one bucket, for all of it.
+	var strs []string
+	for n := 1; n <= 6; n++ {
+		for m := 0; m < 1<<n; m++ {
+			b := make([]byte, n)
+			for j := range b {
+				b[j] = 'a' + byte(m>>(n-1-j)&1)
+			}
+			strs = append(strs, string(b))
+		}
+	}
+	for _, tail := range []string{"", "a", "b", "aa", "ab", "ba", "bb"} {
+		strs = append(strs, "abababab"+tail)
+	}
+	sort.Strings(strs)
+	// A dense 8 x 16 grid in Morton order.
+	var pts []Point
+	for code := 0; code < 128; code++ {
+		var p Point = []uint32{0, 0}
+		for b := 0; b < 8; b++ {
+			p[b%2] |= uint32(code>>(7-b)&1) << (3 - b/2)
+		}
+		pts = append(pts, p)
+	}
+	bounds := PlanarBounds{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000}
+	raw := experiments.DisjointSegments(xrand.New(41), 40, trapmap.Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000})
+	segs := make([]PlanarSegment, len(raw))
+	for i, s := range raw {
+		segs[i] = PlanarSegment{A: PlanarPoint{X: s.A.X, Y: s.A.Y}, B: PlanarPoint{X: s.B.X, Y: s.B.Y}}
+	}
+	var probes []PlanarPoint
+	for x := int64(50); x < 2000; x += 300 {
+		for y := int64(50); y < 2000; y += 300 {
+			probes = append(probes, PlanarPoint{X: x, Y: y})
+		}
+	}
+
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, stripes := range []int{0, 4} {
+			for _, bb := range sortedSetBuilders {
+				advReplay(t, seed, stripes, keys, func(c *Cluster, build []uint64, o Options) (advTwin[uint64], error) {
+					w, err := bb.build(c, build, o)
+					if err != nil {
+						return advTwin[uint64]{}, err
+					}
+					return advSortedSet(w), nil
+				})
+			}
+			advReplay(t, seed, stripes, strs, func(c *Cluster, build []string, o Options) (advTwin[string], error) {
+				w, err := NewStrings(c, build, o)
+				if err != nil {
+					return advTwin[string]{}, err
+				}
+				return advStrings(w), nil
+			})
+			advReplay(t, seed, stripes, pts, func(c *Cluster, build []Point, o Options) (advTwin[Point], error) {
+				w, err := NewPoints(c, 2, build, o)
+				if err != nil {
+					return advTwin[Point]{}, err
+				}
+				return advTwin[Point]{
+					reads: []func(Point, HostID) (string, int, error){
+						func(q Point, o HostID) (string, int, error) {
+							r, err := w.Locate(q, o)
+							return render([]any{r.Leaf, r.LeafPoint, r.CellPrefix, r.CellBits}, r.Hops, err)
+						},
+						func(q Point, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
+						func(q Point, o HostID) (string, int, error) { return render(w.Nearest(q, o)) },
+					},
+					insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+					stripe: func(q Point) int { return w.st.of(w.stripeCode(q)) },
+					check:  w.CheckConsistent,
+				}, nil
+			})
+		}
+		advReplay(t, seed, 0, probes, func(c *Cluster, _ []PlanarPoint, o Options) (advTwin[PlanarPoint], error) {
+			w, err := NewPlanar(c, segs, bounds, o)
+			if err != nil {
+				return advTwin[PlanarPoint]{}, err
+			}
+			return advTwin[PlanarPoint]{
+				reads: []func(PlanarPoint, HostID) (string, int, error){
+					func(q PlanarPoint, o HostID) (string, int, error) {
+						r, err := w.Locate(q, o)
+						hops := r.Hops
+						r.Hops, r.Latency = 0, 0
+						return render(r, hops, err)
+					},
+				},
+				check: w.CheckConsistent,
+			}, nil
+		})
+	}
+}
+
+// TestCachePaysUnderWrites gates the finger cache's payoff on the mix
+// the zipf-cached benchmark workload runs — Zipf(1.2) reads of stored
+// keys, 25 % membership queries (half of them adversarial absent keys)
+// and 5 % insert-then-delete of a fresh key, origins rotating over 64
+// hosts — on striped cached Blocked and Strings against their cache-free
+// twins: identical answers, at least 35 % of cache lookups answered (with
+// one epoch per stripe instead of per bucket it was 5.5 %), and messages
+// per op within the cache_ceilings of bench_baseline.json. Counts, not
+// wall-clock: both repeat exactly.
+func TestCachePaysUnderWrites(t *testing.T) {
+	raw, err := os.ReadFile("bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base struct {
+		Ceilings []struct {
+			Name string  `json:"name"`
+			Hit  float64 `json:"min_hit_ratio"`
+			Msgs float64 `json:"max_msgs_per_op"`
+		} `json:"cache_ceilings"`
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("bench_baseline.json: %v", err)
+	}
+	if len(base.Ceilings) != 2 {
+		t.Fatalf("bench_baseline.json: %d cache_ceilings, want 2", len(base.Ceilings))
+	}
+	const hosts, nkeys, pool, nops = 64, 8192, 256, 80000
+	rng := xrand.New(43)
+	keys := distinctKeys(rng, nkeys+pool)
+	strs := experiments.UniformStrings(rng, nkeys+pool, "acgt", 8, 20)
+	mixes := map[string]func(t *testing.T) (cachedMsgs, controlMsgs int, cc *Cluster){
+		"mixed/blocked-zipf-writes-cached": func(t *testing.T) (int, int, *Cluster) {
+			return payMix(t, hosts, nops, keys[:nkeys], keys[nkeys:], xrand.AbsentKeys(43, keys, pool, 1<<40),
+				func(c *Cluster, o Options) (advTwin[uint64], error) {
+					w, err := NewBlocked(c, keys[:nkeys], o)
+					if err != nil {
+						return advTwin[uint64]{}, err
+					}
+					return advSortedSet(w), nil
+				})
+		},
+		"mixed/strings-zipf-writes-cached": func(t *testing.T) (int, int, *Cluster) {
+			return payMix(t, hosts, nops, strs[:nkeys], strs[nkeys:], xrand.AbsentStrings(43, strs, pool),
+				func(c *Cluster, o Options) (advTwin[string], error) {
+					w, err := NewStrings(c, strs[:nkeys], o)
+					if err != nil {
+						return advTwin[string]{}, err
+					}
+					return advStrings(w), nil
+				})
+		},
+	}
+	for _, ceil := range base.Ceilings {
+		mix := mixes[ceil.Name]
+		if mix == nil {
+			t.Fatalf("bench_baseline.json: unknown cache ceiling %q", ceil.Name)
+		}
+		t.Run(ceil.Name, func(t *testing.T) {
+			cachedMsgs, controlMsgs, cc := mix(t)
+			st := cc.Stats()
+			ratio := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
+			perOp := float64(cachedMsgs) / nops
+			t.Logf("hit ratio %.3f (%d invalidations), %.3f msgs/op cached vs %.3f control",
+				ratio, st.CacheInvalidations, perOp, float64(controlMsgs)/nops)
+			if ratio < ceil.Hit {
+				t.Errorf("hit ratio %.3f under writes, want >= %.2f", ratio, ceil.Hit)
+			}
+			if perOp > ceil.Msgs {
+				t.Errorf("%.3f msgs/op, ceiling %.3f", perOp, ceil.Msgs)
+			}
+		})
+	}
+}
+
+// payMix replays nops ops of the zipf-cached mix against a cached and a
+// cache-free twin (reads[0] the search, reads[1] Contains), requiring
+// identical answers and per-op hops at most the control's, and returns
+// the messages each side was charged.
+func payMix[T any](t *testing.T, hosts, nops int, stored, fresh, absent []T,
+	mk func(c *Cluster, o Options) (advTwin[T], error)) (cachedMsgs, controlMsgs int, cc *Cluster) {
+	cc, ctl := NewCluster(hosts), NewCluster(hosts)
+	cached, err := mk(cc, cachedOpts(47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := mk(ctl, controlOpts(47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf := xrand.NewZipf(xrand.New(xrand.Substream(43, 1)), 1.2, len(stored))
+	pick := xrand.New(xrand.Substream(43, 2))
+	charge := func(op int, what string, ah int, err1 error, bh int, err2 error) {
+		if err1 != nil || err2 != nil {
+			t.Fatalf("op %d %s: %v / %v", op, what, err1, err2)
+		}
+		if ah > bh {
+			t.Fatalf("op %d %s: cached %d hops > control %d", op, what, ah, bh)
+		}
+		cachedMsgs += ah
+		controlMsgs += bh
+	}
+	for op, nextFresh := 0, 0; op < nops; op++ {
+		origin := HostID(op % hosts)
+		switch r := pick.Intn(100); {
+		case r < 70:
+			q := stored[zipf.Next()]
+			a, ah, err1 := cached.reads[0](q, origin)
+			b, bh, err2 := control.reads[0](q, origin)
+			if a != b {
+				t.Fatalf("op %d read of %v diverged: cached %s, control %s", op, q, a, b)
+			}
+			charge(op, "read", ah, err1, bh, err2)
+		case r < 95:
+			q := stored[zipf.Next()]
+			if r%2 == 0 {
+				q = absent[pick.Intn(len(absent))]
+			}
+			a, ah, err1 := cached.reads[1](q, origin)
+			b, bh, err2 := control.reads[1](q, origin)
+			if a != b {
+				t.Fatalf("op %d Contains(%v) diverged: cached %v, control %v", op, q, a, b)
+			}
+			charge(op, "contains", ah, err1, bh, err2)
+		default: // a write slot is two ops: the insert of a fresh key and its delete
+			x := fresh[nextFresh%len(fresh)]
+			nextFresh++
+			ah, err1 := cached.insert(x, origin)
+			bh, err2 := control.insert(x, origin)
+			charge(op, "insert", ah, err1, bh, err2)
+			op++
+			ah, err1 = cached.remove(x, origin)
+			bh, err2 = control.remove(x, origin)
+			charge(op, "delete", ah, err1, bh, err2)
+		}
+	}
+	return cachedMsgs, controlMsgs, cc
 }

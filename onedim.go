@@ -57,8 +57,11 @@ type Options struct {
 	// CacheFingers enables the per-origin-host finger/descent cache:
 	// each host memoizes the answers of its recent queries (Floor,
 	// Contains, Locate, Nearest, Search, PrefixSearch) in a small LRU
-	// keyed by the exact query, validated by a per-stripe write-epoch
-	// check before every reuse (see the invalidation contract in
+	// keyed by the exact query, validated before every reuse by a
+	// write-epoch check on the slice of the key space the answer depends
+	// on — each write stripe is cut into a fixed number of epoch buckets,
+	// and a write voids only the entries whose dependency interval
+	// covers its key's bucket (see the invalidation contract in
 	// cache.go). A valid hit answers locally for zero charged messages —
 	// the host re-serves a frontier a previous descent already paid for —
 	// and a miss or stale entry runs the completely unmodified descent,
@@ -131,7 +134,7 @@ func (w listWeb) QueryCost(q uint64, origin HostID) (uint64, bool, core.Cost, er
 // Options.WriteStripes > 1 it builds one independent sub-web per key
 // stripe (see the Options.WriteStripes doc).
 func NewOneDim(c *Cluster, keys []uint64, opts Options) (*OneDim, error) {
-	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	st, parts := splitByStripe(keys, opts.WriteStripes, opts.CacheFingers, keyCode, nil)
 	d := &OneDim{}
 	err := buildStriped(&d.striped, c, "onedim", opts, st, parts, hashKey64,
 		func(w listWeb) []uint64 { return w.GroundStructure().Keys() },
@@ -240,7 +243,7 @@ type Blocked struct {
 // Options.WriteStripes > 1 it builds one independent sub-web per key
 // stripe (see the Options.WriteStripes doc).
 func NewBlocked(c *Cluster, keys []uint64, opts Options) (*Blocked, error) {
-	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	st, parts := splitByStripe(keys, opts.WriteStripes, opts.CacheFingers, keyCode, nil)
 	b := &Blocked{}
 	err := buildStriped(&b.striped, c, "blocked", opts, st, parts, hashKey64,
 		func(w *core.BlockedWeb) []uint64 { return w.Ground().Keys() },
@@ -362,7 +365,7 @@ func NewBucketed(c *Cluster, keys []uint64, opts Options) (*Bucketed, error) {
 	if target <= 0 {
 		target = len(keys)/c.Hosts() + 1
 	}
-	st, parts := splitByStripe(keys, opts.WriteStripes, keyCode, nil)
+	st, parts := splitByStripe(keys, opts.WriteStripes, opts.CacheFingers, keyCode, nil)
 	b := &Bucketed{}
 	// The bucket web does not expose its keys, so there is no routing
 	// audit (nil codes).

@@ -70,7 +70,7 @@ func NewPlanar(c *Cluster, segments []PlanarSegment, bounds PlanarBounds, opts O
 	p := &Planar{}
 	// There is no membership query, so no negative bloom (nil hash), and
 	// the trapezoidal map has no key codes to audit (nil codes).
-	err := buildStriped(&p.striped, c, "planar", opts, newStripeSet(nil, 1), [][]trapmap.Segment{segs}, nil, nil,
+	err := buildStriped(&p.striped, c, "planar", opts, newStripeSet(nil, 1, opts.CacheFingers), [][]trapmap.Segment{segs}, nil, nil,
 		func(part []trapmap.Segment, seed uint64) (planarWeb, error) {
 			return core.NewWeb[*trapmap.Map, trapmap.Segment, trapmap.Point](ops, c.network(), part,
 				core.Config{Seed: seed, Replicas: opts.Replicas})

@@ -64,7 +64,7 @@ func NewPoints(c *Cluster, d int, points []Point, opts Options) (*Points, error)
 		items[i] = quadtree.Point(pt)
 	}
 	code := func(pt quadtree.Point) uint64 { return p.stripeCode(Point(pt)) }
-	st, parts := splitByStripe(items, opts.WriteStripes, code, nil)
+	st, parts := splitByStripe(items, opts.WriteStripes, opts.CacheFingers, code, nil)
 	err := buildStriped(&p.striped, c, "points", opts, st, parts,
 		func(pt quadtree.Point) uint64 { return hashKey64(code(pt)) },
 		func(w pointWeb) []uint64 {
@@ -132,7 +132,7 @@ func (p *Points) locateCode(code uint64, origin HostID) (PointLocation, error) {
 		return hit, nil
 	}
 	i := p.st.of(code)
-	sum += p.rlock(i)
+	p.st.rlock(i)
 	defer p.st.runlock(i)
 	res, err := p.ws[i].Query(code, origin)
 	if err != nil {
@@ -147,8 +147,14 @@ func (p *Points) locateCode(code uint64, origin HostID) (PointLocation, error) {
 		loc.Leaf = true
 		loc.LeafPoint = Point(g.PointAt(id))
 	}
-	// Memoized before the cost goes in: a hit is free.
-	memo(p.rc, origin, ck, loc, i, i, sum)
+	// Only a point inside the located cell can split it, empty it or hang
+	// a deeper cell under it on the query's path (such a cell lies inside
+	// this one and contains the new point), so the answer depends on the
+	// cell's Morton interval alone. Memoized before the cost goes in: a
+	// hit is free.
+	free := uint(g.Dim()*g.CoordBits() - cell.PLen) // code bits below the cell's prefix
+	blo, bhi, e := p.epochs(i, cell.Prefix<<free, cell.Prefix<<free|(1<<free-1))
+	memo(p.rc, origin, ck, loc, blo, bhi, sum+e)
 	loc.Hops, loc.Latency = res.Hops, res.Latency
 	return loc, nil
 }
@@ -228,9 +234,13 @@ func (p *Points) nearestCost(q Point, origin HostID) (Point, core.Cost, error) {
 	var best quadtree.Point
 	bestDist := ^uint64(0)
 	extra := 0
+	bhi := 0
 	search := func(i int) {
-		sum += p.rlock(i)
+		p.st.rlock(i)
 		defer p.st.runlock(i)
+		_, b, e := p.epochs(i, 0, ^uint64(0))
+		sum += e
+		bhi = max(bhi, b)
 		g := p.ws[i].GroundStructure()
 		if g.Len() == 0 {
 			return
@@ -251,8 +261,8 @@ func (p *Points) nearestCost(q Point, origin HostID) (Point, core.Cost, error) {
 		return nil, core.Cost{Hops: loc.Hops + extra, Latency: loc.Latency},
 			fmt.Errorf("skipwebs: empty point set")
 	}
-	// The refinement read every stripe, so the epoch spans them all.
-	memo(p.rc, origin, ck, Point(best), 0, len(p.ws)-1, sum)
+	// The refinement read every stripe, so the epoch spans every bucket.
+	memo(p.rc, origin, ck, Point(best), 0, bhi, sum)
 	return Point(best), core.Cost{Hops: loc.Hops + extra, Latency: loc.Latency}, nil
 }
 
@@ -399,6 +409,7 @@ func (p *Points) Insert(q Point, origin HostID) (int, error) {
 	i := p.st.of(code)
 	p.st.wlock(i)
 	defer p.st.wunlock(i)
+	p.st.bump(i, code)
 	if p.nb != nil && cerr == nil {
 		p.nb.add(i, hashKey64(code))
 	}
@@ -409,9 +420,11 @@ func (p *Points) Insert(q Point, origin HostID) (int, error) {
 // n) expected messages (Section 4), pruning emptied cells level by
 // level. The update holds only its stripe's writer lock.
 func (p *Points) Delete(q Point, origin HostID) (int, error) {
-	i := p.st.of(p.stripeCode(q))
+	code := p.stripeCode(q)
+	i := p.st.of(code)
 	p.st.wlock(i)
 	defer p.st.wunlock(i)
+	p.st.bump(i, code)
 	return wrapHops(p.ws[i].Delete(quadtree.Point(q), origin))
 }
 

@@ -51,10 +51,20 @@ func (s *sortedSet[E]) floor(q uint64, origin HostID) (FloorResult, error) {
 	}
 	i0 := s.st.of(q)
 	var cost core.Cost
+	bhi := 0
 	for i := i0; ; i-- {
-		sum += s.rlock(i)
+		s.st.rlock(i)
 		k, found, c, err := s.ws[i].QueryCost(q, origin)
+		// The answer depends only on the codes in [k, q] — a smaller key is
+		// superseded by k, a larger one is above the query — or on [0, q]
+		// when no key is at or below q (k is 0 then): this stripe's part of
+		// that interval, read under its lock.
+		blo, bh, e := s.epochs(i, k, q)
 		s.st.runlock(i)
+		sum += e
+		if i == i0 {
+			bhi = bh
+		}
 		cost.Hops += c.Hops
 		cost.Latency += c.Latency
 		if err != nil {
@@ -62,9 +72,7 @@ func (s *sortedSet[E]) floor(q uint64, origin HostID) (FloorResult, error) {
 		}
 		if found || i == 0 {
 			res := FloorResult{Key: k, Found: found}
-			// The answer depends only on stripes [i, i0]: lower stripes
-			// hold strictly smaller codes the found key supersedes.
-			memo(s.rc, origin, ck, res, i, i0, sum)
+			memo(s.rc, origin, ck, res, blo, bhi, sum)
 			res.Hops, res.Latency = cost.Hops, cost.Latency
 			return res, nil
 		}
@@ -84,8 +92,9 @@ func (s *sortedSet[E]) containsCost(key uint64, origin HostID) (bool, core.Cost,
 	if ok {
 		return hit, core.Cost{}, nil
 	}
-	sum += s.rlock(i)
+	s.st.rlock(i)
 	k, found, c, err := s.ws[i].QueryCost(key, origin)
+	b, _, e := s.epochs(i, key, key) // membership depends on the key's own code alone
 	s.st.runlock(i)
 	if err != nil {
 		return false, c, fmt.Errorf("skipwebs: %w", err)
@@ -94,7 +103,7 @@ func (s *sortedSet[E]) containsCost(key uint64, origin HostID) (bool, core.Cost,
 	if s.nb != nil && !found {
 		s.nb.falsePositive(origin)
 	}
-	memo(s.rc, origin, ck, found, i, i, sum)
+	memo(s.rc, origin, ck, found, b, b, sum+e)
 	return found, c, nil
 }
 
@@ -145,6 +154,7 @@ func (s *sortedSet[E]) insert(key uint64, origin HostID) (int, error) {
 	i := s.st.of(key)
 	s.st.wlock(i)
 	defer s.st.wunlock(i)
+	s.st.bump(i, key)
 	if s.nb != nil {
 		s.nb.add(i, hashKey64(key))
 	}
@@ -156,6 +166,7 @@ func (s *sortedSet[E]) remove(key uint64, origin HostID) (int, error) {
 	i := s.st.of(key)
 	s.st.wlock(i)
 	defer s.st.wunlock(i)
+	s.st.bump(i, key)
 	return wrapHops(s.ws[i].Delete(key, origin))
 }
 
@@ -166,6 +177,9 @@ func (s *sortedSet[E]) remove(key uint64, origin HostID) (int, error) {
 func (s *sortedSet[E]) insertRun(stripe int, keys []uint64, origin HostID, hops []int, errs []error) {
 	s.st.wlock(stripe)
 	defer s.st.wunlock(stripe)
+	for _, k := range keys {
+		s.st.bump(stripe, k)
+	}
 	if s.nb != nil {
 		for _, k := range keys {
 			s.nb.add(stripe, hashKey64(k))

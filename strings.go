@@ -45,7 +45,7 @@ type stringWeb = *core.Web[*trie.Trie, string, string]
 func NewStrings(c *Cluster, keys []string, opts Options) (*Strings, error) {
 	// Strings sharing a first-eight-byte prefix share a code and a stripe;
 	// the tie-break keeps each stripe's build input in full sorted order.
-	st, parts := splitByStripe(keys, opts.WriteStripes, stringCode, strings.Compare)
+	st, parts := splitByStripe(keys, opts.WriteStripes, opts.CacheFingers, stringCode, strings.Compare)
 	s := &Strings{}
 	err := buildStriped(&s.striped, c, "strings", opts, st, parts, hashKeyString,
 		func(w stringWeb) []uint64 {
@@ -93,7 +93,7 @@ func (s *Strings) Search(q string, origin HostID) (StringLocation, error) {
 		return hit, nil
 	}
 	i := s.st.of(stringCode(q))
-	sum += s.rlock(i)
+	s.st.rlock(i)
 	defer s.st.runlock(i)
 	res, err := s.ws[i].Query(q, origin)
 	if err != nil {
@@ -107,8 +107,13 @@ func (s *Strings) Search(q string, origin HostID) (StringLocation, error) {
 		IsKey: g.IsKey(id),
 		Exact: g.IsKey(id) && locus == q,
 	}
-	// Memoized before the cost goes in: a hit is free.
-	memo(s.rc, origin, ck, loc, i, i, sum)
+	// Only a key that has the locus as a prefix can split, mark, unmark or
+	// prune it, or create a deeper locus on the query's path (such a locus
+	// is a prefix of the new key and extends this one), so the answer
+	// depends on the codes of the locus's extensions alone. Memoized before
+	// the cost goes in: a hit is free.
+	blo, bhi, e := s.epochs(i, stringCode(locus), prefixCodeHi(locus))
+	memo(s.rc, origin, ck, loc, blo, bhi, sum+e)
 	loc.Hops, loc.Latency = res.Hops, res.Latency
 	return loc, nil
 }
@@ -161,11 +166,13 @@ func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]str
 		// Hand out a fresh copy; the memoized slice stays private.
 		return append([]string(nil), hit...), core.Cost{}, nil
 	}
-	s0 := s.st.of(stringCode(prefix))
-	s1 := s.st.of(prefixCodeHi(prefix))
+	// Every key with the prefix has its code in [lo, hi]: the stripes to
+	// visit, and within them the buckets the answer depends on.
+	lo, hi := stringCode(prefix), prefixCodeHi(prefix)
+	s0, s1 := s.st.of(lo), s.st.of(hi)
 	var keys []string
 	var cost core.Cost
-	last := s0
+	blo, bhi := 0, 0
 	for i := s0; i <= s1; i++ {
 		remaining := max
 		if max > 0 {
@@ -174,10 +181,15 @@ func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]str
 				break
 			}
 		}
-		sum += s.rlock(i)
+		s.st.rlock(i)
 		ks, c, err := s.prefixInStripe(i, prefix, remaining, origin)
+		b0, b1, e := s.epochs(i, lo, hi)
 		s.st.runlock(i)
-		last = i
+		sum += e
+		if i == s0 {
+			blo = b0
+		}
+		bhi = b1
 		cost.Hops += c.Hops
 		cost.Latency += c.Latency
 		if err != nil {
@@ -186,9 +198,10 @@ func (s *Strings) prefixSearchCost(prefix string, max int, origin HostID) ([]str
 		keys = append(keys, ks...)
 	}
 	if s.rc != nil {
-		// The answer depends only on the stripes visited: an early break
-		// means max was reached, which the control breaks on identically.
-		memo(s.rc, origin, ck, append([]string(nil), keys...), s0, last, sum)
+		// The answer depends only on the prefix's codes in the stripes
+		// visited: an early break means max was reached, which the control
+		// breaks on identically.
+		memo(s.rc, origin, ck, append([]string(nil), keys...), blo, bhi, sum)
 	}
 	return keys, cost, nil
 }
@@ -239,9 +252,11 @@ func prefixCodeHi(prefix string) uint64 {
 // its stripe's writer lock, so inserts into different code ranges run
 // concurrently.
 func (s *Strings) Insert(key string, origin HostID) (int, error) {
-	i := s.st.of(stringCode(key))
+	code := stringCode(key)
+	i := s.st.of(code)
 	s.st.wlock(i)
 	defer s.st.wunlock(i)
+	s.st.bump(i, code)
 	if s.nb != nil {
 		s.nb.add(i, hashKeyString(key))
 	}
@@ -252,9 +267,11 @@ func (s *Strings) Insert(key string, origin HostID) (int, error) {
 // expected messages (Section 4), pruning unbranched loci level by
 // level. The update holds only its stripe's writer lock.
 func (s *Strings) Delete(key string, origin HostID) (int, error) {
-	i := s.st.of(stringCode(key))
+	code := stringCode(key)
+	i := s.st.of(code)
 	s.st.wlock(i)
 	defer s.st.wunlock(i)
+	s.st.bump(i, code)
 	return wrapHops(s.ws[i].Delete(key, origin))
 }
 

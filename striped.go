@@ -60,12 +60,19 @@ func buildStriped[E engine, T any](s *striped[E], c *Cluster, name string, opts 
 	return nil
 }
 
-// rlock takes stripe i's reader lock and returns the stripe's write
-// epoch as observed under it — what a query adds to its probe sum for
-// every stripe it reads (see probe in cache.go).
-func (s *striped[E]) rlock(i int) uint64 {
-	s.st.rlock(i)
-	return uint64(s.st.writeCount(i))
+// epochs returns the epoch buckets the codes [lo, hi] occupy within
+// stripe i, and the sum of their write epochs: what a query hands memo
+// (cache.go) for the part of its answer that depends on those codes. The
+// caller holds stripe i's reader lock, so the sum is exactly the epoch of
+// the data it read. Codes outside the stripe clip to its first and last
+// bucket — (i, 0, ^0) is the whole stripe. Zero without a finger cache.
+func (s *striped[E]) epochs(i int, lo, hi uint64) (blo, bhi int, sum uint64) {
+	if s.rc == nil {
+		return 0, 0, 0
+	}
+	ep := s.rc.ep
+	blo, bhi = ep.bucket(i, lo), ep.bucket(i, hi)
+	return blo, bhi, ep.sum(blo, bhi)
 }
 
 // each calls f on every stripe's engine in stripe order, under that

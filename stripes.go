@@ -51,15 +51,43 @@ type stripeSet struct {
 	// concurrent use) to prove that distinct stripes hold their writer
 	// locks simultaneously.
 	onWrite func(stripe int)
+	// ep is the write-epoch table the finger cache validates against;
+	// nil unless the structure was built with Options.CacheFingers.
+	ep *epochTable
 }
 
-// newStripeSet builds the routing table for the given sorted stripe
-// codes (duplicates allowed) cut into up to `want` rank-balanced
-// stripes. Ties never straddle a boundary — equal codes must route to
-// one stripe — so the realized stripe count can be lower than requested
-// when the code distribution is degenerate; every realized stripe is
-// non-empty at build time.
-func newStripeSet(sortedCodes []uint64, want int) *stripeSet {
+// epochBucketsPerStripe is the number of write-epoch buckets each stripe
+// is cut into. Fixed by the sweep recorded in EXPERIMENTS.md G3 on the
+// cached write workload (messages per op at 1 / 16 / 64 / 256 / 1024
+// buckets: 14.56 / 9.99 / 8.10 / 6.89 / 6.37): past 256 the per-origin
+// LRU (cacheShardCap), not invalidation, bounds the hit ratio, while the
+// table (16 bytes a bucket) and the atomic loads an entry spanning whole
+// stripes pays on every lookup (Nearest) keep growing in proportion.
+const epochBucketsPerStripe = 256
+
+// epochTable cuts every stripe's code range into rank-balanced buckets,
+// each with a write epoch: a writer bumps the bucket of the key it is
+// about to change (stripeSet.bump), a cached answer records the bucket
+// interval it depends on (striped.epochs) and is valid while the sum of
+// those epochs stands still (readCache.current). A bucket lies inside
+// exactly one stripe and is bumped only under that stripe's writer lock.
+type epochTable struct {
+	// subs[i] holds stripe i's internal bucket separators, ascending, all
+	// strictly inside the stripe's code range and frozen at build like
+	// the stripe separators themselves.
+	subs [][]uint64
+	// first[i] is the index of stripe i's first bucket; first[n] is the
+	// bucket count.
+	first []int
+	count []atomic.Uint64
+}
+
+// cutCodes returns the separators that cut the sorted codes (duplicates
+// allowed) into up to want rank-balanced chunks: chunk j holds the codes
+// in [seps[j-1], seps[j]). Ties never straddle a boundary, so fewer
+// separators than want-1 come back when the code distribution is
+// degenerate; every chunk is non-empty.
+func cutCodes(sortedCodes []uint64, want int) []uint64 {
 	var seps []uint64
 	if want > len(sortedCodes) {
 		want = len(sortedCodes)
@@ -67,7 +95,7 @@ func newStripeSet(sortedCodes []uint64, want int) *stripeSet {
 	for i := 1; i < want; i++ {
 		pos := i * len(sortedCodes) / want
 		for pos < len(sortedCodes) && pos > 0 && sortedCodes[pos] == sortedCodes[pos-1] {
-			pos++ // slide past a tie: equal codes stay in the lower stripe
+			pos++ // slide past a tie: equal codes stay in the lower chunk
 		}
 		if pos >= len(sortedCodes) {
 			break
@@ -78,12 +106,47 @@ func newStripeSet(sortedCodes []uint64, want int) *stripeSet {
 		}
 		seps = append(seps, sep)
 	}
+	return seps
+}
+
+// chunkEnd returns the index in sortedCodes at which chunk i of the cut
+// seps ends: the first code at or above separator i, or the end of the
+// slice for the last chunk.
+func chunkEnd(sortedCodes, seps []uint64, i int) int {
+	if i >= len(seps) {
+		return len(sortedCodes)
+	}
+	end, _ := slices.BinarySearch(sortedCodes, seps[i])
+	return end
+}
+
+// newStripeSet builds the routing table for the given sorted stripe
+// codes (duplicates allowed) cut into up to `want` rank-balanced
+// stripes. Equal codes must route to one stripe, so the realized stripe
+// count can be lower than requested (see cutCodes); every realized stripe
+// is non-empty at build time. With epochs set, each stripe's codes are
+// cut again, by the same rule, into the buckets of the epoch table.
+func newStripeSet(sortedCodes []uint64, want int, epochs bool) *stripeSet {
+	seps := cutCodes(sortedCodes, want)
 	n := len(seps) + 1
-	return &stripeSet{
+	ss := &stripeSet{
 		seps:   seps,
 		locks:  make([]sync.RWMutex, n),
 		writes: make([]atomic.Int64, n),
 	}
+	if epochs {
+		ep := &epochTable{subs: make([][]uint64, n), first: make([]int, n+1)}
+		start := 0
+		for i := range ep.subs {
+			end := chunkEnd(sortedCodes, seps, i)
+			ep.subs[i] = cutCodes(sortedCodes[start:end], epochBucketsPerStripe)
+			ep.first[i+1] = ep.first[i] + len(ep.subs[i]) + 1
+			start = end
+		}
+		ep.count = make([]atomic.Uint64, ep.first[n])
+		ss.ep = ep
+	}
+	return ss
 }
 
 // n returns the stripe count (>= 1).
@@ -120,6 +183,34 @@ func (ss *stripeSet) wunlock(i int) { ss.locks[i].Unlock() }
 // writeCount returns the writer-lock acquisitions stripe i has seen.
 func (ss *stripeSet) writeCount(i int) int64 { return ss.writes[i].Load() }
 
+// bucket routes a code to its epoch bucket within stripe i, clipping a
+// code outside the stripe's range to the stripe's first or last bucket.
+// Like of, a pure function of the code and frozen separators.
+func (ep *epochTable) bucket(i int, code uint64) int {
+	sub := ep.subs[i]
+	return ep.first[i] + sort.Search(len(sub), func(j int) bool { return sub[j] > code })
+}
+
+// sum adds up the write epochs of buckets [lo, hi]: atomic loads, no
+// locks.
+func (ep *epochTable) sum(lo, hi int) uint64 {
+	var sum uint64
+	for b := lo; b <= hi; b++ {
+		sum += ep.count[b].Load()
+	}
+	return sum
+}
+
+// bump advances the write epoch of code's bucket in stripe i. Writers
+// call it once per key under the stripe's writer lock and BEFORE the
+// mutation, so an epoch observed under the reader lock is exactly the
+// epoch of the data read. Without an epoch table it does nothing.
+func (ss *stripeSet) bump(i int, code uint64) {
+	if ss.ep != nil {
+		ss.ep.count[ss.ep.bucket(i, code)].Add(1)
+	}
+}
+
 // stripeSeed derives the PRNG seed of stripe i: the cluster seed itself
 // for a single-stripe (unsharded) structure — keeping the default
 // configuration bit-identical to the pre-striping build — and a
@@ -138,10 +229,19 @@ func stripeSeed(seed uint64, i, stripes int) uint64 {
 // items), builds the stripe routing table for up to `want` stripes, and
 // returns the per-stripe chunks. want <= 1 returns the single-stripe
 // table with the input slice untouched — the exact pre-striping build
-// input.
-func splitByStripe[T any](items []T, want int, codeOf func(T) uint64, tie func(a, b T) int) (*stripeSet, [][]T) {
+// input. epochs asks for the epoch table the finger cache needs
+// (Options.CacheFingers), which a single stripe gets too.
+func splitByStripe[T any](items []T, want int, epochs bool, codeOf func(T) uint64, tie func(a, b T) int) (*stripeSet, [][]T) {
 	if want <= 1 || len(items) <= 1 {
-		return newStripeSet(nil, 1), [][]T{items}
+		var codes []uint64
+		if epochs {
+			codes = make([]uint64, len(items))
+			for i, it := range items {
+				codes[i] = codeOf(it)
+			}
+			slices.Sort(codes)
+		}
+		return newStripeSet(codes, 1, epochs), [][]T{items}
 	}
 	type coded struct {
 		code uint64
@@ -168,15 +268,12 @@ func splitByStripe[T any](items []T, want int, codeOf func(T) uint64, tie func(a
 	for i, c := range cs {
 		sorted[i], codes[i] = c.item, c.code
 	}
-	ss := newStripeSet(codes, want)
+	ss := newStripeSet(codes, want, epochs)
 	// Stripe i holds the codes below separator i (and not below i-1).
 	parts := make([][]T, ss.n())
 	start := 0
 	for i := range parts {
-		end := len(sorted)
-		if i < len(ss.seps) {
-			end, _ = slices.BinarySearch(codes, ss.seps[i])
-		}
+		end := chunkEnd(codes, ss.seps, i)
 		parts[i] = sorted[start:end]
 		start = end
 	}

@@ -1,6 +1,7 @@
 package skipwebs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // collapse to fewer stripes.
 func TestStripeSetRouting(t *testing.T) {
 	keys := experiments.Keys(xrand.New(7), 1000, 1<<40)
-	st, parts := splitByStripe(keys, 4, keyCode, nil)
+	st, parts := splitByStripe(keys, 4, false, keyCode, nil)
 	if st.n() != 4 {
 		t.Fatalf("want 4 stripes over 1000 distinct keys, got %d", st.n())
 	}
@@ -51,12 +52,12 @@ func TestStripeSetRouting(t *testing.T) {
 	for i := range same {
 		same[i] = 42
 	}
-	if st := newStripeSet(same, 4); st.n() != 1 {
+	if st := newStripeSet(same, 4, false); st.n() != 1 {
 		t.Fatalf("all-equal codes split into %d stripes", st.n())
 	}
 
 	// More stripes than keys clamps.
-	st, parts = splitByStripe([]uint64{5, 9}, 8, keyCode, nil)
+	st, parts = splitByStripe([]uint64{5, 9}, 8, false, keyCode, nil)
 	if st.n() > 2 {
 		t.Fatalf("2 keys split into %d stripes", st.n())
 	}
@@ -65,7 +66,7 @@ func TestStripeSetRouting(t *testing.T) {
 	}
 
 	// Unsharded requests build one stripe from the untouched input.
-	st, parts = splitByStripe([]uint64{9, 5, 7}, 1, keyCode, nil)
+	st, parts = splitByStripe([]uint64{9, 5, 7}, 1, false, keyCode, nil)
 	if st.n() != 1 || len(parts) != 1 || parts[0][0] != 9 {
 		t.Fatalf("want <= 1 must pass the input through unmodified, got %v", parts)
 	}
@@ -103,7 +104,7 @@ func TestStringCodeOrder(t *testing.T) {
 			t.Fatalf("code order violates string order at %q < %q", sorted[i-1], sorted[i])
 		}
 	}
-	st, parts := splitByStripe(keys, 4, stringCode, strings.Compare)
+	st, parts := splitByStripe(keys, 4, false, stringCode, strings.Compare)
 	total := 0
 	for i, part := range parts {
 		total += len(part)
@@ -473,4 +474,98 @@ func TestStripedQueriesCrossStripes(t *testing.T) {
 	if err := w.CheckConsistent(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzStripeCodes fuzzes the two code maps the epoch table of the finger
+// cache leans on. For arbitrary strings: stringCode is monotone, and the
+// codes of a prefix's extensions lie in [stringCode(p), prefixCodeHi(p)]
+// — the interval Strings.Search and PrefixSearch hand the cache. For an
+// arbitrary code multiset (one code per byte pair: the high byte spreads
+// them over the space, the low byte packs them densely, repeats tie) and
+// stripe count: stripe and bucket routing are monotone in the code, a
+// bucket lies inside exactly one stripe, a code outside a stripe clips to
+// the stripe's end buckets, every stripe has at least one bucket and at
+// most epochBucketsPerStripe, every bucket holds a build code, and the
+// epoch table leaves the stripe separators as they are without it.
+func FuzzStripeCodes(f *testing.F) {
+	f.Add("a", "ab", "a", []byte{}, uint8(4))                                            // empty build
+	f.Add("abababab", "ababababb", "abababab", []byte{7, 7, 7, 7, 7, 7, 7, 7}, uint8(4)) // all-equal codes
+	f.Add("", "\x00", "", []byte{0, 0, 255, 255, 0, 1, 255, 254}, uint8(8))              // fewer codes than buckets, the extremes
+	f.Add("ab\xff", "ac", "ab", []byte{1, 2, 3}, uint8(0))                               // odd tail, want 0
+	dense := make([]byte, 1024)
+	for i := range dense {
+		dense[i] = byte(i * 37 >> (i % 2 * 3))
+	}
+	f.Add("acgt", "acgtacgtacgt", "acgtacgt", dense, uint8(4))
+	f.Fuzz(func(t *testing.T, a, b, p string, raw []byte, want uint8) {
+		if a > b {
+			a, b = b, a
+		}
+		if stringCode(a) > stringCode(b) {
+			t.Fatalf("%q <= %q but stringCode %#x > %#x", a, b, stringCode(a), stringCode(b))
+		}
+		for _, s := range []string{a, b} {
+			if c := stringCode(s); strings.HasPrefix(s, p) && (c < stringCode(p) || c > prefixCodeHi(p)) {
+				t.Fatalf("%q has prefix %q but code %#x outside [%#x, %#x]", s, p, c, stringCode(p), prefixCodeHi(p))
+			}
+		}
+
+		codes := make([]uint64, 0, len(raw)/2)
+		for i := 0; i+1 < len(raw); i += 2 {
+			code := uint64(raw[i])<<56 | uint64(raw[i+1])
+			if raw[i] == 255 && raw[i+1] == 255 {
+				code = ^uint64(0)
+			}
+			codes = append(codes, code)
+		}
+		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+		ss := newStripeSet(codes, int(want%9), true)
+		if plain := newStripeSet(codes, int(want%9), false); plain.ep != nil || !slices.Equal(plain.seps, ss.seps) {
+			t.Fatalf("epoch table moved the stripe separators: %v vs %v", ss.seps, plain.seps)
+		}
+		ep, n := ss.ep, ss.n()
+		if len(ep.subs) != n || len(ep.first) != n+1 || ep.first[0] != 0 || len(ep.count) != ep.first[n] {
+			t.Fatalf("epoch table shape: %d stripes, first %v, %d epochs", n, ep.first, len(ep.count))
+		}
+		for i := 0; i < n; i++ {
+			if nb := ep.first[i+1] - ep.first[i]; nb < 1 || nb > epochBucketsPerStripe {
+				t.Fatalf("stripe %d has %d buckets", i, nb)
+			}
+		}
+		probes := []uint64{0, ^uint64(0)}
+		for _, c := range codes {
+			probes = append(probes, c-1, c, c+1)
+		}
+		sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+		hit := make([]bool, len(ep.count))
+		lastStripe, lastBucket := 0, 0
+		for _, c := range probes {
+			i := ss.of(c)
+			bk := ep.bucket(i, c)
+			if i < lastStripe || bk < lastBucket {
+				t.Fatalf("routing not monotone at code %#x: stripe %d after %d, bucket %d after %d", c, i, lastStripe, bk, lastBucket)
+			}
+			if bk < ep.first[i] || bk >= ep.first[i+1] {
+				t.Fatalf("code %#x: bucket %d outside stripe %d's [%d, %d)", c, bk, i, ep.first[i], ep.first[i+1])
+			}
+			for j := 0; j < n; j++ { // clipped to every other stripe
+				if got := ep.bucket(j, c); (j < i && got != ep.first[j+1]-1) || (j > i && got != ep.first[j]) {
+					t.Fatalf("code %#x of stripe %d clips to bucket %d of stripe %d [%d, %d)", c, i, got, j, ep.first[j], ep.first[j+1])
+				}
+			}
+			lastStripe, lastBucket = i, bk
+		}
+		for _, c := range codes {
+			hit[ep.bucket(ss.of(c), c)] = true
+		}
+		for bk, ok := range hit {
+			if !ok && len(codes) > 0 {
+				t.Fatalf("bucket %d of %d holds no build code", bk, len(hit))
+			}
+		}
+		ss.bump(ss.of(^uint64(0)), ^uint64(0))
+		if got := ep.sum(0, len(ep.count)-1); got != 1 {
+			t.Fatalf("one bump moved the epoch sum by %d", got)
+		}
+	})
 }
