@@ -281,6 +281,39 @@ func TestRunFailoverValidatesFlags(t *testing.T) {
 	}
 }
 
+// TestCommittedRecordsReproduce regenerates the committed accounting
+// records at their recorded flags and byte-compares them: message counts
+// repeat exactly per seed, so a diff means the fixture's draw order or
+// the replica/cache accounting changed.
+func TestCommittedRecordsReproduce(t *testing.T) {
+	for record, args := range map[string][]string{
+		"BENCH_FAILOVER_PR5.json": {"-mode", "failover", "-hosts", "64", "-keys", "4096", "-queries", "12000",
+			"-replicas", "1,2,3", "-crashes", "6", "-seed", "1"},
+		"BENCH_RECOVERY_PR7.json": {"-mode", "failover", "-restart", "-hosts", "32", "-keys", "8192",
+			"-replicas", "2,3", "-seed", "1", "-baseline", "../../bench_baseline.json"},
+		"BENCH_SKEW_PR9.json": {"-mode", "skew", "-hosts", "64", "-keys", "4096", "-queries", "8000"},
+	} {
+		t.Run(record, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", record))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), record)
+			var out strings.Builder
+			if err := run(append(args, "-json", path), &out); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("regenerated %s differs from the committed record", record)
+			}
+		})
+	}
+}
+
 func TestRunRejectsUnknownModeAndExperiment(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-mode", "nope"}, &out); err == nil {
