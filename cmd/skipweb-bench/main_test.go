@@ -268,15 +268,51 @@ func TestRunFailoverSmoke(t *testing.T) {
 	}
 }
 
+// TestRunFailoverValidatesFlags covers failover's own checks and, for
+// every mode, the two rules the mode table enforces before anything is
+// built: sizes under the mode's minimum are refused with the flag named
+// (a zero -queries used to panic skew and print NaN rows under churn and
+// failover), and so is an explicitly set flag the mode does not read
+// (-mode churn -replicas 3 used to report k = 1 numbers).
 func TestRunFailoverValidatesFlags(t *testing.T) {
-	var out strings.Builder
-	for name, args := range map[string][]string{
-		"bad replicas": {"-mode", "failover", "-replicas", "0"},
-		"few hosts":    {"-mode", "failover", "-hosts", "4"},
-		"no crashes":   {"-mode", "failover", "-crashes", "0"},
+	for _, tc := range []struct {
+		args string
+		want string // substring of the error
+	}{
+		{"-mode failover -replicas 0", "-replicas"},
+		{"-mode failover -hosts 4", "-hosts must be >= 8"},
+		{"-mode failover -crashes 0", "-crashes"},
+		{"-mode failover -queries 0", "-queries must be >= 1"},
+		{"-mode failover -restart -replicas 1,2", "-replicas"},
+		{"-mode failover -restart -keys 128", "-keys must be >= 256"},
+		{"-mode skew -queries 0", "-queries must be >= 1"},
+		{"-mode churn -queries 0 -json f.json", "-queries must be >= 1"},
+		{"-mode churn -hosts 2", "-hosts must be >= 4"},
+		{"-mode bench -keys 32", "-keys must be >= 64"},
+		{"-mode wire -hosts 1", "-hosts must be >= 2"},
+		{"-mode throughput -queries 0", "-queries must be >= 1"},
+
+		{"-mode churn -replicas 3", "does not read -replicas"},
+		{"-mode experiments -json f.json", "does not read -json"},
+		{"-json f.json", "does not read -json"},
+		{"-mode churn -baseline b.json", "does not read -baseline"},
+		{"-mode skew -baseline b.json", "does not read -baseline"},
+		{"-mode scale -baseline b.json", "does not read -baseline"},
+		{"-mode wire -baseline b.json", "does not read -baseline"},
+		{"-mode failover -baseline b.json", "does not read -baseline"},
+		{"-mode failover -restart -crashes 2", "-mode failover -restart does not read -crashes"},
+		{"-mode churn -restart", "does not read -restart"},
+		{"-mode scale -hosts 64 -keys 128", "does not read -hosts, -keys"},
+		{"-mode throughput -quick", "does not read -quick"},
+		{"-mode bench -queries 10", "does not read -queries"},
 	} {
-		if err := run(args, &out); err == nil {
-			t.Fatalf("%s accepted", name)
+		var out strings.Builder
+		err := run(strings.Fields(tc.args), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed before refusing:\n%s", tc.args, out.String())
 		}
 	}
 }

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
-	"strings"
 
 	skipwebs "github.com/skipwebs/skipwebs"
 	"github.com/skipwebs/skipwebs/internal/experiments"
@@ -31,7 +27,7 @@ type recoveryRow struct {
 	Ratio         float64 `json:"merkle_over_full"`
 }
 
-// recoveryDoc is the JSON document written by -mode=failover -restart
+// recoveryDoc is the JSON document written by -mode failover -restart
 // -json (BENCH_RECOVERY_PR7.json).
 type recoveryDoc struct {
 	Mode  string        `json:"mode"`
@@ -39,15 +35,6 @@ type recoveryDoc struct {
 	Keys  int           `json:"keys"`
 	Seed  uint64        `json:"seed"`
 	Rows  []recoveryRow `json:"rows"`
-}
-
-// recoveryCeiling is one committed ceiling on the merkle-vs-full ratio
-// (bench_baseline.json's recovery_ceilings section): the worst measured
-// ratio for the named structure across the run's k values must stay
-// under it.
-type recoveryCeiling struct {
-	Structure string  `json:"structure"`
-	MaxRatio  float64 `json:"max_merkle_over_full"`
 }
 
 // recoveryContractRatio is the hard acceptance bar independent of any
@@ -67,34 +54,26 @@ const recoveryContractRatio = 0.10
 // enforces the committed per-structure ceilings.
 // Unlike the other modes, -quick changes nothing here: a trial is one
 // build plus one crash per cluster, already smoke-test cheap, and
-// shrinking -keys would shrink the victim's shard until the walk's
-// log-overhead dominates the ratio being certified.
-func runRecovery(out io.Writer, jsonPath, baselinePath string, hosts, keyN int, replicasStr string, seed uint64) error {
-	if hosts < 8 {
-		return fmt.Errorf("-hosts must be >= 8 for recovery mode, got %d", hosts)
+// shrinking -keys (the mode needs >= 256 for 1% divergence to be keys
+// at all) would shrink the victim's shard until the walk's log-overhead
+// dominates the ratio being certified.
+func runRecovery(out io.Writer, cfg *config) error {
+	// A surviving replica to reconcile against needs k >= 2.
+	ks, err := parseReplicas(cfg, 2)
+	if err != nil {
+		return err
 	}
-	if keyN < 256 {
-		return fmt.Errorf("-keys must be >= 256 for recovery mode (1%% divergence needs keys), got %d", keyN)
-	}
-	var ks []int
-	for _, f := range strings.Split(replicasStr, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || k < 2 || k > hosts {
-			return fmt.Errorf("bad -replicas entry %q (recovery needs 2 <= k <= hosts: a surviving replica to reconcile against)", f)
-		}
-		ks = append(ks, k)
-	}
-	doc := recoveryDoc{Mode: "recovery", Hosts: hosts, Keys: keyN, Seed: seed}
+	doc := recoveryDoc{Mode: "recovery", Hosts: cfg.hosts, Keys: cfg.keys, Seed: cfg.seed}
 	fmt.Fprintf(out, "=== R1: merkle restart vs full re-replication (hosts=%d keys=%d, ~1%% divergence while down) ===\n",
-		hosts, keyN)
+		cfg.hosts, cfg.keys)
 	fmt.Fprintf(out, "%-10s %4s %10s %12s %12s %12s %8s %12s\n",
 		"structure", "k", "divergent", "full msgs", "merkle msgs", "replay msgs", "copied", "merkle/full")
 	copied := 0
 	for _, k := range ks {
-		for _, structure := range []string{"onedim", "blocked", "bucketed"} {
-			row, err := recoveryTrial(structure, hosts, keyN, k, seed)
+		for s := range sortedSets {
+			row, err := recoveryTrial(s, cfg.hosts, cfg.keys, k, cfg.seed)
 			if err != nil {
-				return fmt.Errorf("recovery %s k=%d: %w", structure, k, err)
+				return fmt.Errorf("recovery %s k=%d: %w", row.Structure, k, err)
 			}
 			doc.Rows = append(doc.Rows, row)
 			copied += row.CopiedUnits
@@ -103,7 +82,7 @@ func runRecovery(out io.Writer, jsonPath, baselinePath string, hosts, keyN int, 
 				row.MerkleMsgs, row.ReplayMsgs, row.CopiedUnits, row.Ratio)
 			if row.Ratio > recoveryContractRatio {
 				return fmt.Errorf("%s k=%d: merkle reconcile cost %.4f of full re-replication exceeds the %.2f contract",
-					structure, k, row.Ratio, recoveryContractRatio)
+					row.Structure, k, row.Ratio, recoveryContractRatio)
 			}
 		}
 	}
@@ -114,79 +93,34 @@ func runRecovery(out io.Writer, jsonPath, baselinePath string, hosts, keyN int, 
 		return fmt.Errorf("no trial re-copied any unit — divergence never reached a victim shard; raise -keys")
 	}
 	fmt.Fprintf(out, "every row: merkle restart <= %.0f%% of full re-replication traffic\n", recoveryContractRatio*100)
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
+	if err := writeJSON(out, cfg.json, doc); err != nil {
+		return err
 	}
-	if baselinePath != "" {
-		if err := checkRecoveryBaseline(out, doc, baselinePath); err != nil {
-			return err
-		}
+	if cfg.baseline != "" {
+		return checkRecoveryBaseline(out, doc, cfg.baseline)
 	}
 	return nil
-}
-
-// recoveryEngine is the slice of the public API the trial needs: all
-// three key-bearing structures implement it.
-type recoveryEngine interface {
-	Insert(key uint64, origin skipwebs.HostID) (int, error)
-	Delete(key uint64, origin skipwebs.HostID) (int, error)
-	Floor(q uint64, origin skipwebs.HostID) (skipwebs.FloorResult, error)
-}
-
-// buildRecovery builds one structure over keys on a fresh cluster.
-func buildRecovery(structure string, hosts int, keys []uint64, k int, seed uint64, durable bool) (*skipwebs.Cluster, recoveryEngine, error) {
-	c := skipwebs.NewCluster(hosts)
-	opts := skipwebs.Options{Seed: seed + 1, Replicas: k, Durable: durable}
-	var (
-		st  recoveryEngine
-		err error
-	)
-	switch structure {
-	case "onedim":
-		st, err = skipwebs.NewOneDim(c, keys, opts)
-	case "blocked":
-		st, err = skipwebs.NewBlocked(c, keys, opts)
-	case "bucketed":
-		st, err = skipwebs.NewBucketed(c, keys, opts)
-	default:
-		err = fmt.Errorf("unknown structure %q", structure)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, st, nil
 }
 
 // recoveryTrial measures one (structure, k) cell. Both clusters see the
 // same pre-crash updates (so the victim's WAL has real records to
 // replay) and lose the same host; only the durable one gets it back.
-func recoveryTrial(structure string, hosts, keyN, k int, seed uint64) (recoveryRow, error) {
-	div := keyN / 200 // 0.5% inserts + 0.5% deletes ≈ 1% divergence
-	if div < 1 {
-		div = 1
-	}
+func recoveryTrial(s, hosts, keyN, k int, seed uint64) (recoveryRow, error) {
+	div := max(keyN/200, 1) // 0.5% inserts + 0.5% deletes ≈ 1% divergence
 	pre := keyN / 10
-	row := recoveryRow{Structure: structure, Replicas: k, Keys: keyN, DivergentKeys: 2 * div}
+	row := recoveryRow{Structure: sortedSets[s].name, Replicas: k, Keys: keyN, DivergentKeys: 2 * div}
 	row.Divergence = float64(row.DivergentKeys) / float64(keyN)
 
-	rng := xrand.New(seed)
-	all := experiments.Keys(rng, keyN+pre+div, 1<<40)
+	all := experiments.Keys(xrand.New(seed), keyN+pre+div, 1<<40)
 	base, extra := all[:keyN], all[keyN:]
 	preKeys, freshKeys := extra[:pre], extra[pre:]
 
-	cD, stD, err := buildRecovery(structure, hosts, base, k, seed, true)
+	cD, cF := skipwebs.NewCluster(hosts), skipwebs.NewCluster(hosts)
+	stD, err := sortedSets[s].build(cD, base, skipwebs.Options{Seed: seed + 1, Replicas: k, Durable: true})
 	if err != nil {
 		return row, err
 	}
-	cF, stF, err := buildRecovery(structure, hosts, base, k, seed, false)
+	stF, err := sortedSets[s].build(cF, base, skipwebs.Options{Seed: seed + 1, Replicas: k})
 	if err != nil {
 		return row, err
 	}
@@ -244,30 +178,20 @@ func recoveryTrial(structure string, hosts, keyN, k int, seed uint64) (recoveryR
 	// onedim in particular lands here systematically: its update path
 	// rebuilds touched ranges on live hosts (the down host's stale image
 	// erodes away, see Web.RestartHost), so only untouched — hence clean —
-	// units remain to reconcile. The run-wide copied>0 guard below relies
-	// on blocked/bucketed, which mutate units in place.
+	// units remain to reconcile. The run-wide copied>0 guard relies on
+	// blocked/bucketed, which mutate units in place.
 
 	// Integrity: the restarted cluster holds exactly the churned key set.
 	if err := cD.CheckConsistent(); err != nil {
 		return row, fmt.Errorf("post-restart consistency: %w", err)
 	}
-	check := func(keys []uint64) error {
+	for _, keys := range [][]uint64{base[div:], preKeys, freshKeys} {
 		for i, key := range keys {
 			r, err := stD.Floor(key, cD.HostAt(i))
 			if err != nil || !r.Found || r.Key != key {
-				return fmt.Errorf("key %d lost after restart: %+v %v", key, r, err)
+				return row, fmt.Errorf("key %d lost after restart: %+v %v", key, r, err)
 			}
 		}
-		return nil
-	}
-	if err := check(base[div:]); err != nil {
-		return row, err
-	}
-	if err := check(preKeys); err != nil {
-		return row, err
-	}
-	if err := check(freshKeys); err != nil {
-		return row, err
 	}
 	return row, nil
 }
@@ -277,42 +201,25 @@ func recoveryTrial(structure string, hosts, keyN, k int, seed uint64) (recoveryR
 // stay under its ceiling, and a ceiling whose structure is missing from
 // the run is a failure (guard erosion).
 func checkRecoveryBaseline(out io.Writer, doc recoveryDoc, path string) error {
-	raw, err := os.ReadFile(path)
+	base, err := readBaseline(path)
 	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base struct {
-		Recovery []recoveryCeiling `json:"recovery_ceilings"`
-	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+		return err
 	}
 	if len(base.Recovery) == 0 {
 		return fmt.Errorf("baseline %s has no recovery_ceilings section", path)
 	}
 	worst := map[string]float64{}
 	for _, r := range doc.Rows {
-		if r.Ratio > worst[r.Structure] {
-			worst[r.Structure] = r.Ratio
-		}
+		worst[r.Structure] = max(worst[r.Structure], r.Ratio)
 	}
 	var failures []string
 	for _, c := range base.Recovery {
 		w, ok := worst[c.Structure]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("recovery/%s: structure missing from this run (guard erosion)", c.Structure))
-			continue
-		}
-		if w > c.MaxRatio {
+		} else if w > c.MaxRatio {
 			failures = append(failures, fmt.Sprintf("recovery/%s: merkle/full %.4f exceeds ceiling %.4f", c.Structure, w, c.MaxRatio))
 		}
 	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(out, "PERF REGRESSION:", f)
-		}
-		return fmt.Errorf("%d recovery regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintf(out, "baseline %s: all %d recovery ceilings hold\n", path, len(base.Recovery))
-	return nil
+	return baselineVerdict(out, path, "recovery", len(base.Recovery), failures)
 }

@@ -31,33 +31,18 @@ package main
 // starts (cells in flight finish), and the truncation is reported.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	skipwebs "github.com/skipwebs/skipwebs"
-	"github.com/skipwebs/skipwebs/internal/experiments"
-	"github.com/skipwebs/skipwebs/internal/trapmap"
 	"github.com/skipwebs/skipwebs/internal/xrand"
-)
-
-// Feasibility caps: the largest key count each structure builds at in a
-// scale sweep. OneDim stores every key at O(log n) levels, so its
-// memory is n log n units; Blocked divides the node count by the block
-// size M but keeps every key resident; Bucketed keeps one routing entry
-// per bucket (~per host) and packs keys into sorted arrays, so it is
-// the structure that reaches 10M keys.
-const (
-	scaleCapOneDim   = 1 << 20
-	scaleCapBlocked  = 1 << 21
-	scaleCapBucketed = 1 << 24
 )
 
 // parseLatencyModel parses a -latency spec into a cluster cost model.
@@ -126,17 +111,6 @@ func parseLatencyModel(spec string, seed uint64) (skipwebs.CostModel, error) {
 	}
 }
 
-// firstSkewS parses the campaign Zipf exponent from the -skew-s list:
-// campaign runs one exponent where the skew mode sweeps them all.
-func firstSkewS(s string) (float64, error) {
-	first := strings.TrimSpace(strings.Split(s, ",")[0])
-	v, err := strconv.ParseFloat(first, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad -skew-s entry %q (want a float)", first)
-	}
-	return v, nil
-}
-
 // modelName names a parsed model for reports; nil models are "none".
 func modelName(m skipwebs.CostModel) string {
 	if m == nil {
@@ -145,35 +119,16 @@ func modelName(m skipwebs.CostModel) string {
 	return m.Name()
 }
 
-// scaleKeys generates n distinct keys in [0, 1<<40) in O(1) extra
-// memory: key i is a uniform draw from its own bucket of a partition of
-// the key space into n equal strides, so keys are distinct by
-// construction (no dedup map — at 10M keys the map the sim-scale
-// generator uses costs more memory than the keys). The output is
-// ascending, which matches the sorted bulk-construction path.
-func scaleKeys(rng *xrand.Rand, n int) []uint64 {
-	stride := (uint64(1) << 40) / uint64(n)
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i)*stride + rng.Uint64n(stride)
+// latencyCluster parses the -latency and -max-wall flags the two modes
+// share and returns the model and a constructor of clusters under it.
+func latencyCluster(cfg *config) (skipwebs.CostModel, func(hosts int) *skipwebs.Cluster, error) {
+	if cfg.maxWall < 0 {
+		return nil, nil, fmt.Errorf("-max-wall must be non-negative, got %v", cfg.maxWall)
 	}
-	return keys
-}
-
-// parseIntList parses a comma-separated integer flag with a minimum.
-func parseIntList(flagName, s string, min int) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < min {
-			return nil, fmt.Errorf("bad %s entry %q (want an integer >= %d)", flagName, f, min)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s must name at least one value", flagName)
-	}
-	return out, nil
+	model, err := parseLatencyModel(cfg.latency, cfg.seed)
+	return model, func(hosts int) *skipwebs.Cluster {
+		return skipwebs.NewCluster(hosts, skipwebs.WithLatency(model))
+	}, err
 }
 
 // scaleRow is one (structure, hosts, keys) cell of the scale sweep.
@@ -191,7 +146,8 @@ type scaleRow struct {
 	Workers     int     `json:"workers_started"`
 }
 
-// scaleDoc is the JSON document written by -mode=scale -json.
+// scaleDoc is the JSON document written by -mode scale -json
+// (BENCH_SCALE_PR10.json).
 type scaleDoc struct {
 	Mode    string     `json:"mode"`
 	Model   string     `json:"latency_model"`
@@ -201,99 +157,63 @@ type scaleDoc struct {
 	Skipped []string   `json:"skipped,omitempty"`
 }
 
-// latSummary computes exact latency quantiles from per-query results.
+// quantile returns the q-quantile of a non-empty ascending slice.
+func quantile[T any](sorted []T, q float64) T {
+	return sorted[int(q*float64(len(sorted)-1))]
+}
+
+// latSummary computes exact latency quantiles from per-query results,
+// sorting them in place.
 func latSummary(lats []int64) (p50, p99, max int64, mean float64) {
 	if len(lats) == 0 {
 		return 0, 0, 0, 0
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	var sum int64
 	for _, v := range lats {
 		sum += v
 	}
-	at := func(q float64) int64 {
-		i := int(q * float64(len(lats)-1))
-		return lats[i]
-	}
-	return at(0.50), at(0.99), lats[len(lats)-1], float64(sum) / float64(len(lats))
+	return quantile(lats, 0.50), quantile(lats, 0.99), lats[len(lats)-1], float64(sum) / float64(len(lats))
 }
 
 // runScale sweeps hosts x keys x structure cells under the latency
-// model and reports the scaling curves (see the package comment).
-func runScale(out io.Writer, jsonPath, hostsStr, keysStr string, queries int, latSpec string, maxWall time.Duration, seed uint64, quick bool) error {
-	if queries < 1 {
-		return fmt.Errorf("-queries must be at least 1, got %d", queries)
-	}
-	if maxWall < 0 {
-		return fmt.Errorf("-max-wall must be non-negative, got %v", maxWall)
-	}
-	hostsList, err := parseIntList("-scale-hosts", hostsStr, 2)
+// model and reports the scaling curves (see the comment above).
+func runScale(out io.Writer, cfg *config) error {
+	atLeast := func(min int) func(int) bool { return func(v int) bool { return v >= min } }
+	hostsList, err := parseList("-scale-hosts", cfg.scaleHosts, "an integer >= 2", strconv.Atoi, atLeast(2))
 	if err != nil {
 		return err
 	}
-	keysList, err := parseIntList("-scale-keys", keysStr, 64)
+	keysList, err := parseList("-scale-keys", cfg.scaleKeys, "an integer >= 64", strconv.Atoi, atLeast(64))
 	if err != nil {
 		return err
 	}
-	model, err := parseLatencyModel(latSpec, seed)
+	model, newCluster, err := latencyCluster(cfg)
 	if err != nil {
 		return err
 	}
-	doc := scaleDoc{Mode: "scale", Model: modelName(model), Queries: queries, Seed: seed}
+	doc := scaleDoc{Mode: "scale", Model: modelName(model), Queries: cfg.queries, Seed: cfg.seed}
 	skip := func(format string, a ...any) {
 		msg := fmt.Sprintf(format, a...)
 		doc.Skipped = append(doc.Skipped, msg)
 		fmt.Fprintln(out, "skip:", msg)
 	}
-	if quick {
-		var hs, ks []int
-		for _, h := range hostsList {
-			if h <= 1024 {
-				hs = append(hs, h)
-			} else {
-				skip("hosts=%d: over the -quick host cap (1024)", h)
+	if cfg.quick {
+		// under keeps the entries of list no larger than limit.
+		under := func(list []int, what string, limit int) (kept []int) {
+			for _, v := range list {
+				if v <= limit {
+					kept = append(kept, v)
+				} else {
+					skip("%s=%d: over the -quick %s cap (%d)", what, v, strings.TrimSuffix(what, "s"), limit)
+				}
 			}
+			return kept
 		}
-		for _, k := range keysList {
-			if k <= 262144 {
-				ks = append(ks, k)
-			} else {
-				skip("keys=%d: over the -quick key cap (262144)", k)
-			}
-		}
-		hostsList, keysList = hs, ks
+		hostsList, keysList = under(hostsList, "hosts", 1024), under(keysList, "keys", 262144)
 	}
 
-	type structSpec struct {
-		name  string
-		cap   int
-		build func(c *skipwebs.Cluster, keys []uint64) (func([]uint64, []skipwebs.HostID) ([]skipwebs.FloorResult, error), error)
-	}
-	structSpecs := []structSpec{
-		{"onedim", scaleCapOneDim, func(c *skipwebs.Cluster, keys []uint64) (func([]uint64, []skipwebs.HostID) ([]skipwebs.FloorResult, error), error) {
-			w, err := skipwebs.NewOneDim(c, keys, skipwebs.Options{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			return w.FloorBatch, nil
-		}},
-		{"blocked", scaleCapBlocked, func(c *skipwebs.Cluster, keys []uint64) (func([]uint64, []skipwebs.HostID) ([]skipwebs.FloorResult, error), error) {
-			w, err := skipwebs.NewBlocked(c, keys, skipwebs.Options{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			return w.FloorBatch, nil
-		}},
-		{"bucketed", scaleCapBucketed, func(c *skipwebs.Cluster, keys []uint64) (func([]uint64, []skipwebs.HostID) ([]skipwebs.FloorResult, error), error) {
-			w, err := skipwebs.NewBucketed(c, keys, skipwebs.Options{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			return w.FloorBatch, nil
-		}},
-	}
-
-	fmt.Fprintf(out, "=== S1: scale sweep (model=%s queries=%d per cell) ===\n", doc.Model, queries)
+	fmt.Fprintf(out, "=== S1: scale sweep (model=%s queries=%d per cell) ===\n", doc.Model, cfg.queries)
 	fmt.Fprintf(out, "%-9s %7s %9s %9s %9s %8s %8s %8s %10s %8s\n",
 		"struct", "hosts", "keys", "build s", "msgs/op", "lat p50", "lat p99", "lat max", "ops/sec", "workers")
 	start := time.Now()
@@ -304,23 +224,23 @@ func runScale(out io.Writer, jsonPath, hostsStr, keysStr string, queries int, la
 				skip("hosts=%d keys=%d: fewer keys than hosts", h, n)
 				continue
 			}
-			keys := scaleKeys(xrand.New(seed), n)
-			qrng := xrand.New(seed + 1)
-			qs := make([]uint64, queries)
+			keys := scaleKeys(xrand.New(cfg.seed), n)
+			qrng := xrand.New(cfg.seed + 1)
+			qs := make([]uint64, cfg.queries)
 			for i := range qs {
 				qs[i] = qrng.Uint64n(1 << 40)
 			}
-			for _, st := range structSpecs {
+			for s, st := range sortedSets {
 				if n > st.cap {
 					skip("%s hosts=%d keys=%d: over the structure's feasibility cap (%d)", st.name, h, n, st.cap)
 					continue
 				}
-				if maxWall > 0 && time.Since(start) > maxWall {
-					skip("%s hosts=%d keys=%d: -max-wall %v exhausted", st.name, h, n, maxWall)
+				if cfg.maxWall > 0 && time.Since(start) > cfg.maxWall {
+					skip("%s hosts=%d keys=%d: -max-wall %v exhausted", st.name, h, n, cfg.maxWall)
 					truncated = true
 					continue
 				}
-				row, err := scaleCell(st.name, h, n, keys, qs, model, st.build)
+				row, err := scaleCell(s, newCluster(h), keys, qs, cfg.seed)
 				if err != nil {
 					return fmt.Errorf("scale %s hosts=%d keys=%d: %w", st.name, h, n, err)
 				}
@@ -337,33 +257,16 @@ func runScale(out io.Writer, jsonPath, hostsStr, keysStr string, queries int, la
 	if len(doc.Rows) == 0 {
 		return fmt.Errorf("no scale cells ran (all %d skipped)", len(doc.Skipped))
 	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeJSON(out, cfg.json, doc)
 }
 
-// scaleCell builds one structure on a fresh cluster under the model and
-// measures the batched query phase.
-func scaleCell(name string, hosts, n int, keys, qs []uint64, model skipwebs.CostModel,
-	build func(*skipwebs.Cluster, []uint64) (func([]uint64, []skipwebs.HostID) ([]skipwebs.FloorResult, error), error)) (scaleRow, error) {
-	row := scaleRow{Structure: name, Hosts: hosts, Keys: n}
-	var copts []skipwebs.ClusterOption
-	if model != nil {
-		copts = append(copts, skipwebs.WithLatency(model))
-	}
-	c := skipwebs.NewCluster(hosts, copts...)
+// scaleCell builds sorted set s on the fresh cluster c and measures the
+// batched query phase.
+func scaleCell(s int, c *skipwebs.Cluster, keys, qs []uint64, seed uint64) (scaleRow, error) {
+	row := scaleRow{Structure: sortedSets[s].name, Hosts: c.Hosts(), Keys: len(keys)}
 	defer c.Close()
 	t0 := time.Now()
-	floorBatch, err := build(c, keys)
+	w, err := sortedSets[s].build(c, keys, skipwebs.Options{Seed: seed})
 	if err != nil {
 		return row, err
 	}
@@ -371,7 +274,7 @@ func scaleCell(name string, hosts, n int, keys, qs []uint64, model skipwebs.Cost
 	c.ResetTraffic()
 
 	t1 := time.Now()
-	res, err := floorBatch(qs, nil)
+	res, err := w.FloorBatch(qs, nil)
 	if err != nil {
 		return row, err
 	}
@@ -425,214 +328,105 @@ type campaignDoc struct {
 	Truncated  bool          `json:"truncated,omitempty"`
 }
 
-// campaignFixture is one durable cluster carrying all six structures,
-// the same shape the failover fixture uses but built with Durable and
-// the latency model so crash escalation exercises the WAL'd hosts.
-type campaignFixture struct {
-	c        *skipwebs.Cluster
-	oned     *skipwebs.OneDim
-	blocked  *skipwebs.Blocked
-	bucketed *skipwebs.Bucketed
-	points   *skipwebs.Points
-	strs     *skipwebs.Strings
-	planar   *skipwebs.Planar
-	keys     []uint64
-	pts      []skipwebs.Point
-	strKeys  []string
+// campaignSix builds all six structures, durable and k-replicated, on a
+// fresh cluster under the latency model, so crash escalation exercises
+// the WAL'd hosts.
+func campaignSix(c *skipwebs.Cluster, ds *dataset, k int, seed uint64) (*six, error) {
+	f, err := buildSix(c, ds, seeded(skipwebs.Options{Seed: seed, Replicas: k, Durable: true}))
+	if err == nil {
+		c.ResetTraffic()
+	}
+	return f, err
 }
 
-func buildCampaignFixture(hosts, keyN, k int, model skipwebs.CostModel, seed uint64) (*campaignFixture, error) {
-	f := &campaignFixture{c: skipwebs.NewCluster(hosts, skipwebs.WithLatency(model))}
-	rng := xrand.New(seed)
-	f.keys = scaleKeys(rng, keyN)
-	opts := func(d uint64) skipwebs.Options {
-		return skipwebs.Options{Seed: seed + d, Replicas: k, Durable: true}
+// sortedNames returns m's keys in order, for stable reports.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for s := range m {
+		names = append(names, s)
 	}
-	var err error
-	if f.oned, err = skipwebs.NewOneDim(f.c, f.keys, opts(0)); err != nil {
-		return nil, err
-	}
-	if f.blocked, err = skipwebs.NewBlocked(f.c, f.keys, opts(1)); err != nil {
-		return nil, err
-	}
-	if f.bucketed, err = skipwebs.NewBucketed(f.c, f.keys, opts(2)); err != nil {
-		return nil, err
-	}
-	raw := experiments.UniformPoints(rng, 2, keyN/4, 1<<30)
-	f.pts = make([]skipwebs.Point, len(raw))
-	for i, p := range raw {
-		f.pts[i] = skipwebs.Point(p)
-	}
-	if f.points, err = skipwebs.NewPoints(f.c, 2, f.pts, opts(3)); err != nil {
-		return nil, err
-	}
-	f.strKeys = experiments.UniformStrings(rng, keyN/4, "acgt", 8, 24)
-	if f.strs, err = skipwebs.NewStrings(f.c, f.strKeys, opts(4)); err != nil {
-		return nil, err
-	}
-	segN := keyN / 8
-	if segN > 256 {
-		segN = 256
-	}
-	rawSegs := experiments.DisjointSegments(rng, segN, trapmap.Rect{MinX: -1000, MinY: -1000, MaxX: 1000, MaxY: 1000})
-	segs := make([]skipwebs.PlanarSegment, len(rawSegs))
-	for i, s := range rawSegs {
-		segs[i] = skipwebs.PlanarSegment{
-			A: skipwebs.PlanarPoint{X: s.A.X, Y: s.A.Y},
-			B: skipwebs.PlanarPoint{X: s.B.X, Y: s.B.Y},
-		}
-	}
-	if f.planar, err = skipwebs.NewPlanar(f.c, segs,
-		skipwebs.PlanarBounds{MinX: -1000, MinY: -1000, MaxX: 1000, MaxY: 1000}, opts(5)); err != nil {
-		return nil, err
-	}
-	f.c.ResetTraffic()
-	return f, nil
+	sort.Strings(names)
+	return names
 }
 
-// skewQuery runs the i-th skewed workload query: Zipf-weighted present
-// keys, a skewAbsent fraction of adversarial absent probes, spread over
-// all six structures. It returns the query's modeled latency.
-func (f *campaignFixture) skewQuery(i int, zipf *xrand.Zipf, qrng *xrand.Rand, absent float64) (int64, error) {
-	origin := f.c.HostAt(int(qrng.Uint64n(1 << 20)))
-	key := func() uint64 {
-		if qrng.Float64() < absent {
-			return qrng.Uint64n(1 << 40)
-		}
-		return f.keys[zipf.Next()]
-	}
-	switch i % 6 {
-	case 0:
-		r, err := f.oned.Floor(key(), origin)
-		return r.Latency, err
-	case 1:
-		r, err := f.blocked.Floor(key(), origin)
-		return r.Latency, err
-	case 2:
-		r, err := f.bucketed.Floor(key(), origin)
-		return r.Latency, err
-	case 3:
-		p := f.pts[zipf.Next()%len(f.pts)]
-		loc, err := f.points.Locate(p, origin)
-		return loc.Latency, err
-	case 4:
-		s := f.strKeys[zipf.Next()%len(f.strKeys)]
-		loc, err := f.strs.Search(s, origin)
-		return loc.Latency, err
-	default:
-		q := skipwebs.PlanarPoint{
-			X: int64(qrng.Uint64n(1998)) - 999,
-			Y: int64(qrng.Uint64n(1998)) - 999,
-		}
-		t, err := f.planar.Locate(q, origin)
-		return t.Latency, err
-	}
-}
-
-// runCampaign runs the durability campaign (see the package comment):
+// runCampaign runs the durability campaign (see the comment above):
 // per replication factor, a skewed query storm, a churn storm, and a
 // crash escalation with per-structure breaking points.
-func runCampaign(out io.Writer, jsonPath string, hosts, keyN, ops int, replicasStr, crashFracsStr, latSpec string, skewS float64, skewAbsent float64, maxWall time.Duration, seed uint64, quick bool) error {
-	if hosts < 8 {
-		return fmt.Errorf("-hosts must be >= 8 for campaign mode, got %d", hosts)
-	}
-	if keyN < 512 {
-		return fmt.Errorf("-keys must be >= 512 for campaign mode, got %d", keyN)
-	}
-	if ops < 6 {
-		return fmt.Errorf("-queries must be >= 6 for campaign mode, got %d", ops)
-	}
-	if maxWall < 0 {
-		return fmt.Errorf("-max-wall must be non-negative, got %v", maxWall)
-	}
-	if skewS < 0 {
-		return fmt.Errorf("campaign uses the first -skew-s entry as the Zipf exponent; want s >= 0, got %g", skewS)
-	}
-	if skewAbsent < 0 || skewAbsent > 1 {
-		return fmt.Errorf("-skew-absent must be in [0, 1], got %g", skewAbsent)
-	}
-	var ks []int
-	for _, f := range strings.Split(replicasStr, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || k < 1 || k > hosts {
-			return fmt.Errorf("bad -replicas entry %q (want 1 <= k <= hosts)", f)
-		}
-		ks = append(ks, k)
-	}
-	var fracs []float64
-	for _, f := range strings.Split(crashFracsStr, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 || v > 0.9 {
-			return fmt.Errorf("bad -crash-fracs entry %q (want 0 < frac <= 0.9)", f)
-		}
-		fracs = append(fracs, v)
-	}
-	sort.Float64s(fracs)
-	model, err := parseLatencyModel(latSpec, seed)
+func runCampaign(out io.Writer, cfg *config) error {
+	hosts, keyN, ops, seed := cfg.hosts, cfg.keys, cfg.queries, cfg.seed
+	// Campaign runs one Zipf exponent — the first — where skew mode sweeps.
+	svals, err := parseList("-skew-s", cfg.skewS, "s >= 0", parseFloat, func(s float64) bool { return s >= 0 })
 	if err != nil {
 		return err
 	}
-	if quick {
-		if ops > 2000 {
-			ops = 2000
-		}
-		if keyN > 65536 {
-			keyN = 65536
-		}
-		if len(fracs) > 2 {
-			fracs = fracs[:2]
-		}
+	skewS := svals[0]
+	if cfg.skewAbsent < 0 || cfg.skewAbsent > 1 {
+		return fmt.Errorf("-skew-absent must be in [0, 1], got %g", cfg.skewAbsent)
+	}
+	ks, err := parseReplicas(cfg, 1)
+	if err != nil {
+		return err
+	}
+	fracs, err := parseList("-crash-fracs", cfg.crashFracs, "0 < frac <= 0.9", parseFloat,
+		func(v float64) bool { return v > 0 && v <= 0.9 })
+	if err != nil {
+		return err
+	}
+	sort.Float64s(fracs)
+	model, newCluster, err := latencyCluster(cfg)
+	if err != nil {
+		return err
+	}
+	churnEvents := 8
+	if cfg.quick {
+		ops, keyN, churnEvents = min(ops, 2000), min(keyN, 65536), 4
+		fracs = fracs[:min(len(fracs), 2)]
 	}
 
+	ds := newDataset(seed, sizes{keys: keyN, strided: true, items: keyN / 4, strMin: 8, segCap: 256, span: stormSpan})
 	doc := campaignDoc{
 		Mode: "campaign", Model: modelName(model), Hosts: hosts, Keys: keyN,
-		Ops: ops, SkewS: skewS, SkewAbsent: skewAbsent, Seed: seed,
+		Ops: ops, SkewS: skewS, SkewAbsent: cfg.skewAbsent, Seed: seed,
 	}
 	fmt.Fprintf(out, "=== K1: durability campaign (hosts=%d keys=%d ops=%d model=%s zipf s=%g absent=%g) ===\n",
-		hosts, keyN, ops, doc.Model, skewS, skewAbsent)
+		hosts, keyN, ops, doc.Model, skewS, cfg.skewAbsent)
 	start := time.Now()
-	overBudget := func() bool { return maxWall > 0 && time.Since(start) > maxWall }
+	overBudget := func() bool { return cfg.maxWall > 0 && time.Since(start) > cfg.maxWall }
 	for _, k := range ks {
 		if overBudget() {
-			fmt.Fprintf(out, "k=%d: skipped, -max-wall %v exhausted\n", k, maxWall)
+			fmt.Fprintf(out, "k=%d: skipped, -max-wall %v exhausted\n", k, cfg.maxWall)
 			doc.Truncated = true
 			continue
 		}
 		row := campaignRow{Replicas: k, BreakFrac: map[string]float64{}}
 
 		// Phase 1+2: skewed queries then churn, on one durable fixture.
-		f, err := buildCampaignFixture(hosts, keyN, k, model, seed)
+		f, err := campaignSix(newCluster(hosts), ds, k, seed)
 		if err != nil {
 			return fmt.Errorf("campaign k=%d build: %w", k, err)
 		}
-		zipf := xrand.NewZipf(xrand.New(seed+13), skewS, keyN)
 		qrng := xrand.New(seed + 99)
-		lats := make([]int64, 0, ops)
-		for i := 0; i < ops; i++ {
-			lat, err := f.skewQuery(i, zipf, qrng, skewAbsent)
+		queries := f.skewed(qrng, xrand.NewZipf(xrand.New(seed+13), skewS, keyN), cfg.skewAbsent)
+		lats := make([]int64, ops)
+		for i := range lats {
+			_, _, lat, err := f.query(i, f.c.HostAt(int(qrng.Uint64n(1<<20))), queries)
 			if err != nil {
 				return fmt.Errorf("campaign k=%d skew query %d: %w", k, i, err)
 			}
-			lats = append(lats, lat)
+			lats[i] = lat
 		}
 		skewMsgs := f.c.Stats().TotalMessages
 		row.SkewMsgsOp = float64(skewMsgs) / float64(ops)
 		row.SkewLatencyP50, row.SkewLatencyP99, _, _ = latSummary(lats)
 
-		churnEvents := 8
-		if quick {
-			churnEvents = 4
-		}
-		for e := 0; e < churnEvents; e++ {
-			if e%2 == 0 && f.c.Hosts() > 2 {
-				h := f.c.HostAt(int(qrng.Uint64n(1 << 20)))
-				if err := f.c.Leave(h); err != nil {
+		for ; row.ChurnEvents < churnEvents; row.ChurnEvents++ {
+			if row.ChurnEvents%2 == 0 && f.c.Hosts() > 2 {
+				if err := f.c.Leave(f.c.HostAt(int(qrng.Uint64n(1 << 20)))); err != nil {
 					return fmt.Errorf("campaign k=%d leave: %w", k, err)
 				}
 			} else {
 				f.c.Join()
 			}
-			row.ChurnEvents++
 		}
 		row.ChurnMsgsEvent = float64(f.c.Stats().TotalMessages-skewMsgs) / float64(row.ChurnEvents)
 		if err := f.c.CheckConsistent(); err != nil {
@@ -644,11 +438,11 @@ func runCampaign(out io.Writer, jsonPath string, hosts, keyN, ops int, replicasS
 		// loss is measured against intact structures.
 		for _, frac := range fracs {
 			if overBudget() {
-				fmt.Fprintf(out, "k=%d frac=%g: skipped, -max-wall %v exhausted\n", k, frac, maxWall)
+				fmt.Fprintf(out, "k=%d frac=%g: skipped, -max-wall %v exhausted\n", k, frac, cfg.maxWall)
 				doc.Truncated = true
 				continue
 			}
-			cell, err := campaignCrashCell(hosts, keyN, k, frac, model, seed)
+			cell, err := campaignCrashCell(newCluster(hosts), ds, k, frac, seed)
 			if err != nil {
 				return fmt.Errorf("campaign k=%d frac=%g: %w", k, frac, err)
 			}
@@ -665,82 +459,52 @@ func runCampaign(out io.Writer, jsonPath string, hosts, keyN, ops int, replicasS
 			k, row.SkewMsgsOp, row.SkewLatencyP50, row.SkewLatencyP99, row.ChurnEvents, row.ChurnMsgsEvent)
 		for _, cell := range row.Crashes {
 			fmt.Fprintf(out, "  crash frac=%.3f (%d hosts): lost %d units", cell.Frac, cell.Crashed, cell.LostUnits)
-			if len(cell.LostBy) > 0 {
-				names := make([]string, 0, len(cell.LostBy))
-				for s := range cell.LostBy {
-					names = append(names, s)
-				}
-				sort.Strings(names)
-				for _, s := range names {
-					fmt.Fprintf(out, " %s=%d", s, cell.LostBy[s])
-				}
+			for _, s := range sortedNames(cell.LostBy) {
+				fmt.Fprintf(out, " %s=%d", s, cell.LostBy[s])
 			}
 			fmt.Fprintf(out, "; repair %d msgs\n", cell.RepairMsgs)
 		}
 		if len(row.BreakFrac) == 0 {
 			fmt.Fprintf(out, "  no structure lost data at k=%d up to frac=%g\n", k, fracs[len(fracs)-1])
-		} else {
-			names := make([]string, 0, len(row.BreakFrac))
-			for s := range row.BreakFrac {
-				names = append(names, s)
-			}
-			sort.Strings(names)
-			for _, s := range names {
-				fmt.Fprintf(out, "  breaking point %s: frac=%g\n", s, row.BreakFrac[s])
-			}
+		}
+		for _, s := range sortedNames(row.BreakFrac) {
+			fmt.Fprintf(out, "  breaking point %s: frac=%g\n", s, row.BreakFrac[s])
 		}
 	}
 	if len(doc.Rows) == 0 {
-		return fmt.Errorf("no campaign cells ran within -max-wall %v", maxWall)
+		return fmt.Errorf("no campaign cells ran within -max-wall %v", cfg.maxWall)
 	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeJSON(out, cfg.json, doc)
 }
 
-// campaignCrashCell builds a fresh durable fixture, crashes
+// campaignCrashCell builds a fresh durable fixture on c, crashes
 // ceil(frac*hosts) distinct hosts simultaneously (the durable cluster
 // holds repair, expecting them back), then gives up on all of them at
 // once via Repair and records the per-structure data loss.
-func campaignCrashCell(hosts, keyN, k int, frac float64, model skipwebs.CostModel, seed uint64) (crashCell, error) {
+func campaignCrashCell(c *skipwebs.Cluster, ds *dataset, k int, frac float64, seed uint64) (crashCell, error) {
 	cell := crashCell{Frac: frac}
-	f, err := buildCampaignFixture(hosts, keyN, k, model, seed)
-	if err != nil {
+	hosts := c.Hosts()
+	defer c.Close()
+	if _, err := campaignSix(c, ds, k, seed); err != nil {
 		return cell, err
 	}
-	defer f.c.Close()
-	m := int(math.Ceil(frac * float64(hosts)))
-	if m < 1 {
-		m = 1
-	}
-	if m > f.c.Hosts()-2 {
-		m = f.c.Hosts() - 2
-	}
+	m := min(max(int(math.Ceil(frac*float64(hosts))), 1), hosts-2)
 	crng := xrand.New(seed + 7 + uint64(math.Round(frac*1000)))
 	picked := make(map[skipwebs.HostID]bool, m)
 	for len(picked) < m {
-		h := f.c.HostAt(int(crng.Uint64n(1 << 20)))
+		h := c.HostAt(int(crng.Uint64n(1 << 20)))
 		if picked[h] {
 			continue
 		}
 		picked[h] = true
-		if err := f.c.Crash(h); err != nil {
+		if err := c.Crash(h); err != nil {
 			return cell, fmt.Errorf("crash host %d: %w", h, err)
 		}
 	}
 	cell.Crashed = m
-	before := f.c.Stats().TotalMessages
-	repairErr := f.c.Repair()
-	cell.RepairMsgs = f.c.Stats().TotalMessages - before
+	before := c.Stats().TotalMessages
+	repairErr := c.Repair()
+	cell.RepairMsgs = c.Stats().TotalMessages - before
 	if repairErr != nil {
 		var dl *skipwebs.DataLossError
 		if !errors.As(repairErr, &dl) {

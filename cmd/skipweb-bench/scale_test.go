@@ -62,6 +62,7 @@ func TestRunScaleValidatesFlags(t *testing.T) {
 		"bad latency":      {"-mode", "scale", "-latency", "gaussian"},
 		"bad latency args": {"-mode", "scale", "-latency", "uniform:9:2"},
 		"negative wall":    {"-mode", "scale", "-max-wall", "-1s"},
+		"unread flag":      {"-mode", "scale", "-crash-fracs", "0.1"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -72,17 +73,19 @@ func TestRunScaleValidatesFlags(t *testing.T) {
 func TestRunCampaignValidatesFlags(t *testing.T) {
 	var out strings.Builder
 	for name, args := range map[string][]string{
-		"few hosts":       {"-mode", "campaign", "-hosts", "4"},
-		"few keys":        {"-mode", "campaign", "-keys", "128"},
-		"no queries":      {"-mode", "campaign", "-queries", "2"},
-		"bad replicas":    {"-mode", "campaign", "-replicas", "0"},
-		"bad crash-fracs": {"-mode", "campaign", "-crash-fracs", "0"},
-		"big crash-fracs": {"-mode", "campaign", "-crash-fracs", "0.95"},
-		"junk fracs":      {"-mode", "campaign", "-crash-fracs", "0.1,x"},
-		"bad latency":     {"-mode", "campaign", "-latency", "fixed:-2"},
-		"bad skew-s":      {"-mode", "campaign", "-skew-s", "x"},
-		"bad absent":      {"-mode", "campaign", "-skew-absent", "1.5"},
-		"negative wall":   {"-mode", "campaign", "-max-wall", "-1s"},
+		"few hosts":        {"-mode", "campaign", "-hosts", "4"},
+		"few keys":         {"-mode", "campaign", "-keys", "128"},
+		"no queries":       {"-mode", "campaign", "-queries", "2"},
+		"bad replicas":     {"-mode", "campaign", "-replicas", "0"},
+		"bad crash-fracs":  {"-mode", "campaign", "-crash-fracs", "0"},
+		"big crash-fracs":  {"-mode", "campaign", "-crash-fracs", "0.95"},
+		"junk fracs":       {"-mode", "campaign", "-crash-fracs", "0.1,x"},
+		"bad latency":      {"-mode", "campaign", "-latency", "fixed:-2"},
+		"bad skew-s":       {"-mode", "campaign", "-skew-s", "x"},
+		"bad absent":       {"-mode", "campaign", "-skew-absent", "1.5"},
+		"negative wall":    {"-mode", "campaign", "-max-wall", "-1s"},
+		"junk skew-s tail": {"-mode", "campaign", "-skew-s", "1.0,x"},
+		"unread flag":      {"-mode", "campaign", "-churn-rates", "0"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Fatalf("%s accepted", name)

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	skipwebs "github.com/skipwebs/skipwebs"
-	"github.com/skipwebs/skipwebs/internal/experiments"
-	"github.com/skipwebs/skipwebs/internal/trapmap"
 	"github.com/skipwebs/skipwebs/internal/xrand"
 )
 
@@ -44,7 +39,7 @@ type skewRow struct {
 	BloomFalsePos int64   `json:"bloom_false_positives,omitempty"`
 }
 
-// skewDoc is the JSON document written by -mode=skew -json
+// skewDoc is the JSON document written by -mode skew -json
 // (BENCH_SKEW_PR9.json).
 type skewDoc struct {
 	Mode       string    `json:"mode"`
@@ -60,288 +55,123 @@ type skewDoc struct {
 	GatePassed []string `json:"gate_passed_structures"`
 }
 
-// skewQuerier answers the op-indexed query of a precomputed schedule
-// from the given origin and returns (answer digest, hops). The digest
-// folds every comparable field of the answer, so twin digests equal
-// means twin answers equal.
-type skewQuerier func(op int, origin skipwebs.HostID) (uint64, int, error)
-
-// fnv64 folds b into an FNV-1a running hash h (seed with fnvOffset).
-const fnvOffset = 14695981039346656037
-
-func fnv64(h uint64, b uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (b >> (8 * i)) & 0xff
-		h *= 1099511628211
+// runSkew runs the skewed-traffic cache benchmark (see the comment
+// above for the contract).
+func runSkew(out io.Writer, cfg *config) error {
+	hosts, keyN, queries, seed := cfg.hosts, cfg.keys, cfg.queries, cfg.seed
+	if cfg.skewAbsent < 0 || cfg.skewAbsent > 0.9 {
+		return fmt.Errorf("-skew-absent must be in [0, 0.9], got %g", cfg.skewAbsent)
 	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+	if cfg.quick {
+		keyN, queries = min(keyN, 512), min(queries, 2000)
 	}
-	return h
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// skewStructure builds the cached or control twin of one structure and
-// returns its querier for a precomputed (structure, s) schedule.
-type skewStructure struct {
-	name  string
-	build func(cached bool, s float64) (*skipwebs.Cluster, skewQuerier, error)
-}
-
-// runSkew runs the skewed-traffic cache benchmark (see the package
-// comment above for the contract).
-func runSkew(out io.Writer, jsonPath string, hosts, keyN, queries int, sStr string, absentFrac float64, seed uint64, quick bool) error {
-	if hosts < 4 {
-		return fmt.Errorf("-hosts must be >= 4 for skew mode, got %d", hosts)
-	}
-	if keyN < 64 {
-		return fmt.Errorf("-keys must be >= 64 for skew mode, got %d", keyN)
-	}
-	if absentFrac < 0 || absentFrac > 0.9 {
-		return fmt.Errorf("-skew-absent must be in [0, 0.9], got %g", absentFrac)
-	}
-	if quick {
-		if keyN > 512 {
-			keyN = 512
-		}
-		if queries > 2000 {
-			queries = 2000
-		}
-	}
-	var svals []float64
-	for _, f := range strings.Split(sStr, ",") {
-		s, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || s <= 0 {
-			return fmt.Errorf("bad -skew-s entry %q (want s > 0)", f)
-		}
-		svals = append(svals, s)
+	svals, err := parseList("-skew-s", cfg.skewS, "s > 0", parseFloat, func(s float64) bool { return s > 0 })
+	if err != nil {
+		return err
 	}
 	sort.Float64s(svals)
 	maxS := svals[len(svals)-1]
 
-	// Shared deterministic datasets (one per structure family).
-	rng := xrand.New(seed)
-	keys := experiments.Keys(rng, keyN, 1<<40)
-	absentKeys := xrand.AbsentKeys(seed, keys, 512, 1<<40)
-	rawPts := experiments.UniformPoints(rng, 2, keyN, 1<<30)
-	pts := make([]skipwebs.Point, len(rawPts))
-	for i, p := range rawPts {
-		pts[i] = skipwebs.Point(p)
-	}
-	strKeys := experiments.UniformStrings(rng, keyN, "acgt", 6, 24)
-	absentStrs := xrand.AbsentStrings(seed, strKeys, 512)
-	segN := keyN / 8
-	if segN > 512 {
-		segN = 512
-	}
-	segBounds := skipwebs.PlanarBounds{MinX: -60000, MinY: -60000, MaxX: 60000, MaxY: 60000}
-	rawSegs := experiments.DisjointSegments(rng, segN,
-		trapmap.Rect{MinX: -60000, MinY: -60000, MaxX: 60000, MaxY: 60000})
-	segs := make([]skipwebs.PlanarSegment, len(rawSegs))
-	for i, sg := range rawSegs {
-		segs[i] = skipwebs.PlanarSegment{
-			A: skipwebs.PlanarPoint{X: sg.A.X, Y: sg.A.Y},
-			B: skipwebs.PlanarPoint{X: sg.B.X, Y: sg.B.Y},
-		}
-	}
+	// One shared dataset; each (structure, s) cell builds that structure
+	// alone, twice, each twin on its own cluster.
+	ds := newDataset(seed, sizes{keys: keyN, items: keyN, strMin: 6, segCap: 512, span: 60000})
+	absentKeys := xrand.AbsentKeys(seed, ds.keys, 512, 1<<40)
+	absentStrs := xrand.AbsentStrings(seed, ds.strKeys, 512)
 	// Planar has no membership query; it revisits a Zipf-weighted pool
 	// of query points instead of an absent flood.
 	planarPool := make([]skipwebs.PlanarPoint, 512)
 	prng := xrand.New(xrand.Substream(seed, 0x91a7))
 	for i := range planarPool {
-		planarPool[i] = skipwebs.PlanarPoint{
-			X: int64(prng.Uint64n(119998)) - 59999,
-			Y: int64(prng.Uint64n(119998)) - 59999,
-		}
+		planarPool[i] = planarPoint(prng, ds.span)
 	}
-
-	twinOpts := func(cached bool, d uint64) skipwebs.Options {
-		return skipwebs.Options{
-			Seed:          seed + d,
-			WriteStripes:  4,
-			CacheFingers:  cached,
-			NegativeBloom: cached,
-		}
-	}
-	// schedule precomputes the op stream for one (structure, s) cell:
-	// ranks[i] is the Zipf rank of op i's present query and absent[i]
-	// marks the adversarial absent-key flood ops. Both twins replay the
-	// identical arrays.
-	schedule := func(s float64, n, domain, sub int) (ranks []int, absent []bool) {
-		zr := xrand.NewZipf(xrand.New(xrand.Substream(seed, sub)), s, domain)
-		ar := xrand.New(xrand.Substream(seed, sub+1))
-		ranks = make([]int, n)
-		absent = make([]bool, n)
-		for i := range ranks {
-			ranks[i] = zr.Next()
-			absent[i] = ar.Float64() < absentFrac
-		}
-		return ranks, absent
-	}
-
-	floorStructure := func(name string, d uint64,
-		mk func(c *skipwebs.Cluster, o skipwebs.Options) (interface {
-			Floor(uint64, skipwebs.HostID) (skipwebs.FloorResult, error)
-			Contains(uint64, skipwebs.HostID) (bool, int, error)
-		}, error)) skewStructure {
-		return skewStructure{name: name, build: func(cached bool, s float64) (*skipwebs.Cluster, skewQuerier, error) {
-			c := skipwebs.NewCluster(hosts)
-			w, err := mk(c, twinOpts(cached, d))
-			if err != nil {
-				return nil, nil, err
-			}
-			ranks, absent := schedule(s, queries, keyN, int(d)*16+1)
-			return c, func(op int, origin skipwebs.HostID) (uint64, int, error) {
-				if absent[op] {
-					found, hops, err := w.Contains(absentKeys[ranks[op]%len(absentKeys)], origin)
-					return fnv64(fnvOffset, b2u(found)), hops, err
-				}
-				r, err := w.Floor(keys[ranks[op]], origin)
-				return fnv64(fnv64(fnvOffset, r.Key), b2u(r.Found)), r.Hops, err
-			}, nil
-		}}
-	}
-
-	structures := []skewStructure{
-		floorStructure("onedim", 0, func(c *skipwebs.Cluster, o skipwebs.Options) (interface {
-			Floor(uint64, skipwebs.HostID) (skipwebs.FloorResult, error)
-			Contains(uint64, skipwebs.HostID) (bool, int, error)
-		}, error) {
-			return skipwebs.NewOneDim(c, keys, o)
-		}),
-		floorStructure("blocked", 1, func(c *skipwebs.Cluster, o skipwebs.Options) (interface {
-			Floor(uint64, skipwebs.HostID) (skipwebs.FloorResult, error)
-			Contains(uint64, skipwebs.HostID) (bool, int, error)
-		}, error) {
-			return skipwebs.NewBlocked(c, keys, o)
-		}),
-		floorStructure("bucketed", 2, func(c *skipwebs.Cluster, o skipwebs.Options) (interface {
-			Floor(uint64, skipwebs.HostID) (skipwebs.FloorResult, error)
-			Contains(uint64, skipwebs.HostID) (bool, int, error)
-		}, error) {
-			return skipwebs.NewBucketed(c, keys, o)
-		}),
-		{name: "points", build: func(cached bool, s float64) (*skipwebs.Cluster, skewQuerier, error) {
-			c := skipwebs.NewCluster(hosts)
-			w, err := skipwebs.NewPoints(c, 2, pts, twinOpts(cached, 3))
-			if err != nil {
-				return nil, nil, err
-			}
-			ranks, absent := schedule(s, queries, keyN, 3*16+1)
-			return c, func(op int, origin skipwebs.HostID) (uint64, int, error) {
-				if absent[op] {
-					base := pts[ranks[op]]
-					found, hops, err := w.Contains(skipwebs.Point{base[0] ^ 1, base[1] ^ 3}, origin)
-					return fnv64(fnvOffset, b2u(found)), hops, err
-				}
-				loc, err := w.Locate(pts[ranks[op]], origin)
-				h := fnv64(fnvOffset, loc.CellPrefix)
-				h = fnv64(h, uint64(loc.CellBits))
-				h = fnv64(h, b2u(loc.Leaf))
-				return h, loc.Hops, err
-			}, nil
-		}},
-		{name: "strings", build: func(cached bool, s float64) (*skipwebs.Cluster, skewQuerier, error) {
-			c := skipwebs.NewCluster(hosts)
-			w, err := skipwebs.NewStrings(c, strKeys, twinOpts(cached, 4))
-			if err != nil {
-				return nil, nil, err
-			}
-			ranks, absent := schedule(s, queries, keyN, 4*16+1)
-			return c, func(op int, origin skipwebs.HostID) (uint64, int, error) {
-				if absent[op] {
-					found, hops, err := w.Contains(absentStrs[ranks[op]%len(absentStrs)], origin)
-					return fnv64(fnvOffset, b2u(found)), hops, err
-				}
-				loc, err := w.Search(strKeys[ranks[op]], origin)
-				h := fnvString(fnvOffset, loc.Locus)
-				h = fnv64(h, b2u(loc.IsKey))
-				h = fnv64(h, b2u(loc.Exact))
-				return h, loc.Hops, err
-			}, nil
-		}},
-		{name: "planar", build: func(cached bool, s float64) (*skipwebs.Cluster, skewQuerier, error) {
-			c := skipwebs.NewCluster(hosts)
-			w, err := skipwebs.NewPlanar(c, segs, segBounds, twinOpts(cached, 5))
-			if err != nil {
-				return nil, nil, err
-			}
-			ranks, _ := schedule(s, queries, len(planarPool), 5*16+1)
-			return c, func(op int, origin skipwebs.HostID) (uint64, int, error) {
-				t, err := w.Locate(planarPool[ranks[op]], origin)
-				h := fnv64(fnvOffset, uint64(t.LeftX))
-				h = fnv64(h, uint64(t.RightX))
-				h = fnv64(h, b2u(t.HasTop))
-				h = fnv64(h, b2u(t.HasBottom))
-				return h, t.Hops, err
-			}, nil
-		}},
+	twin := func(s int, cached bool) (*six, error) {
+		f := &six{c: skipwebs.NewCluster(hosts), dataset: ds}
+		return f, f.add(s, seeded(skipwebs.Options{
+			Seed: seed, WriteStripes: 4, CacheFingers: cached, NegativeBloom: cached,
+		})(s))
 	}
 
 	doc := skewDoc{
 		Mode: "skew", Hosts: hosts, Keys: keyN, Queries: queries,
-		AbsentFrac: absentFrac, SValues: svals, Seed: seed,
+		AbsentFrac: cfg.skewAbsent, SValues: svals, Seed: seed,
 	}
 	fmt.Fprintf(out, "=== S1: skewed traffic, cached vs control (hosts=%d keys=%d queries=%d absent=%.0f%%) ===\n",
-		hosts, keyN, queries, absentFrac*100)
+		hosts, keyN, queries, cfg.skewAbsent*100)
 	fmt.Fprintf(out, "%-10s %5s %7s %14s %8s %8s %10s %10s %10s %10s\n",
 		"structure", "s", "cached", "msgs/op", "p50", "p99", "hits", "misses", "bloom-tn", "reduction")
 
-	hopsOf := make([]int, queries)
-	pctl := func(p float64) int {
-		return hopsOf[int(p*float64(len(hopsOf)-1))]
-	}
-	for _, st := range structures {
+	for st, name := range sixNames {
 		for _, s := range svals {
-			cCtl, qCtl, err := st.build(false, s)
+			ctl, err := twin(st, false)
 			if err != nil {
-				return fmt.Errorf("%s control: %w", st.name, err)
+				return fmt.Errorf("%s control: %w", name, err)
 			}
-			cCache, qCache, err := st.build(true, s)
+			cache, err := twin(st, true)
 			if err != nil {
-				return fmt.Errorf("%s cached: %w", st.name, err)
+				return fmt.Errorf("%s cached: %w", name, err)
+			}
+			// The cell's op stream, replayed by both twins: op's Zipf rank
+			// and whether it belongs to the absent flood.
+			domain := keyN
+			if st == 5 {
+				domain = len(planarPool)
+			}
+			zr := xrand.NewZipf(xrand.New(xrand.Substream(seed, st*16+1)), s, domain)
+			ar := xrand.New(xrand.Substream(seed, st*16+2))
+			var rank int
+			var absent bool
+			replay := &draw{
+				key: func() (uint64, bool) {
+					if absent {
+						return absentKeys[rank%len(absentKeys)], true
+					}
+					return ds.keys[rank], false
+				},
+				point: func() (skipwebs.Point, bool) {
+					p := ds.pts[rank]
+					if absent {
+						return skipwebs.Point{p[0] ^ 1, p[1] ^ 3}, true
+					}
+					return p, false
+				},
+				str: func() (string, bool) {
+					if absent {
+						return absentStrs[rank%len(absentStrs)], true
+					}
+					return ds.strKeys[rank], false
+				},
+				planar: func() skipwebs.PlanarPoint { return planarPool[rank] },
 			}
 			var ctlMsgs, cacheMsgs int64
 			ctlHops := make([]int, queries)
 			cacheHops := make([]int, queries)
 			for op := 0; op < queries; op++ {
+				rank, absent = zr.Next(), ar.Float64() < cfg.skewAbsent
 				origin := skipwebs.HostID(op % hosts)
-				dc, hc, err := qCtl(op, origin)
+				want, hc, _, err := ctl.query(st, origin, replay)
 				if err != nil {
-					return fmt.Errorf("%s s=%g control op %d: %w", st.name, s, op, err)
+					return fmt.Errorf("%s s=%g control op %d: %w", name, s, op, err)
 				}
-				da, ha, err := qCache(op, origin)
+				got, ha, _, err := cache.query(st, origin, replay)
 				if err != nil {
-					return fmt.Errorf("%s s=%g cached op %d: %w", st.name, s, op, err)
+					return fmt.Errorf("%s s=%g cached op %d: %w", name, s, op, err)
 				}
-				if da != dc {
-					return fmt.Errorf("%s s=%g op %d: cached answer diverged from control", st.name, s, op)
+				if got != want {
+					return fmt.Errorf("%s s=%g op %d: cached answer diverged from control", name, s, op)
 				}
 				if ha > hc {
-					return fmt.Errorf("%s s=%g op %d: cached %d hops > control %d", st.name, s, op, ha, hc)
+					return fmt.Errorf("%s s=%g op %d: cached %d hops > control %d", name, s, op, ha, hc)
 				}
 				ctlMsgs += int64(hc)
 				cacheMsgs += int64(ha)
 				ctlHops[op], cacheHops[op] = hc, ha
 			}
 			mk := func(cached bool, msgs int64, hops []int, cl *skipwebs.Cluster) skewRow {
-				copy(hopsOf, hops)
-				sort.Ints(hopsOf)
+				sort.Ints(hops)
 				r := skewRow{
-					Structure: st.name, S: s, Cached: cached,
+					Structure: name, S: s, Cached: cached,
 					Msgs: msgs, MsgsOp: float64(msgs) / float64(queries),
-					HopsP50: pctl(0.50), HopsP99: pctl(0.99),
+					HopsP50: quantile(hops, 0.50), HopsP99: quantile(hops, 0.99),
 				}
 				if cached {
 					cs := cl.Stats()
@@ -353,7 +183,7 @@ func runSkew(out io.Writer, jsonPath string, hosts, keyN, queries int, sStr stri
 				}
 				return r
 			}
-			rows := []skewRow{mk(false, ctlMsgs, ctlHops, cCtl), mk(true, cacheMsgs, cacheHops, cCache)}
+			rows := []skewRow{mk(false, ctlMsgs, ctlHops, ctl.c), mk(true, cacheMsgs, cacheHops, cache.c)}
 			doc.Rows = append(doc.Rows, rows...)
 			for _, r := range rows {
 				red := ""
@@ -376,17 +206,8 @@ func runSkew(out io.Writer, jsonPath string, hosts, keyN, queries int, sStr stri
 	}
 	fmt.Fprintf(out, "gate: %d structure(s) with >= 25%% msgs/op reduction at s=%g: %s\n",
 		len(doc.GatePassed), maxS, strings.Join(doc.GatePassed, ", "))
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
+	if err := writeJSON(out, cfg.json, doc); err != nil {
+		return err
 	}
 	if maxS >= 1.2 && len(doc.GatePassed) < 3 {
 		return fmt.Errorf("skew gate: only %d structure(s) reached a 25%% msgs/op reduction at s=%g (need >= 3)",
