@@ -208,7 +208,11 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 			}
 			if err := cl.Do(origin, task); err != nil {
 				// The origin died mid-rendezvous (a crash racing the
-				// batch): the ops failed fast, typed, without executing.
+				// batch) or stayed wedged past SetDoTimeout: the ops
+				// failed fast, typed. A task that had not started never
+				// will, so nothing else writes errs[i0:j0]; only a
+				// deadline that expires on a task already executing
+				// leaves it running behind this write.
 				for k := i0; k < j0; k++ {
 					errs[k] = err
 				}

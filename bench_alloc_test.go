@@ -3,7 +3,8 @@
 // documented in README.md's Performance section — `go test -bench=Allocs`
 // shows allocs/op alongside the paper's msgs/op metric, and CI's bench
 // smoke job keeps them from regressing silently. The accounting plane of
-// the wire protocol has its ceilings here too (TestWireAllocCeilings).
+// the wire protocol and the in-process transport's dispatch have their
+// ceilings here too (TestWireAllocCeilings, TestTransportAllocCeilings).
 package skipwebs
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/skipwebs/skipwebs/internal/experiments"
+	"github.com/skipwebs/skipwebs/internal/sim"
 	"github.com/skipwebs/skipwebs/internal/wire"
 	"github.com/skipwebs/skipwebs/internal/xrand"
 )
@@ -183,6 +185,45 @@ func BenchmarkInsertAllocs(b *testing.B) {
 	})
 }
 
+// checkAllocCeilings holds each named call to its max_allocs_per_op in
+// one section of bench_baseline.json; the section and the calls must name
+// the same rows.
+func checkAllocCeilings(t *testing.T, section string, calls map[string]func() error) {
+	t.Helper()
+	raw, err := os.ReadFile("bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("bench_baseline.json: %v", err)
+	}
+	var ceilings []struct {
+		Name   string  `json:"name"`
+		Allocs float64 `json:"max_allocs_per_op"`
+	}
+	if err := json.Unmarshal(base[section], &ceilings); err != nil {
+		t.Fatalf("bench_baseline.json %s: %v", section, err)
+	}
+	if len(ceilings) != len(calls) {
+		t.Fatalf("bench_baseline.json has %d %s, this test measures %d", len(ceilings), section, len(calls))
+	}
+	for _, c := range ceilings {
+		call, ok := calls[c.Name]
+		if !ok {
+			t.Fatalf("%s row %q names nothing this test measures", section, c.Name)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := call(); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+		})
+		if got > c.Allocs {
+			t.Errorf("%s: %.0f allocs/op exceeds ceiling %.0f", c.Name, got, c.Allocs)
+		}
+	}
+}
+
 // TestWireAllocCeilings holds the wire protocol's accounting exchanges to
 // the wire_ceilings of bench_baseline.json: one Client.Hop, and one
 // counted exchange (SendMsgs + AwaitAck) — the frame a daemon sends per
@@ -190,19 +231,6 @@ func BenchmarkInsertAllocs(b *testing.B) {
 // process, so a count covers the client's write and read and the node's
 // read, count and ack.
 func TestWireAllocCeilings(t *testing.T) {
-	raw, err := os.ReadFile("bench_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base struct {
-		Ceilings []struct {
-			Name   string  `json:"name"`
-			Allocs float64 `json:"max_allocs_per_op"`
-		} `json:"wire_ceilings"`
-	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("bench_baseline.json: %v", err)
-	}
 	n, err := wire.NewNode(wire.NodeConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +241,7 @@ func TestWireAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	exchanges := map[string]func() error{
+	checkAllocCeilings(t, "wire_ceilings", map[string]func() error{
 		"wire/hop": cl.Hop,
 		"wire/counted-exchange": func() error {
 			id, err := cl.SendMsgs(9)
@@ -222,25 +250,35 @@ func TestWireAllocCeilings(t *testing.T) {
 			}
 			return cl.AwaitAck(id)
 		},
-	}
-	if len(base.Ceilings) != len(exchanges) {
-		t.Fatalf("bench_baseline.json has %d wire_ceilings, this test measures %d", len(base.Ceilings), len(exchanges))
-	}
-	for _, c := range base.Ceilings {
-		exchange, ok := exchanges[c.Name]
-		if !ok {
-			t.Fatalf("wire ceiling %q names no exchange this test measures", c.Name)
-		}
-		got := testing.AllocsPerRun(200, func() {
-			if err := exchange(); err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-		})
-		if got > c.Allocs {
-			t.Errorf("%s: %.0f allocs/op exceeds ceiling %.0f", c.Name, got, c.Allocs)
-		}
-	}
+	})
 	if got := n.Messages(); got == 0 {
 		t.Fatal("the measured exchanges charged nothing")
 	}
+}
+
+// TestTransportAllocCeilings holds the in-process transport's dispatch to
+// the transport_ceilings of bench_baseline.json: one Do rendezvous (every
+// write-batch op pays one), and one RunBatch over eight origins (what a
+// read batch pays per call, worker side included).
+func TestTransportAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; the ceilings are for the plain build")
+	}
+	const hosts = 8
+	cl := sim.NewCluster(sim.NewNetwork(hosts))
+	defer cl.Stop()
+	everyHost := func(i int) sim.HostID { return sim.HostID(i) }
+	noop := func() {}
+	cl.RunBatch(hosts, everyHost, func(int) {}) // start the lazy workers
+	next := 0
+	checkAllocCeilings(t, "transport_ceilings", map[string]func() error{
+		"sim/do": func() error {
+			next++
+			return cl.Do(sim.HostID(next%hosts), noop)
+		},
+		"sim/runbatch-per-host": func() error {
+			cl.RunBatch(hosts, everyHost, func(int) {})
+			return nil
+		},
+	})
 }

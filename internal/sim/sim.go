@@ -69,9 +69,9 @@ var ErrTimeout = errors.New("operation timed out")
 
 // TimeoutError reports that a call to host Host did not complete within
 // After. It is the typed error a dead or wedged remote host produces
-// instead of hanging the caller forever. Note the rendezvous is
-// abandoned, not cancelled: the task may still execute later if the
-// host recovers.
+// instead of hanging the caller forever. A task that had not started
+// when the deadline passed is cancelled and never runs; one already
+// executing is abandoned and finishes on its own.
 type TimeoutError struct {
 	Host  HostID
 	After time.Duration
@@ -108,7 +108,9 @@ func (e *TimeoutError) Timeout() bool { return true }
 //   - Go(h, fn) enqueues fn and returns immediately; Go to a departed,
 //     crashed, or stopped host panics.
 //   - SetDoTimeout bounds every subsequent Do rendezvous: a wedged host
-//     yields a TimeoutError instead of blocking forever.
+//     yields a TimeoutError instead of blocking forever. A task whose Do
+//     timed out before it started never runs; one already executing when
+//     the deadline passes is not interrupted and completes unobserved.
 //   - RemoveHost drains already-enqueued tasks before the worker exits;
 //     Crash discards them; Stop drains every host then waits.
 //   - Restart revives a previously crashed host: a fresh worker (fresh
@@ -928,23 +930,29 @@ type Cluster struct {
 	// doTimeout bounds every Do rendezvous (nanoseconds; 0 = wait
 	// forever). See SetDoTimeout.
 	doTimeout atomic.Int64
-	// running maps a worker goroutine's id to the host it executes for,
-	// so Do can detect same-host re-entry and run inline instead of
-	// deadlocking on a message to itself.
-	running sync.Map // uint64 (goroutine id) -> HostID
 }
 
 type task struct {
 	fn   func()
 	done chan error // nil for asynchronous (send-and-continue) tasks; buffered(1)
+	// cancelled, allocated only for a Do with a deadline, is set by the
+	// caller when the deadline passes and read by the worker at dequeue:
+	// a task whose Do gave up before it started never runs.
+	cancelled *atomic.Bool
 }
+
+// donePool recycles Do's rendezvous channels. A channel goes back only
+// after its one completion was received; a timed-out Do leaves its
+// channel to the worker that may still send on it.
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // mailbox is an unbounded FIFO task queue with a single consumer. An
 // unbounded queue models a node's inbound message buffer: senders never
 // block, exactly as a send-and-continue message leaves the sender free.
 type mailbox struct {
 	mu      sync.Mutex
-	queue   []task
+	queue   []task        // pending tasks are queue[head:]
+	head    int           // reset with the queue when it drains, so the backing array is reused
 	wake    chan struct{} // buffered(1): signals the worker that work exists
 	closed  bool
 	dropped bool // closed by a crash: queued work was discarded, not drained
@@ -953,7 +961,17 @@ type mailbox struct {
 	// hundred origin hosts runs a few hundred goroutines, not 10k idle
 	// ones. Checked lock-free on the send fast path.
 	started atomic.Bool
+	// busy is raised by the worker around each task and gid is the
+	// worker's goroutine id, written once before the first task: together
+	// they are the host's identity. A caller is this host's worker iff the
+	// worker is mid-task and the ids match, so an idle target settles it
+	// without the stack parse goid costs.
+	busy atomic.Bool
+	gid  uint64
 }
+
+// onWorker reports whether the calling goroutine is this mailbox's worker.
+func (m *mailbox) onWorker() bool { return m.busy.Load() && m.gid == goid() }
 
 // put enqueues t, reporting false when the mailbox is closed.
 func (m *mailbox) put(t task) bool {
@@ -961,6 +979,13 @@ func (m *mailbox) put(t task) bool {
 	if m.closed {
 		m.mu.Unlock()
 		return false
+	}
+	if m.head > 0 && len(m.queue) == cap(m.queue) && m.head >= len(m.queue)/2 {
+		// A queue that never quite drains would otherwise grow without
+		// bound: slide the pending half down instead of reallocating.
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
 	}
 	m.queue = append(m.queue, t)
 	m.mu.Unlock()
@@ -976,10 +1001,12 @@ func (m *mailbox) put(t task) bool {
 func (m *mailbox) take() (task, bool) {
 	for {
 		m.mu.Lock()
-		if len(m.queue) > 0 {
-			t := m.queue[0]
-			m.queue[0] = task{}
-			m.queue = m.queue[1:]
+		if m.head < len(m.queue) {
+			t := m.queue[m.head]
+			m.queue[m.head] = task{}
+			if m.head++; m.head == len(m.queue) {
+				m.queue, m.head = m.queue[:0], 0
+			}
 			m.mu.Unlock()
 			return t, true
 		}
@@ -1010,8 +1037,8 @@ func (m *mailbox) close() {
 // fast instead of hanging on a dead host.
 func (m *mailbox) drop(err error) {
 	m.mu.Lock()
-	q := m.queue
-	m.queue = nil
+	q := m.queue[m.head:]
+	m.queue, m.head = nil, 0
 	m.closed, m.dropped = true, true
 	m.mu.Unlock()
 	for _, t := range q {
@@ -1033,15 +1060,15 @@ func (m *mailbox) isDropped() bool {
 }
 
 // Goid returns the current goroutine's id, parsed from the runtime stack
-// header ("goroutine N [...]"). Transport implementations use it to
-// detect whether Do is already executing on the target host's worker
-// goroutine, so same-host re-entry can run inline instead of
-// deadlocking on a message to itself.
+// header ("goroutine N [...]"). A transport's worker records it once at
+// start, and Do compares against it — only when the target host is
+// mid-task — to run same-host re-entry inline instead of deadlocking on
+// a message to itself.
 func Goid() uint64 { return goid() }
 
-// goid returns the current goroutine's id, parsed from the runtime stack
-// header ("goroutine N [...]"). It is used only to detect whether Do is
-// already executing on the target host's worker goroutine.
+// goid is Goid. The parse costs microseconds and its traceback takes a
+// runtime-global lock, so it stays off every path an idle target can
+// settle (see mailbox.onWorker).
 func goid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -1094,23 +1121,26 @@ func (c *Cluster) spawn(h HostID) {
 	c.mail = append(c.mail, m)
 }
 
-// start runs a worker goroutine draining m as host h's actor. The caller
+// start runs a worker goroutine draining m as its host's actor. The caller
 // must hold mailMu (read or write): Stop takes the write lock before
 // snapshotting the mailboxes, so every worker started here is wg.Added
 // before Stop can Wait.
-func (c *Cluster) start(h HostID, m *mailbox) {
+func (c *Cluster) start(m *mailbox) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		g := goid()
-		c.running.Store(g, h)
-		defer c.running.Delete(g)
+		m.gid = goid()
 		for {
 			t, ok := m.take()
 			if !ok {
 				return
 			}
+			if t.cancelled != nil && t.cancelled.Load() {
+				continue // its Do timed out while it queued
+			}
+			m.busy.Store(true)
 			t.fn()
+			m.busy.Store(false)
 			if t.done != nil {
 				t.done <- nil
 			}
@@ -1195,14 +1225,6 @@ func (c *Cluster) Restart(h HostID) {
 	c.mail[h] = &mailbox{wake: make(chan struct{}, 1)}
 }
 
-// box returns host h's mailbox under the churn lock.
-func (c *Cluster) box(h HostID) *mailbox {
-	c.mailMu.RLock()
-	m := c.mail[h]
-	c.mailMu.RUnlock()
-	return m
-}
-
 // boxStart returns host h's mailbox, lazily launching its worker
 // goroutine on the first send. The start happens while still holding the
 // churn read lock, so it strictly precedes any Stop (which takes the
@@ -1216,7 +1238,7 @@ func (c *Cluster) boxStart(h HostID) *mailbox {
 		m.mu.Lock()
 		if !m.started.Load() && !m.closed {
 			m.started.Store(true)
-			c.start(h, m)
+			c.start(m)
 		}
 		m.mu.Unlock()
 	}
@@ -1228,12 +1250,6 @@ func (c *Cluster) boxStart(h HostID) *mailbox {
 // worker lifecycles across host churn use it to skip mailbox work on a
 // stopped cluster instead of panicking.
 func (c *Cluster) Stopped() bool { return c.stopped.Load() }
-
-// onHost reports whether the calling goroutine is host h's worker.
-func (c *Cluster) onHost(h HostID) bool {
-	g, ok := c.running.Load(goid())
-	return ok && g.(HostID) == h
-}
 
 // Do runs fn on host h's goroutine and blocks until it completes,
 // returning nil. It must not be called after Stop. When the caller is
@@ -1252,31 +1268,40 @@ func (c *Cluster) Do(h HostID, fn func()) error {
 	if c.stopped.Load() {
 		panic("sim: Cluster.Do after Stop")
 	}
-	if c.onHost(h) {
+	box := c.boxStart(h)
+	if box.onWorker() {
 		fn()
 		return nil
 	}
-	t := task{fn: fn, done: make(chan error, 1)}
-	box := c.boxStart(h)
+	d := time.Duration(c.doTimeout.Load())
+	t := task{fn: fn, done: donePool.Get().(chan error)}
+	if d > 0 {
+		t.cancelled = new(atomic.Bool)
+	}
 	if !box.put(t) {
+		donePool.Put(t.done)
 		if box.isDropped() {
 			return &HostDownError{Host: h}
 		}
 		panic(fmt.Sprintf("sim: Cluster.Do to stopped or departed host %d", h))
 	}
-	d := time.Duration(c.doTimeout.Load())
 	if d <= 0 {
-		return <-t.done
+		err := <-t.done
+		donePool.Put(t.done)
+		return err
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case err := <-t.done:
+		donePool.Put(t.done)
 		return err
 	case <-timer.C:
-		// The rendezvous is abandoned, not cancelled: the task stays in
-		// the mailbox and may still run if the host unwedges (its done
-		// send lands in the buffered channel and is collected).
+		// A task still queued is skipped when the worker dequeues it. One
+		// already dequeued is executing (or done) and is left to finish,
+		// its completion landing in the buffered channel, which is
+		// therefore not recycled.
+		t.cancelled.Store(true)
 		return &TimeoutError{Host: h, After: d}
 	}
 }
@@ -1285,9 +1310,10 @@ func (c *Cluster) Do(h HostID, fn func()) error {
 // task has not completed within d returns a TimeoutError (matching
 // ErrTimeout via errors.Is) instead of blocking forever on a wedged
 // host. Zero or negative restores the default of waiting indefinitely.
-// The task itself is not cancelled — it may still run later; only the
-// caller's wait is bounded, the fail-fast a real client needs when a
-// remote host stalls mid-request.
+// A task still queued when its Do times out is cancelled and never runs;
+// one already executing is not interrupted — it finishes after the call
+// has returned, so only the caller's wait is bounded there, the
+// fail-fast a real client needs when a remote host stalls mid-request.
 func (c *Cluster) SetDoTimeout(d time.Duration) { c.doTimeout.Store(int64(d)) }
 
 // Go enqueues fn on host h's goroutine and returns immediately without
@@ -1337,7 +1363,7 @@ func (c *Cluster) RunBatch(n int, origin func(i int) HostID, run func(i int)) {
 	touched := make([]HostID, 0, 64)
 	for i := 0; i < n; i++ {
 		h := origin(i)
-		if groups[h] == nil {
+		if len(groups[h]) == 0 {
 			touched = append(touched, h)
 		}
 		groups[h] = append(groups[h], i)
@@ -1355,14 +1381,16 @@ func (c *Cluster) RunBatch(n int, origin func(i int) HostID, run func(i int)) {
 	}
 	wg.Wait()
 	for _, h := range touched {
-		groups[h] = nil
+		groups[h] = groups[h][:0]
 	}
 	groupPool.Put(&groups)
 }
 
-// groupPool recycles RunBatch's per-host group tables. Entries are
-// cleared (nil per touched host, preserving nothing) before being
-// returned, so a pooled table is indistinguishable from a fresh one.
+// groupPool recycles RunBatch's per-host group tables. Every touched
+// host's index slice is truncated before the table goes back — its
+// backing array kept, so a read batch does not allocate one slice per
+// origin — and "untouched" is tested by length, so a pooled table
+// behaves as a fresh one.
 var groupPool = sync.Pool{New: func() any { return new([][]int) }}
 
 // Stop shuts down all host goroutines, draining already-enqueued tasks,

@@ -611,3 +611,34 @@ func TestClusterDoTimeout(t *testing.T) {
 		t.Fatalf("Do after unwedging: %v", err)
 	}
 }
+
+// TestMailboxBacklogStaysBounded pins the queue's reuse of its backing
+// array: a mailbox that always holds a small backlog — so the drained
+// reset never happens — must slide its pending tasks down, not grow by
+// one slot per task ever sent, and must still hand tasks out in order.
+func TestMailboxBacklogStaysBounded(t *testing.T) {
+	m := &mailbox{wake: make(chan struct{}, 1)}
+	next, got := 0, -1
+	put := func() {
+		i := next
+		next++
+		if !m.put(task{fn: func() { got = i }}) {
+			t.Fatal("put on an open mailbox failed")
+		}
+	}
+	put()
+	put()
+	for want := 0; want < 10000; want++ {
+		put()
+		tk, ok := m.take()
+		if !ok {
+			t.Fatal("take on a non-empty mailbox failed")
+		}
+		if tk.fn(); got != want {
+			t.Fatalf("took task %d, want %d", got, want)
+		}
+	}
+	if c := cap(m.queue); c > 16 {
+		t.Fatalf("a backlog of 2 grew the queue to %d slots", c)
+	}
+}

@@ -103,6 +103,121 @@ func TestConformanceSameHostInlineReentry(t *testing.T) {
 	})
 }
 
+// TestConformanceNestedReentry pins inline re-entry two levels deep, and
+// on the fresh worker (fresh goroutine id) a Restart gives a crashed host.
+func TestConformanceNestedReentry(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr sim.Transport) {
+		nested := func() (depth int) {
+			err := tr.Do(3, func() {
+				depth++
+				if err := tr.Do(3, func() {
+					depth++
+					if err := tr.Do(3, func() { depth++ }); err != nil {
+						t.Errorf("innermost Do: %v", err)
+					}
+				}); err != nil {
+					t.Errorf("inner Do: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatalf("outer Do: %v", err)
+			}
+			return depth
+		}
+		if got := nested(); got != 3 {
+			t.Fatalf("nested re-entry ran %d of 3 levels", got)
+		}
+		tr.Crash(3)
+		tr.Restart(3)
+		if got := nested(); got != 3 {
+			t.Fatalf("after restart: nested re-entry ran %d of 3 levels", got)
+		}
+	})
+}
+
+// TestConformanceBusyHostQueuesOutsiders pins the other side of re-entry:
+// a Do aimed at a host whose worker is mid-task, from a goroutine that is
+// not that worker, must not be mistaken for re-entry — it queues behind
+// the running task, FIFO with its sender's earlier sends.
+func TestConformanceBusyHostQueuesOutsiders(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr sim.Transport) {
+		block := make(chan struct{})
+		entered := make(chan struct{})
+		var midTask atomic.Bool
+		tr.Go(1, func() {
+			midTask.Store(true)
+			close(entered)
+			<-block
+			midTask.Store(false)
+		})
+		<-entered
+
+		var order []int // touched only by host 1's tasks, then read after the Do returns
+		step := func(i int) func() {
+			return func() {
+				if midTask.Load() {
+					t.Errorf("task %d ran while host 1's worker was mid-task", i)
+				}
+				order = append(order, i)
+			}
+		}
+		sent := make(chan error, 1)
+		go func() {
+			tr.Go(1, step(1))
+			sent <- tr.Do(1, step(2))
+		}()
+		select {
+		case err := <-sent:
+			t.Fatalf("Do on a busy host returned (%v) before the running task finished", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(block)
+		if err := <-sent; err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+			t.Fatalf("tasks behind a busy worker ran as %v, want [1 2]", order)
+		}
+	})
+}
+
+// TestConformanceMutualExclusion is the actor contract under load: many
+// senders, every task re-entering its own host once, and a plain counter
+// per host that only that host's worker may touch. Exact totals mean no
+// task ever ran beside another of its host; -race sees the rest.
+func TestConformanceMutualExclusion(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr sim.Transport) {
+		const senders, perSender = 8, 2000
+		var counts [confHosts]int
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					h := sim.HostID((g + i) % confHosts)
+					err := tr.Do(h, func() {
+						counts[h]++
+						if err := tr.Do(h, func() { counts[h]++ }); err != nil {
+							t.Errorf("nested Do(%d): %v", h, err)
+						}
+					})
+					if err != nil {
+						t.Errorf("Do(%d): %v", h, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for h, got := range counts {
+			if want := 2 * senders * perSender / confHosts; got != want {
+				t.Fatalf("host %d counted %d, want %d", h, got, want)
+			}
+		}
+	})
+}
+
 func TestConformanceCrashFailsFast(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr sim.Transport) {
 		// Wedge host 1's worker so the victim Do queues behind it.
@@ -168,6 +283,37 @@ func TestConformanceDoTimeout(t *testing.T) {
 			t.Fatalf("Do after clearing timeout: %v", err)
 		}
 		close(block)
+	})
+}
+
+// TestConformanceTimedOutTaskIsCancelled pins what a deadline does to the
+// task: one still queued when its Do times out never runs, even after
+// the host unwedges.
+func TestConformanceTimedOutTaskIsCancelled(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr sim.Transport) {
+		block := make(chan struct{})
+		entered := make(chan struct{})
+		tr.Go(2, func() {
+			close(entered)
+			<-block
+		})
+		<-entered
+
+		tr.SetDoTimeout(50 * time.Millisecond)
+		var ran atomic.Bool
+		if err := tr.Do(2, func() { ran.Store(true) }); !errors.Is(err, sim.ErrTimeout) {
+			t.Fatalf("Do on wedged host: got %v, want ErrTimeout", err)
+		}
+		tr.SetDoTimeout(0)
+		close(block)
+		// FIFO per sender: once this Do returns, host 2 has dequeued the
+		// timed-out task.
+		if err := tr.Do(2, func() {}); err != nil {
+			t.Fatalf("Do after unwedging: %v", err)
+		}
+		if ran.Load() {
+			t.Fatal("a task whose Do had timed out ran once the host unwedged")
+		}
 	})
 }
 

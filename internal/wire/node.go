@@ -32,9 +32,11 @@ type Node struct {
 	resolver func(id uint64) (func(), bool)
 	// handlers are the named RPCs this host serves (KCall frames).
 	handlers map[string]Handler
-	// running, when non-nil, registers the worker goroutine's id so a
-	// transport can detect same-host re-entry (sim.Goid).
-	running *sync.Map
+	// busy is raised by the worker around each task and gid is the
+	// worker's goroutine id (sim.Goid), written once before the first
+	// task; see onWorker.
+	busy atomic.Bool
+	gid  uint64
 
 	msgs   atomic.Int64 // charged messages: the counts of received KMsg frames plus AddMessages
 	frames atomic.Int64 // KMsg frames received
@@ -66,7 +68,6 @@ type NodeConfig struct {
 	Listen   string // e.g. "127.0.0.1:0"
 	Resolver func(id uint64) (func(), bool)
 	Handlers map[string]Handler
-	Running  *sync.Map
 }
 
 // NewNode opens the listener and starts the accept loop and the worker
@@ -81,7 +82,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ln:       ln,
 		resolver: cfg.Resolver,
 		handlers: cfg.Handlers,
-		running:  cfg.Running,
 		wake:     make(chan struct{}, 1),
 		conns:    make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
@@ -123,6 +123,12 @@ func (n *Node) ResetMessages() {
 // after Close, or discarded after Drop).
 func (n *Node) Done() <-chan struct{} { return n.done }
 
+// onWorker reports whether the calling goroutine is this node's worker —
+// how a transport detects same-host re-entry. Only a worker that is
+// mid-task can be the caller, so an idle node answers without the stack
+// parse sim.Goid costs.
+func (n *Node) onWorker() bool { return n.busy.Load() && n.gid == sim.Goid() }
+
 // put enqueues t, reporting false when the mailbox is closed.
 func (n *Node) put(t ntask) bool {
 	n.mu.Lock()
@@ -143,11 +149,7 @@ func (n *Node) put(t ntask) bool {
 // exactly this goroutine, the actor discipline of a message-passing node.
 func (n *Node) worker() {
 	defer close(n.done)
-	if n.running != nil {
-		g := sim.Goid()
-		n.running.Store(g, n.host)
-		defer n.running.Delete(g)
-	}
+	n.gid = sim.Goid()
 	for {
 		n.mu.Lock()
 		if len(n.queue) > 0 {
@@ -155,7 +157,9 @@ func (n *Node) worker() {
 			n.queue[0] = ntask{}
 			n.queue = n.queue[1:]
 			n.mu.Unlock()
+			n.busy.Store(true)
 			t.run()
+			n.busy.Store(false)
 			if t.reply != nil {
 				t.reply()
 			}
@@ -227,28 +231,25 @@ func (n *Node) serveConn(c net.Conn) {
 			}
 		case kTask:
 			isSync := len(body) > 0 && body[0] != 0
-			fn, ok := func() (func(), bool) {
+			// The id is resolved on the worker, at dequeue: a task whose
+			// sender withdrew it from the registry while it queued (a Do
+			// that timed out) never runs. An unknown task — or no resolver
+			// — fails a waiting sync sender rather than leave it hanging.
+			status, msg := statusError, []byte("wire: unknown task")
+			t := ntask{run: func() {
 				if n.resolver == nil {
-					return nil, false
+					return
 				}
-				return n.resolver(id)
-			}()
-			if !ok {
-				// Unknown task (or no resolver): a sync sender is waiting —
-				// fail it rather than leave it hanging.
-				if isSync {
-					wmu.Lock()
-					fw.write(c, kDone, id, statusBody(statusError, []byte("wire: unknown task")))
-					wmu.Unlock()
+				if fn, ok := n.resolver(id); ok {
+					fn()
+					status, msg = statusOK, nil
 				}
-				continue
-			}
-			t := ntask{run: fn}
+			}}
 			if isSync {
 				t.reply = func() {
 					wmu.Lock()
 					defer wmu.Unlock()
-					fw.write(c, kDone, id, statusBody(statusOK, nil))
+					fw.write(c, kDone, id, statusBody(status, msg))
 				}
 			}
 			if !n.put(t) {

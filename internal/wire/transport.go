@@ -36,7 +36,6 @@ type Loopback struct {
 	tasks   sync.Map // task id -> func(): the closure registry
 	pending sync.Map // task id -> *doWait: sync rendezvous in flight
 	nextID  atomic.Uint64
-	running sync.Map // goroutine id -> HostID, for same-host re-entry
 	stopped atomic.Bool
 
 	doTimeout atomic.Int64 // ns; 0 = wait forever
@@ -91,7 +90,6 @@ func (t *Loopback) spawn(h sim.HostID) error {
 		Host:     h,
 		Listen:   "127.0.0.1:0",
 		Resolver: t.resolve,
-		Running:  &t.running,
 	})
 	if err != nil {
 		return err
@@ -162,17 +160,11 @@ func (t *Loopback) failPending(h sim.HostID, err error) {
 	})
 }
 
-// conn returns host h's connection and state under the churn lock.
-func (t *Loopback) conn(h sim.HostID) (*tconn, hostState) {
+// conn returns host h's node, connection and state under the churn lock.
+func (t *Loopback) conn(h sim.HostID) (*Node, *tconn, hostState) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.conns[h], t.state[h]
-}
-
-// onHost reports whether the calling goroutine is host h's worker.
-func (t *Loopback) onHost(h sim.HostID) bool {
-	g, ok := t.running.Load(sim.Goid())
-	return ok && g.(sim.HostID) == h
+	return t.nodes[h], t.conns[h], t.state[h]
 }
 
 // Do runs fn on host h's worker and blocks until it completes. See the
@@ -183,11 +175,11 @@ func (t *Loopback) Do(h sim.HostID, fn func()) error {
 	if t.stopped.Load() {
 		panic("wire: Loopback.Do after Stop")
 	}
-	if t.onHost(h) {
+	n, tc, st := t.conn(h)
+	if n.onWorker() {
 		fn()
 		return nil
 	}
-	tc, st := t.conn(h)
 	switch st {
 	case hostCrashed:
 		return &sim.HostDownError{Host: h}
@@ -209,20 +201,28 @@ func (t *Loopback) Do(h sim.HostID, fn func()) error {
 		return &sim.HostDownError{Host: h}
 	}
 	d := time.Duration(t.doTimeout.Load())
-	if d <= 0 {
-		return <-w.ch
+	var expired <-chan time.Time // nil (never ready) without a deadline
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
 	select {
-	case err := <-w.ch:
-		return err
-	case <-timer.C:
-		// Abandon the rendezvous; a late completion finds no pending
-		// entry and is dropped. The task itself may still run.
-		t.pending.LoadAndDelete(id)
-		return &sim.TimeoutError{Host: h, After: d}
+	case err = <-w.ch:
+	case <-expired:
+		// Abandon the rendezvous: a late completion finds no pending
+		// entry and is dropped.
+		t.pending.Delete(id)
+		err = &sim.TimeoutError{Host: h, After: d}
 	}
+	if err != nil {
+		// Withdraw the task. One still queued behind a wedged worker is
+		// refused by the node's resolver at dequeue and never runs; one
+		// already started keeps running, and one a crash discarded must
+		// not stay registered.
+		t.tasks.Delete(id)
+	}
+	return err
 }
 
 // Go enqueues fn on host h's worker and returns immediately —
@@ -232,7 +232,7 @@ func (t *Loopback) Go(h sim.HostID, fn func()) {
 	if t.stopped.Load() {
 		panic("wire: Loopback.Go after Stop")
 	}
-	tc, st := t.conn(h)
+	_, tc, st := t.conn(h)
 	switch st {
 	case hostCrashed:
 		panic(fmt.Sprintf("wire: Loopback.Go to crashed host %d", h))
@@ -351,7 +351,6 @@ func (t *Loopback) Restart(h sim.HostID) {
 		Host:     h,
 		Listen:   "127.0.0.1:0",
 		Resolver: t.resolve,
-		Running:  &t.running,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("wire: Restart(%d): %v", h, err))

@@ -62,9 +62,11 @@ type DataLossError = core.DataLossError
 var ErrTimeout = sim.ErrTimeout
 
 // TimeoutError reports that a dispatched operation did not complete
-// within the configured deadline. The task is abandoned, not cancelled —
-// it may still execute if the host recovers; only the caller's wait is
-// bounded. No messages beyond those already charged are spent.
+// within the configured deadline. An operation that had not started on
+// its origin host is cancelled and never runs; one the deadline caught
+// mid-execution is abandoned and finishes on its own — there only the
+// caller's wait is bounded. No messages beyond those already charged are
+// spent.
 type TimeoutError = sim.TimeoutError
 
 // Transport is the host-execution contract batch dispatch runs on: run
@@ -216,8 +218,9 @@ func NewWireCluster(h int, opts ...ClusterOption) (*Cluster, error) {
 // updates) to d: a dead or wedged host yields a TimeoutError (matching
 // ErrTimeout via errors.Is) for the affected operations instead of
 // blocking the batch forever. Zero or negative restores the default of
-// waiting indefinitely. The in-flight task is not cancelled — only the
-// caller's wait is bounded.
+// waiting indefinitely. An operation still queued behind the wedged host
+// when its deadline passes is cancelled: it reports the timeout and is
+// never applied. One already executing is not interrupted.
 func (c *Cluster) SetDoTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

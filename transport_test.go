@@ -62,21 +62,23 @@ func TestWireClusterMatchesSim(t *testing.T) {
 	}
 }
 
+// bothTransports builds a 4-host cluster on each transport.
+var bothTransports = map[string]func(t *testing.T) *Cluster{
+	"sim": func(t *testing.T) *Cluster { return NewCluster(4) },
+	"wire": func(t *testing.T) *Cluster {
+		c, err := NewWireCluster(4)
+		if err != nil {
+			t.Fatalf("NewWireCluster: %v", err)
+		}
+		return c
+	},
+}
+
 // TestSetDoTimeoutPublic pins the public per-call deadline: a stalled
 // host surfaces the typed, errors.Is-matchable timeout through the
 // re-exported error values, on both transports.
 func TestSetDoTimeoutPublic(t *testing.T) {
-	mk := map[string]func(t *testing.T) *Cluster{
-		"sim": func(t *testing.T) *Cluster { return NewCluster(4) },
-		"wire": func(t *testing.T) *Cluster {
-			c, err := NewWireCluster(4)
-			if err != nil {
-				t.Fatalf("NewWireCluster: %v", err)
-			}
-			return c
-		},
-	}
-	for name, newCluster := range mk {
+	for name, newCluster := range bothTransports {
 		t.Run(name, func(t *testing.T) {
 			c := newCluster(t)
 			// Deadline set before the worker pool spins up must still
@@ -98,6 +100,47 @@ func TestSetDoTimeoutPublic(t *testing.T) {
 			}
 			close(block)
 			c.Close()
+		})
+	}
+}
+
+// TestTimedOutWriteNeverRuns pins what a deadline means for a write: an
+// insert whose dispatch timed out behind a wedged origin reports
+// ErrTimeout and is not applied — not then, and not once the origin
+// unwedges, when it would run after the call returned, outside the
+// cluster lock, writing results the caller already owns.
+func TestTimedOutWriteNeverRuns(t *testing.T) {
+	for name, newCluster := range bothTransports {
+		t.Run(name, func(t *testing.T) {
+			c := newCluster(t)
+			defer c.Close()
+			w, err := NewBlocked(c, distinctKeys(xrand.New(1), 64), Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const key = 12345
+			if found, _, err := w.Contains(key, 0); err != nil || found {
+				t.Fatalf("Contains before the insert: %v, %v", found, err)
+			}
+			c.SetDoTimeout(50 * time.Millisecond)
+			tr := c.cluster()
+			block := make(chan struct{})
+			entered := make(chan struct{})
+			tr.Go(3, func() { close(entered); <-block })
+			<-entered
+
+			if _, err := w.InsertBatch([]uint64{key}, []HostID{3}); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("InsertBatch from a wedged origin: got %v, want ErrTimeout", err)
+			}
+			c.SetDoTimeout(0)
+			close(block)
+			// FIFO per sender: when this returns host 3 is past the insert.
+			if err := tr.Do(3, func() {}); err != nil {
+				t.Fatalf("Do after unwedging: %v", err)
+			}
+			if found, _, err := w.Contains(key, 0); err != nil || found {
+				t.Fatalf("the timed-out insert was applied after its call returned (found %v, err %v)", found, err)
+			}
 		})
 	}
 }
