@@ -162,11 +162,11 @@ func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 // input-consecutive stretches that share an origin and a stripe and
 // carry strictly ascending codes are dispatched to the origin's worker
 // as one run instead of one rendezvous per operation, and executed
-// through doRun, which may share the uncharged parts of consecutive
-// descents (hyperlink resolutions, index splices). Because execution
-// order and every charged visit are unchanged, per-operation hop counts
-// and the cluster's counters are identical to per-op updates, counter
-// for counter. Callers that want the fast path to engage should group a
+// through doRun under one stripe-lock acquisition; ascending keys also
+// make every level's sorted-order index splice an amortized O(1)
+// append. Because execution order and every charged visit are
+// unchanged, per-operation hop counts and the cluster's counters are
+// identical to per-op updates, counter for counter. Callers that want the fast path to engage should group a
 // batch by origin and sort each group's keys; the default round-robin
 // origins yield runs of length one, which fall back to per-op dispatch.
 // A sorted run whose keys straddle a stripe boundary splits at the

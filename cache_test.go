@@ -797,14 +797,11 @@ func bloomCrashRow[T any](t *testing.T, present, absent []T,
 // advTwin is one structure under the adversarial replay: its cached
 // query methods with the answer rendered to a string (hops kept apart —
 // they are compared with <=, not ==), and its update methods (nil for the
-// static Planar). stripe, when set, names an item's write stripe for a
-// structure whose stripes must not be drained empty: a quadtree without
-// points has no root cell, and core.Web then refuses the next insert.
+// static Planar).
 type advTwin[T any] struct {
 	reads                []func(x T, origin HostID) (string, int, error)
 	insert, remove       func(x T, origin HostID) (int, error)
 	insertRun, removeRun func(xs []T, origins []HostID) ([]int, error)
-	stripe               func(x T) int
 	check                func() error
 }
 
@@ -855,8 +852,7 @@ func advStrings(w *Strings) advTwin[string] {
 // than buckets gets one bucket per key) and every read lands on, or next
 // to, a key some write moves. The stream has four phases: random reads
 // and writes around a few hot items from two origins; a drain from the
-// top of the universe down to its lowest stored items (or, see
-// advTwin.stripe, each stripe's) in batches, with
+// top of the universe down to its lowest stored items in batches, with
 // the hot items re-read between batches (floors fall through one, two
 // and three stripes, tries and quadtrees prune up to the root); a refill
 // in sorted single-origin batches (the sorted sets' insertRun path); and
@@ -992,22 +988,11 @@ func advReplay[T any](t *testing.T, seed uint64, stripes int, universe []T,
 				}
 			}
 		}
-		keep := map[int]bool{} // the lowest stored item of every stripe
-		if cached.stripe != nil {
-			seen := map[int]bool{}
-			for i := range universe {
-				if s := cached.stripe(universe[i]); present[i] && !seen[s] {
-					seen[s], keep[i] = true, true
-				}
-			}
-		}
 		const chunk = 8
 		for hi := len(universe); hi > left+1; hi -= chunk {
 			var idx []int
 			for i := max(hi-chunk, left+1); i < hi; i++ {
-				if !keep[i] {
-					idx = append(idx, i)
-				}
+				idx = append(idx, i)
 			}
 			batch(idx, false, origin())
 			sweep()
@@ -1121,8 +1106,7 @@ func TestCacheParityAdversarial(t *testing.T) {
 						func(q Point, o HostID) (string, int, error) { return render(w.Nearest(q, o)) },
 					},
 					insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
-					stripe: func(q Point) int { return w.st.of(w.stripeCode(q)) },
-					check:  w.CheckConsistent,
+					check: w.CheckConsistent,
 				}, nil
 			})
 		}

@@ -52,10 +52,11 @@ type BlockedWeb struct {
 	// splitScratch lists the blocks the climb in progress has split
 	// (lower half's index), so a failed climb can merge them back.
 	splitScratch []blockUnit
-	// keysScratch and halfScratch are splitLeaf's key snapshot and
-	// bit-partition buffers, reused across operations.
-	keysScratch []uint64
+	// halfScratch and upScratch are splitLeaf's bit-partition buffers —
+	// each half's keys and the leaf ranges holding them, the kids'
+	// hyperlinks — reused across operations.
 	halfScratch [2][]uint64
+	upScratch   [2][]RangeID
 
 	// Set-tree nodes and their levels are recycled: mergeSubtree releases
 	// into the free lists, splitLeaf and buildSubtree draw from them, and
@@ -67,14 +68,6 @@ type BlockedWeb struct {
 	nodeSlab []bnode
 	lvlFree  []*ListLevel
 	lvlSlab  []ListLevel
-
-	// descMemo caches the uncharged hyperlink resolutions (child key ->
-	// parent range) of the latest descent per depth, used by sorted-run
-	// batch inserts to share descent prefixes. Entries are validated
-	// against the live structure before use, so staleness is harmless;
-	// charged visits are always recomputed, keeping accounting identical.
-	descMemo   []descEntry
-	memoActive bool
 
 	// rep is the replica-layer state (replicas.go). footprints memoizes
 	// blockUnits per basic node for the churn pass in progress (eachBlock
@@ -89,13 +82,6 @@ type BlockedWeb struct {
 type blockName struct {
 	bn    *bnode
 	start uint64
-}
-
-// descEntry is one depth's memoized hyperlink resolution.
-type descEntry struct {
-	node *bnode
-	key  uint64
-	pr   RangeID
 }
 
 // resetSeen clears the seen-host scratch set at the start of an update.
@@ -202,7 +188,7 @@ func NewBlockedWeb(net Fabric, keys []uint64, cfg BlockedConfig) (*BlockedWeb, e
 			return nil, fmt.Errorf("core: duplicate key %d", sorted[i])
 		}
 	}
-	w.root = w.buildSubtree(sorted, 0, nil)
+	w.root = w.buildSubtree(sorted, nil, 0, nil)
 	w.n = len(keys)
 	return w, nil
 }
@@ -231,14 +217,15 @@ func (w *BlockedWeb) newNode() *bnode {
 	return n
 }
 
-// newLevel returns a list level over the strictly ascending keys, drawn
-// from the free list or slab; pooled levels keep their slot and index
-// capacity, so recycling a released leaf level allocates nothing.
-func (w *BlockedWeb) newLevel(sorted []uint64) *ListLevel {
+// newLevel returns a list level over the strictly ascending keys, with
+// hyperlinks ups (see ListLevel.reset), drawn from the free list or
+// slab; pooled levels keep their slot and index capacity, so recycling a
+// released leaf level allocates nothing.
+func (w *BlockedWeb) newLevel(sorted []uint64, ups []RangeID) *ListLevel {
 	if k := len(w.lvlFree); k > 0 {
 		l := w.lvlFree[k-1]
 		w.lvlFree = w.lvlFree[:k-1]
-		l.reset(sorted)
+		l.reset(sorted, ups)
 		return l
 	}
 	if len(w.lvlSlab) == cap(w.lvlSlab) {
@@ -246,7 +233,7 @@ func (w *BlockedWeb) newLevel(sorted []uint64) *ListLevel {
 	}
 	w.lvlSlab = append(w.lvlSlab, ListLevel{})
 	l := &w.lvlSlab[len(w.lvlSlab)-1]
-	l.reset(sorted)
+	l.reset(sorted, ups)
 	return l
 }
 
@@ -348,10 +335,12 @@ func (w *BlockedWeb) drawBlockMirrors(primary sim.HostID) []sim.HostID {
 
 // buildSubtree constructs the set node over keys, which must be strictly
 // ascending: the single sort in NewBlockedWeb propagates through every
-// bit partition, so each level builds in O(level size).
-func (w *BlockedWeb) buildSubtree(keys []uint64, depth int, parent *bnode) *bnode {
+// bit partition, so each level builds in O(level size). ups[j] is the
+// parent range holding keys[j] — the hyperlink of the fresh level's
+// range j+1 — and nil at the root.
+func (w *BlockedWeb) buildSubtree(keys []uint64, ups []RangeID, depth int, parent *bnode) *bnode {
 	n := w.newNode()
-	n.lvl = w.newLevel(keys)
+	n.lvl = w.newLevel(keys, ups)
 	n.parent, n.depth, n.count = parent, depth, len(keys)
 	if depth%w.strat == 0 {
 		n.base = n
@@ -365,19 +354,36 @@ func (w *BlockedWeb) buildSubtree(keys []uint64, depth int, parent *bnode) *bnod
 	// cursor charges each range in O(1) amortized.
 	w.chargeBuildStorage(n)
 	if len(keys) > w.leafMax && depth < w.maxDep {
-		var halves [2][]uint64
-		for _, k := range keys {
-			b := w.bitAt(k, depth)
-			halves[b] = append(halves[b], k)
-		}
+		halves, kidUps := w.partition(keys, depth)
 		for b := 0; b < 2; b++ {
-			n.kids[b] = w.buildSubtree(halves[b], depth+1, n)
+			n.kids[b] = w.buildSubtree(halves[b], kidUps[b], depth+1, n)
 		}
 	}
 	if n.kids[0] == nil && n.count > 0 {
 		w.addLeaf(n)
 	}
 	return n
+}
+
+// partition splits a fresh level's keys by the depth bit into exactly
+// sized halves, in order, each key beside its hyperlink: the fresh level
+// holds keys[i] at range i+1. Counting the ones first sizes one buffer
+// per array, which the halves share.
+func (w *BlockedWeb) partition(keys []uint64, depth int) (halves [2][]uint64, ups [2][]RangeID) {
+	ones := 0
+	for _, k := range keys {
+		ones += w.bitAt(k, depth)
+	}
+	zeros := len(keys) - ones
+	kbuf := make([]uint64, len(keys))
+	ubuf := make([]RangeID, len(keys))
+	at := [2]int{0, zeros}
+	for i, k := range keys {
+		b := w.bitAt(k, depth)
+		kbuf[at[b]], ubuf[at[b]] = k, RangeID(i+1)
+		at[b]++
+	}
+	return [2][]uint64{kbuf[:zeros], kbuf[zeros:]}, [2][]RangeID{ubuf[:zeros], ubuf[zeros:]}
 }
 
 // buildBlocks cuts a basic node's key sequence (passed in ascending
@@ -602,46 +608,30 @@ func (w *BlockedWeb) queryCost(q uint64, origin sim.HostID) (uint64, bool, Cost,
 // terminal range.
 func (w *BlockedWeb) queryOp(q uint64, op *sim.Op) (RangeID, error) {
 	node := w.entryLeaf(op.Current())
-	// Locate within the entry structure, visiting block hosts as the walk
-	// moves (entry structures hold O(1) ranges).
-	r := RangeID(0)
-	bi := w.blockIndex(node.base, w.rangeKey(node, r))
+	// Locate within the entry structure from its head sentinel, visiting
+	// block hosts as the walk moves (entry structures hold O(1) ranges).
+	bi := w.blockIndex(node.base, w.rangeKey(node, 0))
 	if err := w.visitBlock(node.base, bi, op); err != nil {
 		return NoRange, err
 	}
-	r, err := w.walk(node, r, q, bi, op)
+	r, bi, err := w.walk(node, 0, q, bi, op)
 	if err != nil {
 		return NoRange, err
 	}
 	for node.parent != nil {
 		parent := node.parent
-		// Hyperlink: the parent range holding the same key.
-		var pr RangeID
-		if node.lvl.IsHead(r) {
-			pr = parent.lvl.Head()
-		} else {
-			k := node.lvl.Key(r)
-			pr = NoRange
-			if w.memoActive {
-				pr = w.memoGet(parent, k)
-			}
-			if pr == NoRange {
-				var ok bool
-				pr, ok = parent.lvl.ByKey(k)
-				if !ok {
-					panic(fmt.Sprintf("core: blocked web key %d missing from parent level", k))
-				}
-				if w.memoActive {
-					w.memoPut(parent, k, pr)
-				}
-			}
+		// Follow the stored hyperlink to the parent range holding the
+		// same key. Inside a stratum the parent reads the same block
+		// directory, so the block of that key carries over; only
+		// entering a new stratum's basic node needs a directory search.
+		r = node.lvl.up(r)
+		if parent.base != node.base {
+			bi = w.blockIndex(parent.base, w.rangeKey(parent, r))
 		}
-		bi = w.blockIndex(parent.base, w.rangeKey(parent, pr))
 		if err := w.visitBlock(parent.base, bi, op); err != nil {
 			return NoRange, err
 		}
-		r, err = w.walk(parent, pr, q, bi, op)
-		if err != nil {
+		if r, bi, err = w.walk(parent, r, q, bi, op); err != nil {
 			return NoRange, err
 		}
 		node = parent
@@ -650,28 +640,23 @@ func (w *BlockedWeb) queryOp(q uint64, op *sim.Op) (RangeID, error) {
 }
 
 // walk performs the local Step descent in node n from range r toward q's
-// terminal, visiting the block host of each range stepped through. The
-// walk moves one range at a time, so a block cursor — seeded with bi,
-// the block index of r's key when the caller already resolved it, or -1
-// — resolves each host in O(1) amortized instead of a directory binary
-// search per step; the visited hosts — and hence the charged messages —
-// are identical.
-func (w *BlockedWeb) walk(n *bnode, r RangeID, q uint64, bi int, op *sim.Op) (RangeID, error) {
+// terminal, visiting the block host of each range stepped through, and
+// returns the terminal with its block index. The walk moves one range
+// at a time, so a block cursor — seeded with bi, the block index of r's
+// key — resolves each host in O(1) amortized instead of a directory
+// binary search per step; the visited hosts — and hence the charged
+// messages — are identical.
+func (w *BlockedWeb) walk(n *bnode, r RangeID, q uint64, bi int, op *sim.Op) (RangeID, int, error) {
 	bn := n.base
 	for {
 		nx := n.lvl.Step(r, q)
 		if nx == NoRange {
-			return r, nil
+			return r, bi, nil
 		}
 		r = nx
-		k := w.rangeKey(n, r)
-		if bi < 0 {
-			bi = w.blockIndex(bn, k)
-		} else {
-			bi = w.blockIndexNear(bn, k, bi)
-		}
+		bi = w.blockIndexNear(bn, w.rangeKey(n, r), bi)
 		if err := w.visitBlock(bn, bi, op); err != nil {
-			return NoRange, err
+			return NoRange, bi, err
 		}
 	}
 }
@@ -722,49 +707,6 @@ func (w *BlockedWeb) RangeCost(lo, hi uint64, origin sim.HostID) ([]uint64, Cost
 	return out, Cost{Hops: op.Hops(), Latency: op.Latency()}, nil
 }
 
-// memoGet returns the memoized parent range for (parent level, child
-// key), or NoRange. Entries are validated by node pointer and key, so a
-// stale entry can only miss, never mislead; during a run no level dies
-// and no range slot is recycled (inserts only), so a hit is always the
-// range ByKey would return.
-func (w *BlockedWeb) memoGet(parent *bnode, k uint64) RangeID {
-	d := parent.depth
-	if d >= len(w.descMemo) {
-		return NoRange
-	}
-	if e := w.descMemo[d]; e.node == parent && e.key == k {
-		return e.pr
-	}
-	return NoRange
-}
-
-// memoPut records a hyperlink resolution for the current run.
-func (w *BlockedWeb) memoPut(parent *bnode, k uint64, pr RangeID) {
-	d := parent.depth
-	for len(w.descMemo) <= d {
-		w.descMemo = append(w.descMemo, descEntry{})
-	}
-	w.descMemo[d] = descEntry{node: parent, key: k, pr: pr}
-}
-
-// InsertRun executes a strictly-ascending run of inserts from a single
-// origin — the batch engine's sorted-run fast path. Consecutive descents
-// share their uncharged hyperlink resolutions through the per-depth memo
-// (the charged walk of every operation is recomputed in full), and the
-// ascending key order makes every level's sorted-order index splice an
-// O(1) amortized append; per-operation message accounting is therefore
-// identical, counter for counter, to calling Insert in the same order.
-// hops and errs receive each operation's cost and error in input order;
-// a failed insert (duplicate key) does not stop the run.
-func (w *BlockedWeb) InsertRun(keys []uint64, origin sim.HostID, hops []int, errs []error) {
-	w.memoActive = true
-	w.descMemo = w.descMemo[:0]
-	defer func() { w.memoActive = false }()
-	for i, k := range keys {
-		hops[i], errs[i] = w.Insert(k, origin)
-	}
-}
-
 // Insert adds a key, climbing its bit path and paying messages only at
 // stratum boundaries (Section 4: O(log n / log log n) expected for 1-d).
 // Insert is all-or-nothing: when it returns an error (a duplicate, or a
@@ -808,8 +750,11 @@ func (w *BlockedWeb) climb(key uint64, t0 RangeID, routed bool, op *sim.Op) (err
 	w.splitScratch = w.splitScratch[:0]
 	seq := w.hostSeq
 	node, hint := w.root, t0
+	up := RangeID(0) // the root has no parent level; its links stay 0
 	for {
 		id := w.insertAt(node, key, hint, op)
+		node.lvl.setUp(id, up)
+		up = id
 		if node.kids[0] == nil {
 			break
 		}
@@ -1148,21 +1093,25 @@ func (w *BlockedWeb) removeAt(n *bnode, key uint64) error {
 	return nil
 }
 
-// splitLeaf splits an overfull set-tree leaf into two halves. The key
-// snapshot and bit-partition buffers are per-web scratch, and the two
-// kid structures come from the node/level pools, so a steady-state split
+// splitLeaf splits an overfull set-tree leaf into two halves, each key
+// partitioned beside the leaf range holding it — the kid's hyperlink.
+// The bit-partition buffers are per-web scratch, and the two kid
+// structures come from the node/level pools, so a steady-state split
 // allocates (at most) fractions of slab chunks.
 func (w *BlockedWeb) splitLeaf(n *bnode, op *sim.Op) {
-	keys := n.lvl.AppendKeys(w.keysScratch[:0])
-	w.keysScratch = keys[:0]
 	halves := [2][]uint64{w.halfScratch[0][:0], w.halfScratch[1][:0]}
-	for _, k := range keys {
+	ups := [2][]RangeID{w.upScratch[0][:0], w.upScratch[1][:0]}
+	for r := n.lvl.Next(n.lvl.Head()); r != NoRange; r = n.lvl.Next(r) {
+		k := n.lvl.Key(r)
 		b := w.bitAt(k, n.depth)
 		halves[b] = append(halves[b], k)
+		ups[b] = append(ups[b], r)
 	}
-	w.halfScratch[0], w.halfScratch[1] = halves[0][:0], halves[1][:0]
 	for b := 0; b < 2; b++ {
-		kid := w.buildSubtree(halves[b], n.depth+1, n)
+		w.halfScratch[b], w.upScratch[b] = halves[b][:0], ups[b][:0]
+	}
+	for b := 0; b < 2; b++ {
+		kid := w.buildSubtree(halves[b], ups[b], n.depth+1, n)
 		n.kids[b] = kid
 		for _, k := range halves[b] {
 			w.sendBlock(kid.base, w.blockIndex(kid.base, k), op)
@@ -1445,8 +1394,10 @@ func spreadPositions(d, n int) []int {
 }
 
 // CheckInvariants verifies that every level's list is sound, child key
-// sets partition their parent's, counts match, block directories are
-// ordered, and every block lives on a live host.
+// sets partition their parent's, every hyperlink names the parent range
+// holding the same key (the head sentinel's names the parent's head),
+// counts match, block directories are ordered, and every block lives on
+// a live host.
 func (w *BlockedWeb) CheckInvariants() error {
 	var rec func(n *bnode) error
 	rec = func(n *bnode) error {
@@ -1477,13 +1428,18 @@ func (w *BlockedWeb) CheckInvariants() error {
 			}
 			seen := make(map[uint64]bool, n.count)
 			for b := 0; b < 2; b++ {
-				for _, k := range n.kids[b].lvl.Keys() {
+				kid := n.kids[b].lvl
+				if up := kid.up(kid.Head()); up != n.lvl.Head() {
+					return fmt.Errorf("depth %d: head hyperlink is range %d, not the parent's head", n.depth+1, up)
+				}
+				for r := kid.Next(kid.Head()); r != NoRange; r = kid.Next(r) {
+					k := kid.Key(r)
 					if seen[k] {
 						return fmt.Errorf("depth %d: key %d in both halves", n.depth, k)
 					}
 					seen[k] = true
-					if _, ok := n.lvl.ByKey(k); !ok {
-						return fmt.Errorf("depth %d: child key %d missing from parent", n.depth, k)
+					if up := kid.up(r); !n.lvl.live(up) || n.lvl.IsHead(up) || n.lvl.Key(up) != k {
+						return fmt.Errorf("depth %d: hyperlink of key %d is range %d, not the parent range holding it", n.depth+1, k, up)
 					}
 				}
 			}

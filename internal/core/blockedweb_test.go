@@ -350,3 +350,18 @@ func TestBucketWebRangeMatchesBruteForce(t *testing.T) {
 func sortUint64(xs []uint64) {
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
+
+// BenchmarkBlockedBuild times NewBlockedWeb at the query-batch
+// workload's shape — 262,144 keys over 4,096 hosts — so the bulk build
+// (bit partitions, levels and their hyperlinks, block directories,
+// storage charges) stays visible in a one-iteration bench smoke run.
+func BenchmarkBlockedBuild(b *testing.B) {
+	keys := distinctKeys(xrand.New(1), 262144, 1<<40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewBlockedWeb(sim.NewNetwork(4096), keys, BlockedConfig{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

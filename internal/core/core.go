@@ -686,6 +686,10 @@ type QueryResult struct {
 // are all pure) plus the network's atomic counters. The public batch
 // engine relies on this, holding a reader lock for query batches and a
 // writer lock for updates.
+//
+// An empty web whose ground structure holds no range at all — a
+// quadtree without points has no root cell — has nothing to route
+// through: Query charges no message and reports Range NoRange.
 func (w *Web[L, T, Q]) Query(q Q, origin sim.HostID) (QueryResult, error) {
 	op := w.net.NewOp(origin)
 	defer op.Free()
@@ -697,8 +701,12 @@ func (w *Web[L, T, Q]) Query(q Q, origin sim.HostID) (QueryResult, error) {
 }
 
 // queryOp performs the descent under an existing accounting op and
-// returns the level-0 terminal.
+// returns the level-0 terminal, or NoRange, charging nothing, when the
+// web is empty and no range of its ground structure contains q.
 func (w *Web[L, T, Q]) queryOp(q Q, op *sim.Op) (RangeID, error) {
+	if w.n == 0 && w.ops.Locate(w.root.s, q) == NoRange {
+		return NoRange, nil
+	}
 	node := w.entryLeaf(op.Current())
 	cur, err := w.scanTerminal(node, q, op)
 	if err != nil {
@@ -819,7 +827,11 @@ func (w *Web[L, T, Q]) descendOne(n *setNode[L, T], cur RangeID, q Q, op *sim.Op
 }
 
 // Insert adds item x, routing from the originating host. It returns the
-// message cost (Section 4).
+// message cost (Section 4). An empty web whose ground structure holds no
+// range at all — a quadtree without points has no root cell — has
+// nothing to route through (see Query): its first insert charges only
+// the messages placing the ranges it creates and their replicas. Every
+// other insert, into an empty list or trie web too, routes from origin.
 func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 	q := w.ops.QueryOf(x)
 	code := w.ops.CodeOf(x)
@@ -835,7 +847,12 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 	}
 	// Climb x's bit path, deriving each child terminal from the parent's.
 	node := w.root
-	tp := w.reterminal(node, t0, q)
+	var tp RangeID
+	if t0 == NoRange {
+		tp = w.ops.Locate(node.s, q)
+	} else {
+		tp = w.reterminal(node, t0, q)
+	}
 	for node.kids[0] != nil {
 		child := node.kids[w.bitFromCode(code, node.depth)]
 		ct := NoRange

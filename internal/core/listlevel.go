@@ -31,11 +31,15 @@ const inlineSlots = 8
 
 // lslot is one range record: the key and the doubly-linked-list wiring,
 // fused in a single slot so a Step walk touches one cache line instead
-// of four parallel arrays.
+// of four parallel arrays. up is the range's hyperlink for an owner
+// that keeps one (BlockedWeb: the parent-level range holding the same
+// key, 0 for the head sentinel); it sits in what was the slot's
+// padding, so a slot stays 24 bytes.
 type lslot struct {
 	key  uint64
 	prev RangeID
 	next RangeID
+	up   RangeID
 	live bool
 }
 
@@ -98,7 +102,7 @@ func NewListLevel(keys []uint64) (*ListLevel, error) {
 		}
 	}
 	l := &ListLevel{}
-	l.reset(sorted)
+	l.reset(sorted, nil)
 	return l, nil
 }
 
@@ -115,15 +119,16 @@ func NewListLevelSorted(keys []uint64) (*ListLevel, error) {
 		}
 	}
 	l := &ListLevel{}
-	l.reset(keys)
+	l.reset(keys, nil)
 	return l, nil
 }
 
 // reset (re)initializes the level over strictly ascending keys, reusing
 // any slot and index capacity the receiver already owns — the level-pool
-// entry point for BlockedWeb's split/merge recycling. The keys slice is
-// copied, never retained.
-func (l *ListLevel) reset(sorted []uint64) {
+// entry point for BlockedWeb's split/merge recycling. sorted[j] lands at
+// range j+1, whose hyperlink is ups[j] (0 when ups is nil). Neither
+// slice is retained.
+func (l *ListLevel) reset(sorted []uint64, ups []RangeID) {
 	need := len(sorted) + 1
 	switch {
 	case cap(l.slots) >= need:
@@ -143,9 +148,13 @@ func (l *ListLevel) reset(sorted []uint64) {
 	l.dead = 0
 	l.slots = append(l.slots, lslot{prev: NoRange, next: NoRange, live: true}) // head sentinel
 	cur := RangeID(0)
-	for _, k := range sorted {
+	for j, k := range sorted {
 		id := RangeID(len(l.slots))
-		l.slots = append(l.slots, lslot{key: k, prev: cur, next: NoRange, live: true})
+		var up RangeID
+		if ups != nil {
+			up = ups[j]
+		}
+		l.slots = append(l.slots, lslot{key: k, prev: cur, next: NoRange, up: up, live: true})
 		l.slots[cur].next = id
 		cur = id
 		l.n++
@@ -229,6 +238,17 @@ func (l *ListLevel) ByKey(k uint64) (RangeID, bool) {
 		return l.pendIDs[i], true
 	}
 	return NoRange, false
+}
+
+// up returns range r's hyperlink (see lslot.up).
+func (l *ListLevel) up(r RangeID) RangeID { return l.slots[r].up }
+
+// setUp sets range r's hyperlink.
+func (l *ListLevel) setUp(r, up RangeID) { l.slots[r].up = up }
+
+// live reports whether r names a live range of the level.
+func (l *ListLevel) live(r RangeID) bool {
+	return r >= 0 && int(r) < len(l.slots) && l.slots[r].live
 }
 
 // Next and Prev expose the linked-list order.
@@ -441,7 +461,7 @@ func (l *ListLevel) InsertKey(k uint64, hint RangeID) (RangeID, error) {
 // key set is a subset of the ground's).
 func (l *ListLevel) insertKeyUnchecked(k uint64, hint RangeID) RangeID {
 	cur := hint
-	if cur == NoRange || int(cur) >= len(l.slots) || !l.slots[cur].live {
+	if !l.live(cur) {
 		cur = l.Locate(k)
 	}
 	for {
@@ -455,15 +475,12 @@ func (l *ListLevel) insertKeyUnchecked(k uint64, hint RangeID) RangeID {
 	if len(l.free) > 0 {
 		id = l.free[len(l.free)-1]
 		l.free = l.free[:len(l.free)-1]
-		l.slots[id].key = k
-		l.slots[id].live = true
 	} else {
 		id = RangeID(len(l.slots))
-		l.slots = append(l.slots, lslot{key: k, live: true})
+		l.slots = append(l.slots, lslot{})
 	}
 	nx := l.slots[cur].next
-	l.slots[id].prev = cur
-	l.slots[id].next = nx
+	l.slots[id] = lslot{key: k, prev: cur, next: nx, live: true}
 	l.slots[cur].next = id
 	if nx != NoRange {
 		l.slots[nx].prev = id

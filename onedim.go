@@ -325,8 +325,7 @@ func (b *Blocked) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, er
 // InsertBatch adds the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
 // in input order. Sorted runs within an origin group take the fast
-// path: one dispatch per run, with consecutive descents sharing their
-// uncharged hyperlink resolutions and the ascending order making every
+// path: one dispatch per run, with the ascending order making every
 // level's index splice an amortized O(1) append (see the sorted-run
 // notes in batch.go). A run straddling a stripe boundary splits at the
 // separator into one run per stripe. Message accounting is identical to

@@ -114,6 +114,8 @@ func (p *Points) TreeDepth() int {
 // Under write striping the query descends the stripe owning the point's
 // Morton code; the located cell is that stripe's deepest cell containing
 // the query, which is the subdivision cell of the stripe's curve band.
+// An empty stripe has no cell to route to: Locate reports the universal
+// cell (CellBits 0) at no message cost.
 func (p *Points) Locate(q Point, origin HostID) (PointLocation, error) {
 	code, err := p.ops.Code(quadtree.Point(q))
 	if err != nil {
@@ -139,13 +141,18 @@ func (p *Points) locateCode(code uint64, origin HostID) (PointLocation, error) {
 		return PointLocation{}, fmt.Errorf("skipwebs: %w", err)
 	}
 	g := p.ws[i].GroundStructure()
-	id := quadtree.NodeID(res.Range)
 	var loc PointLocation
-	cell := g.CellOf(id)
-	loc.CellPrefix, loc.CellBits = cell.Prefix, cell.PLen
-	if g.IsLeaf(id) {
-		loc.Leaf = true
-		loc.LeafPoint = Point(g.PointAt(id))
+	// An empty stripe has no cell; its subdivision is the whole space,
+	// the universal cell (prefix 0 of 0 bits), which the zero loc reports.
+	var cell quadtree.Cell
+	if res.Range != core.NoRange {
+		id := quadtree.NodeID(res.Range)
+		cell = g.CellOf(id)
+		loc.CellPrefix, loc.CellBits = cell.Prefix, cell.PLen
+		if g.IsLeaf(id) {
+			loc.Leaf = true
+			loc.LeafPoint = Point(g.PointAt(id))
+		}
 	}
 	// Only a point inside the located cell can split it, empty it or hang
 	// a deeper cell under it on the query's path (such a cell lies inside

@@ -24,12 +24,6 @@ type rangeEngine interface {
 	RangeCost(lo, hi uint64, origin HostID) ([]uint64, core.Cost, error)
 }
 
-// runInserter is the optional sorted-run fast path of a keyEngine (see
-// sortedSet.insertRun).
-type runInserter interface {
-	InsertRun(keys []uint64, origin HostID, hops []int, errs []error)
-}
-
 // sortedSet is the front-end OneDim, Blocked and Bucketed share: floor,
 // membership and range queries, updates, and their batch variants over a
 // striped set of key engines, implemented once.
@@ -170,10 +164,8 @@ func (s *sortedSet[E]) remove(key uint64, origin HostID) (int, error) {
 	return wrapHops(s.ws[i].Delete(key, origin))
 }
 
-// insertRun applies one sorted run of a batch to its stripe under a
-// single writer-lock acquisition, through the engine's own run inserter
-// when it has one (core.BlockedWeb shares the uncharged parts of
-// consecutive descents) and per key otherwise.
+// insertRun applies one sorted run of a batch to its stripe, key by key,
+// under a single writer-lock acquisition.
 func (s *sortedSet[E]) insertRun(stripe int, keys []uint64, origin HostID, hops []int, errs []error) {
 	s.st.wlock(stripe)
 	defer s.st.wunlock(stripe)
@@ -185,12 +177,8 @@ func (s *sortedSet[E]) insertRun(stripe int, keys []uint64, origin HostID, hops 
 			s.nb.add(stripe, hashKey64(k))
 		}
 	}
-	if r, ok := any(s.ws[stripe]).(runInserter); ok {
-		r.InsertRun(keys, origin, hops, errs)
-	} else {
-		for i, k := range keys {
-			hops[i], errs[i] = s.ws[stripe].Insert(k, origin)
-		}
+	for i, k := range keys {
+		hops[i], errs[i] = s.ws[stripe].Insert(k, origin)
 	}
 	for i, err := range errs {
 		if err != nil {
