@@ -68,21 +68,14 @@ func (o *ListOps) Anchors(child, parent *ListLevel, r RangeID) ([]RangeID, error
 	return o.anchorBuf[:], nil
 }
 
-// ChildTerminal walks left from the parent terminal to the nearest key
-// present in the child level — an expected O(1)-step walk, since each
-// parent key is in the child with probability 1/2.
-func (*ListOps) ChildTerminal(child, parent *ListLevel, tp RangeID, q uint64, steps *int) (RangeID, error) {
-	cur := tp
-	for {
-		if parent.IsHead(cur) {
-			return child.Head(), nil
-		}
-		if cr, ok := child.ByKey(parent.Key(cur)); ok {
-			return cr, nil
-		}
-		cur = parent.Prev(cur)
-		*steps++
+// Up is the predecessor range: the climb walks left to the nearest key
+// present in the child level — expected O(1) steps, since each parent
+// key is in the child with probability 1/2.
+func (*ListOps) Up(l *ListLevel, r RangeID) RangeID {
+	if l.IsHead(r) {
+		return NoRange
 	}
+	return l.Prev(r)
 }
 
 // Payload is one storage unit: a list range is a single key node, and a
@@ -110,9 +103,10 @@ func (o *ListOps) Insert(l *ListLevel, x uint64, q uint64, hint RangeID) (Change
 	return Change{Added: o.addedBuf[:], Touched: o.touchedBuf[:]}, nil
 }
 
-// Delete unsplices the key; the predecessor inherits its interval.
-func (o *ListOps) Delete(l *ListLevel, x uint64, q uint64) (Change, error) {
-	dead, pred, err := l.DeleteKey(x)
+// Delete unsplices the key at range at when that holds it; the
+// predecessor inherits its interval.
+func (o *ListOps) Delete(l *ListLevel, x uint64, q uint64, at RangeID) (Change, error) {
+	dead, pred, err := l.deleteKeyAt(x, at)
 	if err != nil {
 		return Change{}, err
 	}
@@ -137,9 +131,31 @@ type QuadOps struct {
 	Dim   int
 	proto *quadtree.Tree
 
-	addedBuf, removedBuf, remapBuf []RangeID
-	anchorBuf                      [1]RangeID
-	codeBuf                        []uint64
+	change    treeChange
+	anchorBuf [1]RangeID
+	codeBuf   []uint64
+}
+
+// treeChange holds the Change buffers of a tree adapter: a tree update
+// creates or removes at most two nodes.
+type treeChange struct{ added, removed, remap [2]RangeID }
+
+// inserted reports a tree insert's created nodes as a Change.
+func inserted[N ~int32](c *treeChange, created []N) Change {
+	for i, n := range created {
+		c.added[i] = RangeID(n)
+	}
+	return Change{Added: c.added[:len(created)]}
+}
+
+// deleted reports a tree delete's removed nodes as a Change, each
+// remapped to the survivor (NoRange when nothing survives: the trees'
+// NoNode is -1 too).
+func deleted[N ~int32](c *treeChange, removed []N, survivor N) Change {
+	for i, n := range removed {
+		c.removed[i], c.remap[i] = RangeID(n), RangeID(survivor)
+	}
+	return Change{Removed: c.removed[:len(removed)], RemapTo: c.remap[:len(removed)]}
 }
 
 // NewQuadOps creates the adapter for d-dimensional points.
@@ -233,18 +249,10 @@ func (o *QuadOps) Anchors(child, parent *quadtree.Tree, r RangeID) ([]RangeID, e
 	return o.anchorBuf[:], nil
 }
 
-// ChildTerminal climbs from the parent terminal until reaching a cell
-// that exists in the child tree — expected O(1) steps by Lemma 3.
-func (o *QuadOps) ChildTerminal(child, parent *quadtree.Tree, tp RangeID, q uint64, steps *int) (RangeID, error) {
-	cur := quadtree.NodeID(tp)
-	for cur != quadtree.NoNode {
-		if cid, ok := child.NodeByCell(parent.CellOf(cur)); ok {
-			return RangeID(cid), nil
-		}
-		cur = parent.Parent(cur)
-		*steps++
-	}
-	return NoRange, fmt.Errorf("core: no ancestor cell of parent terminal exists in child tree")
+// Up is the parent node: the climb reaches a cell that exists in the
+// child tree in expected O(1) steps by Lemma 3.
+func (o *QuadOps) Up(l *quadtree.Tree, r RangeID) RangeID {
+	return RangeID(l.Parent(quadtree.NodeID(r)))
 }
 
 // Payload is one storage unit: a quadtree range is one compressed-tree
@@ -275,38 +283,24 @@ func (o *QuadOps) QueryOf(x quadtree.Point) uint64 {
 // CodeOf equals QueryOf: the Morton code is injective.
 func (o *QuadOps) CodeOf(x quadtree.Point) uint64 { return o.QueryOf(x) }
 
-// Insert adds the point; hint is unused (tree inserts are local walks).
-// The Change aliases the adapter's reusable buffers.
+// Insert adds the point, walking down from the hinted terminal. The
+// Change aliases the adapter's reusable buffers.
 func (o *QuadOps) Insert(l *quadtree.Tree, x quadtree.Point, q uint64, hint RangeID) (Change, error) {
-	res, err := l.Insert(x)
+	res, err := l.InsertAt(quadtree.NodeID(hint), x)
 	if err != nil {
 		return Change{}, err
 	}
-	added := o.addedBuf[:0]
-	for _, n := range res.Created {
-		added = append(added, RangeID(n))
-	}
-	o.addedBuf = added[:0]
-	return Change{Added: added}, nil
+	return inserted(&o.change, res.Created), nil
 }
 
-// Delete removes the point, remapping dead cells to the survivor.
-func (o *QuadOps) Delete(l *quadtree.Tree, x quadtree.Point, q uint64) (Change, error) {
-	res, err := l.Delete(x)
+// Delete removes the point found from the terminal at, remapping dead
+// cells to the survivor.
+func (o *QuadOps) Delete(l *quadtree.Tree, x quadtree.Point, q uint64, at RangeID) (Change, error) {
+	res, err := l.DeleteAt(quadtree.NodeID(at), x)
 	if err != nil {
 		return Change{}, err
 	}
-	removed, remap := o.removedBuf[:0], o.remapBuf[:0]
-	for _, n := range res.Removed {
-		removed = append(removed, RangeID(n))
-		if res.Survivor != quadtree.NoNode {
-			remap = append(remap, RangeID(res.Survivor))
-		} else {
-			remap = append(remap, NoRange)
-		}
-	}
-	o.removedBuf, o.remapBuf = removed[:0], remap[:0]
-	return Change{Removed: removed, RemapTo: remap}, nil
+	return deleted(&o.change, res.Removed, res.Survivor), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -316,8 +310,8 @@ func (o *QuadOps) Delete(l *quadtree.Tree, x quadtree.Point, q uint64) (Change, 
 // are strings. The Change buffers are reused across updates (updates are
 // single-writer); construct one instance per web with NewTrieOps.
 type TrieOps struct {
-	addedBuf, removedBuf, remapBuf []RangeID
-	anchorBuf                      [1]RangeID
+	change    treeChange
+	anchorBuf [1]RangeID
 }
 
 // NewTrieOps creates the adapter.
@@ -375,19 +369,9 @@ func (o *TrieOps) Anchors(child, parent *trie.Trie, r RangeID) ([]RangeID, error
 	return o.anchorBuf[:], nil
 }
 
-// ChildTerminal climbs from the parent terminal until reaching a locus
-// that exists in the child trie — expected O(1) steps by Lemma 4.
-func (*TrieOps) ChildTerminal(child, parent *trie.Trie, tp RangeID, q string, steps *int) (RangeID, error) {
-	cur := trie.NodeID(tp)
-	for cur != trie.NoNode {
-		if cid, ok := child.NodeByLocus(parent.Locus(cur)); ok {
-			return RangeID(cid), nil
-		}
-		cur = parent.Parent(cur)
-		*steps++
-	}
-	return NoRange, fmt.Errorf("core: no ancestor locus of parent terminal exists in child trie")
-}
+// Up is the parent node: the climb reaches a locus that exists in the
+// child trie in expected O(1) steps by Lemma 4.
+func (*TrieOps) Up(l *trie.Trie, r RangeID) RangeID { return RangeID(l.Parent(trie.NodeID(r))) }
 
 // Payload is one storage unit: a trie range is one compressed-trie node
 // (locus plus child edges), moved in one message during churn.
@@ -409,37 +393,24 @@ func (*TrieOps) CodeOf(x string) uint64 {
 	return h.Sum64()
 }
 
-// Insert adds the key. The Change aliases the adapter's reusable buffers.
+// Insert adds the key, searching down from the hinted terminal. The
+// Change aliases the adapter's reusable buffers.
 func (o *TrieOps) Insert(l *trie.Trie, x string, q string, hint RangeID) (Change, error) {
-	res, err := l.Insert(x)
+	res, err := l.InsertAt(trie.NodeID(hint), x)
 	if err != nil {
 		return Change{}, err
 	}
-	added := o.addedBuf[:0]
-	for _, n := range res.Created {
-		added = append(added, RangeID(n))
-	}
-	o.addedBuf = added[:0]
-	return Change{Added: added}, nil
+	return inserted(&o.change, res.Created), nil
 }
 
-// Delete removes the key, remapping pruned loci to the survivor.
-func (o *TrieOps) Delete(l *trie.Trie, x string, q string) (Change, error) {
-	res, err := l.Delete(x)
+// Delete removes the key found from the terminal at, remapping pruned
+// loci to the survivor.
+func (o *TrieOps) Delete(l *trie.Trie, x string, q string, at RangeID) (Change, error) {
+	res, err := l.DeleteAt(trie.NodeID(at), x)
 	if err != nil {
 		return Change{}, err
 	}
-	removed, remap := o.removedBuf[:0], o.remapBuf[:0]
-	for _, n := range res.Removed {
-		removed = append(removed, RangeID(n))
-		if res.Survivor != trie.NoNode {
-			remap = append(remap, RangeID(res.Survivor))
-		} else {
-			remap = append(remap, NoRange)
-		}
-	}
-	o.removedBuf, o.remapBuf = removed[:0], remap[:0]
-	return Change{Removed: removed, RemapTo: remap}, nil
+	return deleted(&o.change, res.Removed, res.Survivor), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -495,10 +466,8 @@ func (o TrapOps) Anchors(child, parent *trapmap.Map, r RangeID) ([]RangeID, erro
 	return out, nil
 }
 
-// ChildTerminal is unsupported: the trapezoidal-map skip-web is static.
-func (o TrapOps) ChildTerminal(child, parent *trapmap.Map, tp RangeID, q trapmap.Point, steps *int) (RangeID, error) {
-	return NoRange, ErrStatic
-}
+// Up never moves: the trapezoidal-map skip-web is static.
+func (o TrapOps) Up(l *trapmap.Map, r RangeID) RangeID { return NoRange }
 
 // Payload is one storage unit: a trapezoid is one face record (its
 // bounding segments are shared references), moved in one message during
@@ -541,6 +510,6 @@ func (o TrapOps) Insert(l *trapmap.Map, x trapmap.Segment, q trapmap.Point, hint
 }
 
 // Delete is unsupported: the trapezoidal-map skip-web is static.
-func (o TrapOps) Delete(l *trapmap.Map, x trapmap.Segment, q trapmap.Point) (Change, error) {
+func (o TrapOps) Delete(l *trapmap.Map, x trapmap.Segment, q trapmap.Point, at RangeID) (Change, error) {
 	return Change{}, ErrStatic
 }

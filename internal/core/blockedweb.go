@@ -791,10 +791,11 @@ func (w *BlockedWeb) climb(key uint64, t0 RangeID, routed bool, op *sim.Op) (err
 // insertAt splices key into node's level. One message is charged per
 // distinct block host touched by this whole insert operation, so updates
 // confined to a stratum's co-located copies cost a single message.
-// The splice skips the duplicate probe: Insert has already verified the
-// key absent at the ground level, whose key set contains every level's.
+// The splice skips InsertKey's duplicate check: Insert has already
+// verified the key absent at the ground level, whose key set contains
+// every level's.
 func (w *BlockedWeb) insertAt(n *bnode, key uint64, hint RangeID, op *sim.Op) RangeID {
-	id := n.lvl.insertKeyUnchecked(key, hint)
+	id := n.lvl.spliceAfter(n.lvl.terminal(key, hint), key)
 	n.count++
 	// Storage deltas, all resolved around key's block with one directory
 	// search (the neighbors' blocks are found by cursor): the new range's
@@ -1080,7 +1081,7 @@ func (w *BlockedWeb) removeAt(n *bnode, key uint64) error {
 	pred, nx := n.lvl.Prev(r), n.lvl.Next(r)
 	w.chargeRangeStorage(n, r, -1)
 	w.straddleCopy(n, pred, r, -1)
-	if _, _, err := n.lvl.DeleteKey(key); err != nil {
+	if _, _, err := n.lvl.deleteKeyAt(key, r); err != nil {
 		return err
 	}
 	w.straddleCopy(n, pred, nx, 1)

@@ -35,9 +35,11 @@
 //
 // An insertion first routes to the level-0 terminal like a query, then
 // climbs the element's own random bit path: at each level it derives the
-// child terminal from the parent terminal (an expected O(1)-step walk),
-// applies the O(1) structural change, and rewires the O(1) affected
-// hyperlinks — O(1) expected messages per level, O(log n) total.
+// child terminal from the parent terminal (an expected O(1)-step walk up
+// the parent structure to the first range a child range is anchored at),
+// applies the O(1) structural change starting at that terminal, and
+// rewires the O(1) affected hyperlinks — O(1) expected messages per
+// level, O(log n) total.
 // Deletions run the same climb first and then unwind top-down so that
 // hyperlink repair always targets live ranges.
 package core
@@ -202,10 +204,13 @@ type Ops[L, T, Q any] interface {
 	// consulted while releasing a range that the structural delete has
 	// already unspliced.
 	Payload(l L, r RangeID) int
-	// ChildTerminal derives the terminal range of child containing q
-	// from the terminal tp of parent containing q, walking locally and
-	// incrementing *steps once per host-visible hop.
-	ChildTerminal(child, parent L, tp RangeID, q Q, steps *int) (RangeID, error)
+	// Up is one step of the update climb's walk from a terminal toward
+	// the root of l: a tree's parent node, a list's predecessor range.
+	// It returns NoRange at the top (the root, the head sentinel) and
+	// always for a static family. Every range it reaches must contain
+	// (for trees) or precede (for lists) the range it started from, so
+	// the first one a child range is anchored at is the child's terminal.
+	Up(l L, r RangeID) RangeID
 	// Locate performs a full local search for q's terminal range in l.
 	Locate(l L, q Q) RangeID
 	// QueryOf maps an item to its query point.
@@ -214,10 +219,15 @@ type Ops[L, T, Q any] interface {
 	// it should be injective (hash collisions merely degrade leaf sizes).
 	CodeOf(x T) uint64
 	// Insert adds x (whose query point is q) to l; hint is the terminal
-	// range containing q before the insert, or NoRange.
+	// range containing q before the insert, or NoRange. Implementations
+	// start their local search there, and must treat any hint that is
+	// not a live range on q's search path — NoRange, a dead, recycled or
+	// unrelated id — as no hint: the result never depends on it.
 	Insert(l L, x T, q Q, hint RangeID) (Change, error)
-	// Delete removes x from l.
-	Delete(l L, x T, q Q) (Change, error)
+	// Delete removes x from l; at is the terminal range containing q,
+	// recorded by the climb before any level changed, or NoRange. It is
+	// a hint under Insert's contract.
+	Delete(l L, x T, q Q, at RangeID) (Change, error)
 }
 
 // BulkOps is the optional bulk-load extension of Ops. A structure whose
@@ -854,14 +864,12 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 		tp = w.reterminal(node, t0, q)
 	}
 	for node.kids[0] != nil {
-		child := node.kids[w.bitFromCode(code, node.depth)]
+		side := w.bitFromCode(code, node.depth)
+		child := node.kids[side]
 		ct := NoRange
 		if child.count > 0 {
-			w.scratch.steps = 0
-			ct, err = w.ops.ChildTerminal(child.s, node.s, tp, q, &w.scratch.steps)
-			w.chargeSteps(op, child, ct, w.scratch.steps)
-			if err != nil {
-				return op.Hops(), fmt.Errorf("core: child terminal at depth %d: %w", child.depth, err)
+			if ct, err = w.climbToChild(op, node, side, tp); err != nil {
+				return op.Hops(), err
 			}
 		}
 		if err := w.applyInsert(child, x, q, code, ct, op); err != nil {
@@ -888,6 +896,45 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 	return op.Hops(), nil
 }
 
+// childTerminal derives the terminal range of n.kids[side] containing a
+// query from tp, the terminal of n containing it: the first range on
+// tp's Up chain that a range of the kid is anchored at names, through its
+// backref, the kid's terminal. Every dynamic family anchors a kid range
+// at the parent range with the identical locus, cell or key, and at most
+// one per kid, so the walk is the set-halving lemma's expected O(1)
+// steps. steps counts the Up moves taken.
+func (w *Web[L, T, Q]) childTerminal(n *setNode[L, T], side int, tp RangeID) (ct RangeID, steps int, err error) {
+	for cur := tp; cur != NoRange; cur = w.ops.Up(n.s, cur) {
+		for _, b := range n.slab.backsOf(cur) {
+			if int(b&1) == side {
+				return b >> 1, steps, nil
+			}
+		}
+		steps++
+	}
+	return NoRange, steps, fmt.Errorf("core: no range above the terminal at depth %d is anchored from its kid", n.depth)
+}
+
+// climbToChild is childTerminal with its walk charged to the host of
+// the kid's terminal: each step is a hop between structure nodes, which
+// in the worst placement crosses hosts every time. The walk happens
+// wherever the range is actually served, so a failed-over range charges
+// its live replica.
+func (w *Web[L, T, Q]) climbToChild(op *sim.Op, n *setNode[L, T], side int, tp RangeID) (RangeID, error) {
+	kid := n.kids[side]
+	ct, steps, err := w.childTerminal(n, side, tp)
+	if err != nil {
+		return NoRange, fmt.Errorf("core: child terminal at depth %d: %w", kid.depth, err)
+	}
+	// Updates run post-repair (every replica live); a fully dead range
+	// can only be reached on an unrepaired k=1 web, whose routed query
+	// already failed before any steps were charged.
+	if h, err := kid.slab.replicas(ct).firstLive(w.net); err == nil {
+		sendN(op, h, steps)
+	}
+	return ct, nil
+}
+
 // reterminal refines a pre-update terminal to the post-update terminal by
 // local steps (free: the walk happens on the host that just applied the
 // structural change or its immediate neighbors, already visited).
@@ -900,24 +947,6 @@ func (w *Web[L, T, Q]) reterminal(n *setNode[L, T], r RangeID, q Q) RangeID {
 		}
 		r = next
 	}
-}
-
-func (w *Web[L, T, Q]) chargeSteps(op *sim.Op, n *setNode[L, T], r RangeID, steps int) {
-	// Charge the walk to the host of the resulting range: each step is a
-	// hop between structure nodes, which in the worst placement crosses
-	// hosts every time. The walk happens wherever the range is actually
-	// served, so a failed-over range charges its live replica.
-	if !n.slab.placed(r) {
-		return
-	}
-	h, err := n.slab.replicas(r).firstLive(w.net)
-	if err != nil {
-		// Updates run post-repair (every replica live); a fully dead
-		// range can only be reached on an unrepaired k=1 web, whose
-		// routed query already failed before any steps were charged.
-		return
-	}
-	sendN(op, h, steps)
 }
 
 // anchorsEqual reports whether two hyperlink sets are identical as sets.
@@ -1032,19 +1061,19 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 	defer func() { w.scratch.frames = frames[:0] }()
 	node, tp := w.root, t0
 	for node.kids[0] != nil {
-		child := node.kids[w.bitFromCode(code, node.depth)]
-		w.scratch.steps = 0
-		ct, err := w.ops.ChildTerminal(child.s, node.s, tp, q, &w.scratch.steps)
-		w.chargeSteps(op, child, ct, w.scratch.steps)
+		side := w.bitFromCode(code, node.depth)
+		ct, err := w.climbToChild(op, node, side, tp)
 		if err != nil {
-			return op.Hops(), fmt.Errorf("core: child terminal at depth %d: %w", child.depth, err)
+			return op.Hops(), err
 		}
-		frames = append(frames, nodeRange[*setNode[L, T]]{child, ct})
-		node, tp = child, ct
+		node, tp = node.kids[side], ct
+		frames = append(frames, nodeRange[*setNode[L, T]]{node, ct})
 	}
 	// Unwind top-down so hyperlink repair always targets live ranges.
+	// Each level deletes at its recorded terminal: the levels are
+	// separate structures, so a deeper level's delete leaves it valid.
 	for i := len(frames) - 1; i >= 0; i-- {
-		if err := w.applyDelete(frames[i].node, x, q, code, op); err != nil {
+		if err := w.applyDelete(frames[i].node, x, q, code, frames[i].r, op); err != nil {
 			return op.Hops(), err
 		}
 	}
@@ -1065,9 +1094,9 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 	return op.Hops(), nil
 }
 
-func (w *Web[L, T, Q]) applyDelete(n *setNode[L, T], x T, q Q, code uint64, op *sim.Op) error {
+func (w *Web[L, T, Q]) applyDelete(n *setNode[L, T], x T, q Q, code uint64, at RangeID, op *sim.Op) error {
 	s := n.s
-	ch, err := w.ops.Delete(s, x, q)
+	ch, err := w.ops.Delete(s, x, q, at)
 	if err != nil {
 		return fmt.Errorf("core: delete at depth %d: %w", n.depth, err)
 	}

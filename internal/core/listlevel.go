@@ -444,22 +444,22 @@ func (l *ListLevel) indexDelete(k uint64) {
 	}
 }
 
-// InsertKey splices k after range hint (which must be the terminal range
-// containing k, or a nearby range from which Step reaches it). A NoRange
-// or dead hint falls back to the O(log n) local search rather than
-// walking from the head sentinel.
+// InsertKey splices k in after its terminal range, reached by Step from
+// hint (the terminal range containing k, or a nearby range). A NoRange or
+// dead hint falls back to the O(log n) local search rather than walking
+// from the head sentinel. The duplicate check reads the terminal the walk
+// reached: k is present exactly when that range holds it.
 func (l *ListLevel) InsertKey(k uint64, hint RangeID) (RangeID, error) {
-	if _, ok := l.ByKey(k); ok {
+	cur := l.terminal(k, hint)
+	if cur != 0 && l.slots[cur].key == k {
 		return NoRange, fmt.Errorf("core: duplicate key %d", k)
 	}
-	return l.insertKeyUnchecked(k, hint), nil
+	return l.spliceAfter(cur, k), nil
 }
 
-// insertKeyUnchecked is InsertKey without the duplicate probe, for
-// callers that have already proven k absent (BlockedWeb.Insert verifies
-// non-membership at the ground level before climbing, and every level's
-// key set is a subset of the ground's).
-func (l *ListLevel) insertKeyUnchecked(k uint64, hint RangeID) RangeID {
+// terminal returns the range containing k, walking by Step from hint, or
+// from the local search when hint is not live.
+func (l *ListLevel) terminal(k uint64, hint RangeID) RangeID {
 	cur := hint
 	if !l.live(cur) {
 		cur = l.Locate(k)
@@ -467,10 +467,15 @@ func (l *ListLevel) insertKeyUnchecked(k uint64, hint RangeID) RangeID {
 	for {
 		nx := l.Step(cur, k)
 		if nx == NoRange {
-			break
+			return cur
 		}
 		cur = nx
 	}
+}
+
+// spliceAfter links a new range holding k in after cur, which must be
+// k's terminal range and must not hold k.
+func (l *ListLevel) spliceAfter(cur RangeID, k uint64) RangeID {
 	var id RangeID
 	if len(l.free) > 0 {
 		id = l.free[len(l.free)-1]
@@ -499,9 +504,19 @@ func (l *ListLevel) insertKeyUnchecked(k uint64, hint RangeID) RangeID {
 // DeleteKey removes key k, returning the dead range and its predecessor
 // (which inherits the dead range's interval).
 func (l *ListLevel) DeleteKey(k uint64) (dead, pred RangeID, err error) {
-	id, ok := l.ByKey(k)
-	if !ok {
-		return NoRange, NoRange, fmt.Errorf("core: key %d not found", k)
+	return l.deleteKeyAt(k, NoRange)
+}
+
+// deleteKeyAt is DeleteKey for a caller that already holds k's range: at
+// is used when it is k's live, non-head range, and any other hint falls
+// back to ByKey, so the result is always DeleteKey's.
+func (l *ListLevel) deleteKeyAt(k uint64, at RangeID) (dead, pred RangeID, err error) {
+	id := at
+	if id == 0 || !l.live(id) || l.slots[id].key != k {
+		var ok bool
+		if id, ok = l.ByKey(k); !ok {
+			return NoRange, NoRange, fmt.Errorf("core: key %d not found", k)
+		}
 	}
 	p, nx := l.slots[id].prev, l.slots[id].next
 	l.slots[p].next = nx

@@ -202,7 +202,4 @@ type updateScratch[N any] struct {
 	dirty  []RangeID      // Added+Touched ranges of the level being applied
 	todo   []nodeRange[N] // child ranges whose hyperlinks need recomputing
 	frames []nodeRange[N] // Delete's terminal per level of the bit path
-	// steps receives Ops.ChildTerminal's walk length; a local would escape
-	// through the interface call and cost one allocation per level.
-	steps int
 }

@@ -21,6 +21,7 @@ package quadtree
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,11 +54,18 @@ type Tree struct {
 	k     int // coordinate bits per dimension
 	ck    int // total code bits = d*k
 	nodes []node
-	pts   []Point
-	codes []uint64
-	root  NodeID
-	free  []NodeID        // recycled node slots
-	index map[Cell]NodeID // live cell -> node
+	// pts and codes are the point slots, indexed by node.point; freePts
+	// lists the slots deleted leaves gave back (nil in pts, so a deleted
+	// point's coordinates are not kept alive).
+	pts     []Point
+	codes   []uint64
+	freePts []int32
+	root    NodeID
+	free    []NodeID        // recycled node slots
+	index   map[Cell]NodeID // live cell -> node
+	// created and removed back InsertResult.Created and
+	// DeleteResult.Removed: an update creates or removes at most two nodes.
+	created, removed [2]NodeID
 }
 
 type node struct {
@@ -157,8 +165,9 @@ func (t *Tree) ensureUniversalRoot() {
 	oldCell := t.nodes[old].cell
 	u := t.newNode(Cell{Prefix: 0, PLen: 0}, NoNode, -1)
 	b := uint8((oldCell.Prefix >> (oldCell.PLen - t.d)) & (1<<t.d - 1))
-	t.nodes[u].childBit = []uint8{b}
-	t.nodes[u].childID = []NodeID{old}
+	un := &t.nodes[u]
+	un.childBit = append(un.childBit, b)
+	un.childID = append(un.childID, old)
 	t.nodes[old].parent = u
 	t.root = u
 }
@@ -195,6 +204,8 @@ func (t *Tree) newNode(cell Cell, parent NodeID, point int32) NodeID {
 	if len(t.free) > 0 {
 		id = t.free[len(t.free)-1]
 		t.free = t.free[:len(t.free)-1]
+		// A recycled slot keeps its child arrays.
+		n.childBit, n.childID = t.nodes[id].childBit[:0], t.nodes[id].childID[:0]
 		t.nodes[id] = n
 	} else {
 		t.nodes = append(t.nodes, n)
@@ -480,6 +491,8 @@ func (t *Tree) collectSubtree(id NodeID, out []NodeID) []NodeID {
 }
 
 // InsertResult describes the O(1) structural change made by Insert.
+// Created aliases the tree's scratch: it is valid until the next Insert
+// or Delete on the same tree.
 type InsertResult struct {
 	Leaf    NodeID   // the new leaf holding the point
 	Created []NodeID // all nodes created, including Leaf
@@ -488,98 +501,72 @@ type InsertResult struct {
 
 // Insert adds point p, returning the affected nodes. It returns an error
 // for dimension mismatches, out-of-range coordinates, or duplicates.
-func (t *Tree) Insert(p Point) (InsertResult, error) {
+func (t *Tree) Insert(p Point) (InsertResult, error) { return t.InsertAt(t.root, p) }
+
+// start returns from when it is a live node whose cell contains code — a
+// node on the root path of code's search — and the root otherwise.
+func (t *Tree) start(from NodeID, code uint64) NodeID {
+	if from < 0 || int(from) >= len(t.nodes) || t.nodes[from].dead || !t.CellContainsCode(t.nodes[from].cell, code) {
+		return t.root
+	}
+	return from
+}
+
+// storePoint files p and its code in a point slot, reusing one a deleted
+// leaf gave back.
+func (t *Tree) storePoint(p Point, code uint64) int32 {
+	if k := len(t.freePts); k > 0 {
+		i := t.freePts[k-1]
+		t.freePts = t.freePts[:k-1]
+		t.pts[i], t.codes[i] = p, code
+		return i
+	}
+	t.pts = append(t.pts, p)
+	t.codes = append(t.codes, code)
+	return int32(len(t.pts) - 1)
+}
+
+// InsertAt is Insert with the walk starting at from, typically the
+// terminal of p's search before the insert: the insert then costs O(1)
+// local steps. Any other hint — NoNode, a dead or recycled id, a node
+// whose cell does not contain p — falls back to the root, so the result
+// is always Insert's.
+func (t *Tree) InsertAt(from NodeID, p Point) (InsertResult, error) {
 	code, err := t.Code(p)
 	if err != nil {
 		return InsertResult{}, err
 	}
-	pidx := int32(len(t.pts))
-	t.pts = append(t.pts, p)
-	t.codes = append(t.codes, code)
-
 	if t.root == NoNode {
-		leaf := t.newNode(t.pointCell(code), NoNode, pidx)
+		leaf := t.newNode(t.pointCell(code), NoNode, t.storePoint(p, code))
 		t.root = leaf
 		t.ensureUniversalRoot()
-		return InsertResult{Leaf: leaf, Created: []NodeID{leaf, t.root}, Parent: NoNode}, nil
+		t.created = [2]NodeID{leaf, t.root}
+		return InsertResult{Leaf: leaf, Created: t.created[:], Parent: NoNode}, nil
 	}
 
-	// Walk to the deepest node whose cell contains the new code; track the
-	// child edge that diverges.
-	cur := t.root
-	for {
-		n := &t.nodes[cur]
-		if !t.CellContainsCode(n.cell, code) {
-			panic("quadtree: cell mismatch during insert (universal root missing?)")
-		}
-		if n.point >= 0 {
-			if t.codes[n.point] == code {
-				t.pts = t.pts[:pidx]
-				t.codes = t.codes[:pidx]
-				return InsertResult{}, fmt.Errorf("quadtree: duplicate point %v", p)
-			}
-			return t.splitAbove(cur, code, pidx)
-		}
-		shift := t.ck - n.cell.PLen - t.d
-		b := uint8((code >> shift) & (1<<t.d - 1))
-		childIdx := -1
-		for i, cb := range n.childBit {
-			if cb == b {
-				childIdx = i
-				break
-			}
-		}
-		if childIdx == -1 {
-			// New branch directly under cur.
-			leaf := t.newNode(t.pointCell(code), cur, pidx)
-			n = &t.nodes[cur] // newNode may have grown the slice
-			n.childBit = append(n.childBit, b)
-			n.childID = append(n.childID, leaf)
-			return InsertResult{Leaf: leaf, Created: []NodeID{leaf}, Parent: cur}, nil
-		}
-		child := n.childID[childIdx]
-		if !t.CellContainsCode(t.nodes[child].cell, code) {
-			// The point diverges inside the compressed edge to child:
-			// interpose a new node at the LCA cell.
-			return t.splitEdge(cur, childIdx, code, pidx)
-		}
-		cur = child
+	// At the deepest node whose cell contains the code, a leaf holds the
+	// same point; an internal node has the code branch off below it, into
+	// an empty quadrant or inside the compressed edge to a child.
+	cur, _ := t.LocateFrom(t.start(from, code), code)
+	n := &t.nodes[cur]
+	if n.point >= 0 {
+		return InsertResult{}, fmt.Errorf("quadtree: duplicate point %v", p)
 	}
+	b := uint8((code >> (t.ck - n.cell.PLen - t.d)) & (1<<t.d - 1))
+	if i := slices.Index(n.childBit, b); i >= 0 {
+		return t.splitEdge(cur, i, code, t.storePoint(p, code)), nil
+	}
+	leaf := t.newNode(t.pointCell(code), cur, t.storePoint(p, code))
+	n = &t.nodes[cur] // newNode may have grown the slice
+	n.childBit = append(n.childBit, b)
+	n.childID = append(n.childID, leaf)
+	t.created[0] = leaf
+	return InsertResult{Leaf: leaf, Created: t.created[:1], Parent: cur}, nil
 }
 
-// splitAbove interposes a new internal node above node id at the LCA of
-// id's cell and the new code, with id and a new leaf as children.
-func (t *Tree) splitAbove(id NodeID, code uint64, pidx int32) (InsertResult, error) {
-	oldCell := t.nodes[id].cell
-	lca := t.lcaCellOfCells(oldCell, t.pointCell(code))
-	parent := t.nodes[id].parent
-	mid := t.newNode(lca, parent, -1)
-	leaf := t.newNode(t.pointCell(code), mid, pidx)
-
-	shift := t.ck - lca.PLen - t.d
-	oldBit := uint8((oldCell.Prefix >> (oldCell.PLen - lca.PLen - t.d)) & (1<<t.d - 1))
-	newBit := uint8((code >> shift) & (1<<t.d - 1))
-	t.nodes[mid].childBit = []uint8{oldBit, newBit}
-	t.nodes[mid].childID = []NodeID{id, leaf}
-	t.nodes[id].parent = mid
-
-	if parent == NoNode {
-		t.root = mid
-	} else {
-		pn := &t.nodes[parent]
-		for i, cid := range pn.childID {
-			if cid == id {
-				pn.childID[i] = mid
-				break
-			}
-		}
-	}
-	return InsertResult{Leaf: leaf, Created: []NodeID{leaf, mid}, Parent: parent}, nil
-}
-
-// splitEdge interposes a new node on the compressed edge from parent's
-// childIdx-th child.
-func (t *Tree) splitEdge(parent NodeID, childIdx int, code uint64, pidx int32) (InsertResult, error) {
+// splitEdge interposes a new node at the LCA cell of the new code and
+// parent's childIdx-th child, on the compressed edge to that child.
+func (t *Tree) splitEdge(parent NodeID, childIdx int, code uint64, pidx int32) InsertResult {
 	child := t.nodes[parent].childID[childIdx]
 	childCell := t.nodes[child].cell
 	lca := t.lcaCellOfCells(childCell, t.pointCell(code))
@@ -588,11 +575,13 @@ func (t *Tree) splitEdge(parent NodeID, childIdx int, code uint64, pidx int32) (
 
 	oldBit := uint8((childCell.Prefix >> (childCell.PLen - lca.PLen - t.d)) & (1<<t.d - 1))
 	newBit := uint8((code >> (t.ck - lca.PLen - t.d)) & (1<<t.d - 1))
-	t.nodes[mid].childBit = []uint8{oldBit, newBit}
-	t.nodes[mid].childID = []NodeID{child, leaf}
+	m := &t.nodes[mid]
+	m.childBit = append(m.childBit, oldBit, newBit)
+	m.childID = append(m.childID, child, leaf)
 	t.nodes[child].parent = mid
 	t.nodes[parent].childID[childIdx] = mid
-	return InsertResult{Leaf: leaf, Created: []NodeID{leaf, mid}, Parent: parent}, nil
+	t.created = [2]NodeID{leaf, mid}
+	return InsertResult{Leaf: leaf, Created: t.created[:], Parent: parent}
 }
 
 // lcaCellOfCells returns the smallest dyadic cell containing both cells.
@@ -613,6 +602,8 @@ func (t *Tree) lcaCellOfCells(a, b Cell) Cell {
 }
 
 // DeleteResult describes the O(1) structural change made by Delete.
+// Removed aliases the tree's scratch: it is valid until the next Insert
+// or Delete on the same tree.
 type DeleteResult struct {
 	// Removed lists the destroyed nodes: the point's leaf and possibly a
 	// compressed-away internal node.
@@ -624,16 +615,25 @@ type DeleteResult struct {
 }
 
 // Delete removes point p. It returns an error if the point is absent.
-func (t *Tree) Delete(p Point) (DeleteResult, error) {
+func (t *Tree) Delete(p Point) (DeleteResult, error) { return t.DeleteAt(t.root, p) }
+
+// DeleteAt is Delete with the walk starting at from, typically p's own
+// leaf: the delete then finds it without a walk. Hints are validated as
+// in InsertAt, so the result is always Delete's.
+func (t *Tree) DeleteAt(from NodeID, p Point) (DeleteResult, error) {
 	code, err := t.Code(p)
 	if err != nil {
 		return DeleteResult{}, err
 	}
-	id, _ := t.Locate(code)
+	id, _ := t.LocateFrom(t.start(from, code), code)
 	if id == NoNode || t.nodes[id].point < 0 || t.codes[t.nodes[id].point] != code {
 		return DeleteResult{}, fmt.Errorf("quadtree: point %v not found", p)
 	}
-	res := DeleteResult{Removed: []NodeID{id}, Survivor: NoNode}
+	t.removed[0] = id
+	res := DeleteResult{Removed: t.removed[:1], Survivor: NoNode}
+	pi := t.nodes[id].point
+	t.pts[pi] = nil
+	t.freePts = append(t.freePts, pi)
 	parent := t.nodes[id].parent
 	t.killNode(id)
 	if parent == NoNode {
@@ -706,9 +706,25 @@ func (t *Tree) Depth() int {
 
 // CheckInvariants verifies the compressed quadtree structure: child cells
 // strictly inside parent cells, no single-child internal nodes, prefix
-// lengths aligned to d, every point locatable. It returns the first
-// violation found.
+// lengths aligned to d, every point locatable, and every point slot held
+// by one live leaf or free. It returns the first violation found.
 func (t *Tree) CheckInvariants() error {
+	holders := make([]int, len(t.pts))
+	for _, pi := range t.freePts {
+		if t.pts[pi] != nil {
+			return fmt.Errorf("quadtree: free point slot %d still holds %v", pi, t.pts[pi])
+		}
+		holders[pi]++
+	}
+	t.VisitNodes(func(id NodeID) bool {
+		if pi := t.nodes[id].point; pi >= 0 {
+			holders[pi]++
+		}
+		return true
+	})
+	if pi := slices.IndexFunc(holders, func(h int) bool { return h != 1 }); pi >= 0 {
+		return fmt.Errorf("quadtree: point slot %d has %d holders, want 1", pi, holders[pi])
+	}
 	if t.root == NoNode {
 		return nil
 	}

@@ -17,6 +17,7 @@ package trie
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,14 +36,25 @@ type Trie struct {
 	root    NodeID
 	n       int // number of keys
 	byLocus map[string]NodeID
+	// created and removed back InsertResult.Created and
+	// DeleteResult.Removed: an update creates or removes at most two nodes.
+	created, removed [2]NodeID
 }
 
 type node struct {
 	locus    string
+	children []edge // sorted by branch byte
 	parent   NodeID
-	children []NodeID // sorted by first byte of child locus beyond this locus
 	isKey    bool
 	dead     bool
+}
+
+// edge is one child link: the child's locus byte just past the parent's
+// locus, stored in the parent so a descent step compares bytes without
+// loading the child.
+type edge struct {
+	b  byte
+	id NodeID
 }
 
 // New creates an empty trie.
@@ -163,7 +175,11 @@ func (t *Trie) IsKey(id NodeID) bool { return t.nodes[id].isKey }
 
 // Children returns the child node IDs of id.
 func (t *Trie) Children(id NodeID) []NodeID {
-	return append([]NodeID(nil), t.nodes[id].children...)
+	out := make([]NodeID, len(t.nodes[id].children))
+	for i, e := range t.nodes[id].children {
+		out[i] = e.id
+	}
+	return out
 }
 
 // childToward returns the child of id whose locus starts with
@@ -174,10 +190,9 @@ func (t *Trie) childToward(id NodeID, s string) NodeID {
 		return NoNode
 	}
 	b := s[len(n.locus)]
-	for _, c := range n.children {
-		cl := t.nodes[c].locus
-		if cl[len(n.locus)] == b {
-			return c
+	for _, e := range n.children {
+		if e.b == b {
+			return e.id
 		}
 	}
 	return NoNode
@@ -249,8 +264,8 @@ func (t *Trie) KeysWithPrefix(p string, max int) []string {
 		if nd.isKey {
 			out = append(out, nd.locus)
 		}
-		for _, c := range nd.children {
-			if !rec(c) {
+		for _, e := range nd.children {
+			if !rec(e.id) {
 				return false
 			}
 		}
@@ -315,13 +330,15 @@ func (t *Trie) Conflicts(locus string) []NodeID {
 
 func (t *Trie) collectSubtree(id NodeID, out []NodeID) []NodeID {
 	out = append(out, id)
-	for _, c := range t.nodes[id].children {
-		out = t.collectSubtree(c, out)
+	for _, e := range t.nodes[id].children {
+		out = t.collectSubtree(e.id, out)
 	}
 	return out
 }
 
 // InsertResult describes the O(1) structural change made by Insert.
+// Created aliases the trie's scratch: it is valid until the next Insert
+// or Delete on the same trie.
 type InsertResult struct {
 	Leaf    NodeID   // node now holding the key (new or pre-existing locus)
 	Created []NodeID // nodes created by the insert (possibly empty)
@@ -329,11 +346,27 @@ type InsertResult struct {
 }
 
 // Insert adds key s. It returns an error for empty or duplicate keys.
-func (t *Trie) Insert(s string) (InsertResult, error) {
+func (t *Trie) Insert(s string) (InsertResult, error) { return t.InsertAt(t.root, s) }
+
+// start returns from when it is a live node whose locus is a prefix of
+// s — a node on the root path of s's search — and the root otherwise.
+func (t *Trie) start(from NodeID, s string) NodeID {
+	if from < 0 || int(from) >= len(t.nodes) || t.nodes[from].dead || !strings.HasPrefix(s, t.nodes[from].locus) {
+		return t.root
+	}
+	return from
+}
+
+// InsertAt is Insert with the search starting at from, typically the
+// terminal of s's search before the insert: the insert then costs O(1)
+// local steps. Any other hint — NoNode, a dead or recycled id, a node
+// off s's path — falls back to the root, so the result is always
+// Insert's.
+func (t *Trie) InsertAt(from NodeID, s string) (InsertResult, error) {
 	if s == "" {
 		return InsertResult{}, fmt.Errorf("trie: empty key")
 	}
-	id, _ := t.Locate(s)
+	id, _ := t.LocateFrom(t.start(from, s), s)
 	n := &t.nodes[id]
 	if n.locus == s {
 		if n.isKey {
@@ -350,7 +383,8 @@ func (t *Trie) Insert(s string) (InsertResult, error) {
 		leaf := t.newNode(s, id, true)
 		t.attachChild(id, leaf)
 		t.n++
-		return InsertResult{Leaf: leaf, Created: []NodeID{leaf}, Parent: id}, nil
+		t.created[0] = leaf
+		return InsertResult{Leaf: leaf, Created: t.created[:1], Parent: id}, nil
 	}
 	// Split the edge id->next at the divergence point.
 	nl := t.nodes[next].locus
@@ -359,28 +393,29 @@ func (t *Trie) Insert(s string) (InsertResult, error) {
 	for i < len(s) && i < len(nl) && s[i] == nl[i] {
 		i++
 	}
-	midLocus := s[:i]
-	mid := t.newNode(midLocus, id, false)
-	t.detachChild(id, next)
-	t.attachChild(id, mid)
+	mid := t.newNode(s[:i], id, false)
+	t.setChild(id, next, mid)
 	t.nodes[next].parent = mid
 	t.attachChild(mid, next)
-	created := []NodeID{mid}
-	var leaf NodeID
+	t.created[0] = mid
+	created := t.created[:1]
+	leaf := mid
 	if i == len(s) {
 		// s is exactly the divergence point: mid is the key node.
 		t.nodes[mid].isKey = true
-		leaf = mid
 	} else {
 		leaf = t.newNode(s, mid, true)
 		t.attachChild(mid, leaf)
-		created = append(created, leaf)
+		t.created[1] = leaf
+		created = t.created[:2]
 	}
 	t.n++
 	return InsertResult{Leaf: leaf, Created: created, Parent: id}, nil
 }
 
 // DeleteResult describes the O(1) structural change made by Delete.
+// Removed aliases the trie's scratch: it is valid until the next Insert
+// or Delete on the same trie.
 type DeleteResult struct {
 	// Removed lists destroyed nodes (possibly the key node and a
 	// compressed-away parent). Empty when the key node survives as a
@@ -394,15 +429,20 @@ type DeleteResult struct {
 }
 
 // Delete removes key s. The root is never removed.
-func (t *Trie) Delete(s string) (DeleteResult, error) {
-	id, _ := t.Locate(s)
+func (t *Trie) Delete(s string) (DeleteResult, error) { return t.DeleteAt(t.root, s) }
+
+// DeleteAt is Delete with the search starting at from, typically s's own
+// node: the delete then finds it without a walk. Hints are validated as
+// in InsertAt, so the result is always Delete's.
+func (t *Trie) DeleteAt(from NodeID, s string) (DeleteResult, error) {
+	id, _ := t.LocateFrom(t.start(from, s), s)
 	n := &t.nodes[id]
 	if n.locus != s || !n.isKey {
 		return DeleteResult{}, fmt.Errorf("trie: key %q not found", s)
 	}
 	n.isKey = false
 	t.n--
-	res := DeleteResult{Survivor: NoNode}
+	res := DeleteResult{Removed: t.removed[:0], Survivor: NoNode}
 	// Remove the node if it no longer serves a purpose, then possibly
 	// compress its parent.
 	t.pruneUp(id, &res)
@@ -419,20 +459,20 @@ func (t *Trie) pruneUp(id NodeID, res *DeleteResult) {
 	switch len(n.children) {
 	case 0:
 		parent := n.parent
-		t.detachChild(parent, id)
+		t.setChild(parent, id, NoNode)
 		t.killNode(id)
 		res.Removed = append(res.Removed, id)
 		res.Survivor = parent
 		t.pruneUp(parent, res)
 	case 1:
-		// Compress: splice the single child up to the parent.
+		// Compress: splice the single child up to the parent, on the
+		// parent's edge to id (both loci share its branch byte).
 		parent := n.parent
-		only := n.children[0]
-		t.detachChild(parent, id)
+		only := n.children[0].id
+		n.children = n.children[:0]
+		t.setChild(parent, id, only)
 		t.nodes[only].parent = parent
-		t.attachChild(parent, only)
 		t.killNode(id)
-		t.nodes[id].children = nil
 		res.Removed = append(res.Removed, id)
 		res.Survivor = parent
 	}
@@ -444,6 +484,7 @@ func (t *Trie) newNode(locus string, parent NodeID, isKey bool) NodeID {
 	if len(t.free) > 0 {
 		id = t.free[len(t.free)-1]
 		t.free = t.free[:len(t.free)-1]
+		n.children = t.nodes[id].children[:0] // a recycled slot keeps its edge array
 		t.nodes[id] = n
 	} else {
 		t.nodes = append(t.nodes, n)
@@ -460,26 +501,29 @@ func (t *Trie) killNode(id NodeID) {
 	t.free = append(t.free, id)
 }
 
+// attachChild links child under parent at its branch byte. A node's
+// first edge array holds two edges: every non-root node that gains a
+// child gains a second before long (compression keeps them branching).
 func (t *Trie) attachChild(parent, child NodeID) {
 	p := &t.nodes[parent]
 	b := t.nodes[child].locus[len(p.locus)]
-	i := sort.Search(len(p.children), func(i int) bool {
-		return t.nodes[p.children[i]].locus[len(p.locus)] >= b
-	})
-	p.children = append(p.children, 0)
-	copy(p.children[i+1:], p.children[i:])
-	p.children[i] = child
+	i, _ := slices.BinarySearchFunc(p.children, b, func(e edge, b byte) int { return int(e.b) - int(b) })
+	if p.children == nil {
+		p.children = make([]edge, 0, 2)
+	}
+	p.children = slices.Insert(p.children, i, edge{b: b, id: child})
 }
 
-func (t *Trie) detachChild(parent, child NodeID) {
+// setChild points parent's edge to old at repl, whose locus must share
+// old's branch byte, or drops the edge when repl is NoNode.
+func (t *Trie) setChild(parent, old, repl NodeID) {
 	p := &t.nodes[parent]
-	for i, c := range p.children {
-		if c == child {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			return
-		}
+	i := slices.IndexFunc(p.children, func(e edge) bool { return e.id == old })
+	if repl == NoNode {
+		p.children = slices.Delete(p.children, i, i+1)
+	} else {
+		p.children[i].id = repl
 	}
-	panic(fmt.Sprintf("trie: detach of non-child %d from %d", child, parent))
 }
 
 // Keys returns all stored keys in sorted order.
@@ -491,8 +535,8 @@ func (t *Trie) Keys() []string {
 		if n.isKey {
 			out = append(out, n.locus)
 		}
-		for _, c := range n.children {
-			rec(c)
+		for _, e := range n.children {
+			rec(e.id)
 		}
 	}
 	rec(t.root)
@@ -505,8 +549,8 @@ func (t *Trie) Depth() int {
 	var rec func(NodeID) int
 	rec = func(id NodeID) int {
 		max := 0
-		for _, c := range t.nodes[id].children {
-			if d := rec(c); d > max {
+		for _, e := range t.nodes[id].children {
+			if d := rec(e.id); d > max {
 				max = d
 			}
 		}
@@ -517,8 +561,8 @@ func (t *Trie) Depth() int {
 
 // CheckInvariants verifies Patricia-trie structure: loci strictly extend
 // parent loci, non-root non-key nodes have >= 2 children, children sorted
-// and unique on first byte, key count matches. It returns the first
-// violation found.
+// and unique on first byte, every edge's stored byte is its child's
+// branch byte, key count matches. It returns the first violation found.
 func (t *Trie) CheckInvariants() error {
 	keyCount := 0
 	var rec func(NodeID) error
@@ -534,7 +578,8 @@ func (t *Trie) CheckInvariants() error {
 			return fmt.Errorf("trie: non-key node %d (%q) has %d children (compression violated)", id, n.locus, len(n.children))
 		}
 		var prevByte int = -1
-		for _, c := range n.children {
+		for _, e := range n.children {
+			c := e.id
 			cn := &t.nodes[c]
 			if cn.parent != id {
 				return fmt.Errorf("trie: node %d child %d has parent %d", id, c, cn.parent)
@@ -543,6 +588,9 @@ func (t *Trie) CheckInvariants() error {
 				return fmt.Errorf("trie: child locus %q does not extend %q", cn.locus, n.locus)
 			}
 			b := int(cn.locus[len(n.locus)])
+			if b != int(e.b) {
+				return fmt.Errorf("trie: node %d stores branch byte %d for child %d, locus says %d", id, e.b, c, b)
+			}
 			if b <= prevByte {
 				return fmt.Errorf("trie: node %d children out of order/duplicate at byte %d", id, b)
 			}
@@ -573,8 +621,8 @@ func (t *Trie) Render() string {
 			marker = " *"
 		}
 		fmt.Fprintf(&b, "%s%q%s\n", strings.Repeat("  ", depth), n.locus, marker)
-		for _, c := range n.children {
-			rec(c, depth+1)
+		for _, e := range n.children {
+			rec(e.id, depth+1)
 		}
 	}
 	rec(t.root, 0)
