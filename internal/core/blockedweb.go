@@ -43,8 +43,11 @@ type BlockedWeb struct {
 	// per update are O(log n / log M), so a linear scan beats a map and
 	// allocates nothing.
 	seenScratch []sim.HostID
-	// pathScratch is Delete's bit-path stack, reused across operations.
-	pathScratch []*bnode
+	// pathScratch and floorScratch hold keyPath's result — an update's
+	// bit path, root first, and key's floor in each of its levels —
+	// reused across operations.
+	pathScratch  []*bnode
+	floorScratch []RangeID
 	// memberScratch is the stratum enumeration buffer of splitBlock and
 	// retargetBlocks, reused across operations.
 	memberScratch []*bnode
@@ -495,24 +498,6 @@ func (w *BlockedWeb) chargeRangeStorage(n *bnode, r RangeID, sign int) {
 	}
 }
 
-// straddleCopy charges sign units for the boundary copy induced by the
-// adjacent pair (r, next) of node n: the copy of r kept on next's block
-// host when the pair spans two blocks. It reads only the pair's keys
-// and the block directory, so callers may pass a pair as it existed
-// before a splice as well as the current one — that is how the update
-// paths keep per-host storage exact (Cluster.Leave asserts a departing
-// host drains to exactly zero).
-func (w *BlockedWeb) straddleCopy(n *bnode, r, next RangeID, sign int) {
-	if next == NoRange {
-		return
-	}
-	k := w.rangeKey(n, r)
-	nk := n.lvl.Key(next)
-	if bj := w.blockIndex(n.base, nk); bj != w.blockIndex(n.base, k) {
-		w.addBlockStorage(n.base, bj, sign)
-	}
-}
-
 // stratumMembers returns bn's stratum (every node co-located with basic
 // node bn's blocks, bn included) in DFS order. The stratum is the
 // maximal subtree below bn whose nodes share bn as their base; recursion
@@ -723,65 +708,101 @@ func (w *BlockedWeb) Insert(key uint64, origin sim.HostID) (int, error) {
 	if !w.root.lvl.IsHead(t0) && w.root.lvl.Key(t0) == key {
 		return op.Hops(), fmt.Errorf("core: duplicate key %d", key)
 	}
-	err = w.climb(key, t0, true, op)
+	err = w.climb(key, true, op)
 	return op.Hops(), err
 }
 
 // reinsert puts back a key that Delete just removed, without routing:
-// each level's splice point comes from a local search, so no block is
-// read and the climb cannot fail. BucketWeb restores a separator with it
-// when the second half of a rekey fails. Returns the messages charged.
+// each level's splice point comes from the local key-path pass, so no
+// block is read and the climb cannot fail. BucketWeb restores a separator
+// with it when the second half of a rekey fails. Returns the messages
+// charged.
 func (w *BlockedWeb) reinsert(key uint64, origin sim.HostID) int {
 	op := w.net.NewOp(origin)
 	defer op.Free()
-	_ = w.climb(key, w.root.lvl.Locate(key), false, op) // unrouted: reads no block, cannot fail
+	_ = w.climb(key, false, op) // unrouted: reads no block, cannot fail
 	return op.Hops()
 }
 
+// keyPath fills w.pathScratch with key's bit path, root first, and
+// returns it with key's floor in the path's leaf level — the range
+// holding key when key is stored. With floors set it also fills
+// w.floorScratch[i] with key's floor in path[i]'s level, bottom-up from
+// the leaf's. A child floor's hyperlink names the parent range holding
+// the same key (the parent's head for the child's head): the parent's
+// nearest key <= key that the child also holds. Only keys the other
+// child holds lie between it and the parent's floor, so each level costs
+// an expected O(1) walk instead of a search. A leaf holds O(1) keys (at
+// most LeafMax+1 unless it sits at MaxDepth), so its Locate is a short
+// walk too. The pass is local: it visits no block and charges nothing.
+func (w *BlockedWeb) keyPath(key uint64, floors bool) ([]*bnode, RangeID) {
+	bits := w.mix(key)
+	path := w.pathScratch[:0]
+	n := w.root
+	for n.kids[0] != nil {
+		path = append(path, n)
+		n = n.kids[bits>>uint(n.depth)&1]
+	}
+	path = append(path, n)
+	w.pathScratch = path
+	leafFloor := n.lvl.Locate(key)
+	if floors {
+		fl := slices.Grow(w.floorScratch[:0], len(path))[:len(path)]
+		fl[len(path)-1] = leafFloor
+		for i := len(path) - 2; i >= 0; i-- {
+			fl[i] = path[i].lvl.terminal(key, path[i+1].lvl.up(fl[i+1]))
+		}
+		w.floorScratch = fl
+	}
+	return path, leafFloor
+}
+
 // climb splices key, absent from every level, into each level on its bit
-// path, starting from its ground-level terminal t0. A routed climb derives
-// each child terminal by the charged walk of childTerminal; when that
+// path at key's floor there, which the key-path pass derives before the
+// first splice: no splice changes a deeper level before the climb
+// reaches it, and a leaf split waits until the climb is done. A routed
+// climb charges each child terminal's walk (childTerminal); when that
 // walk meets a block with no live replica the splices already applied —
 // and any block split they triggered — are undone, deepest level first,
-// before the error is returned.
-func (w *BlockedWeb) climb(key uint64, t0 RangeID, routed bool, op *sim.Op) (err error) {
+// following the fresh ranges' hyperlinks, before the error is returned.
+func (w *BlockedWeb) climb(key uint64, routed bool, op *sim.Op) (err error) {
 	w.resetSeen()
 	w.splitScratch = w.splitScratch[:0]
 	seq := w.hostSeq
-	node, hint := w.root, t0
+	path, _ := w.keyPath(key, true)
+	floors := w.floorScratch
 	up := RangeID(0) // the root has no parent level; its links stay 0
-	for {
-		id := w.insertAt(node, key, hint, op)
+	for i, node := range path {
+		id := w.insertAt(node, key, floors[i], op)
 		node.lvl.setUp(id, up)
 		up = id
-		if node.kids[0] == nil {
-			break
+		if i+1 == len(path) || !routed {
+			continue
 		}
-		child := node.kids[w.bitAt(key, node.depth)]
-		// Derive the child terminal: walk left in node's level from key's
-		// newly spliced range to the nearest key present in the child.
-		if !routed {
-			hint = child.lvl.Locate(key)
-		} else if hint, err = w.childTerminal(node, child, key, id, op); err != nil {
-			for n := node; n != nil; n = n.parent {
+		// Charge the walk left in node's level from key's newly spliced
+		// range to the nearest key present in the child.
+		if err = w.childTerminal(node, path[i+1], floors[i+1], id, op); err != nil {
+			for n, r := node, id; n != nil; n = n.parent {
 				if k := len(w.splitScratch) - 1; k >= 0 && w.splitScratch[k].bn == n {
 					w.unsplitBlock(n, w.splitScratch[k].bi)
 					w.splitScratch = w.splitScratch[:k]
 				}
-				if rerr := w.removeAt(n, key); rerr != nil {
+				next := n.lvl.up(r)
+				if _, rerr := w.removeAt(n, key, r); rerr != nil {
 					err = errors.Join(err, rerr)
 				}
+				r = next
 			}
 			w.hostSeq = seq
 			return err
 		}
-		node = child
 	}
-	if node.kids[0] == nil && node.count > 0 {
-		w.addLeaf(node)
+	leaf := path[len(path)-1]
+	if leaf.count > 0 {
+		w.addLeaf(leaf)
 	}
-	if node.count > w.leafMax && node.depth < w.maxDep {
-		w.splitLeaf(node, op)
+	if leaf.count > w.leafMax && leaf.depth < w.maxDep {
+		w.splitLeaf(leaf, op)
 	}
 	w.n++
 	return nil
@@ -831,18 +852,15 @@ func (w *BlockedWeb) insertAt(n *bnode, key uint64, hint RangeID, op *sim.Op) Ra
 	return id
 }
 
-// childTerminal walks left in parent from key's freshly spliced range r
-// until reaching a key present in child (expected O(1) steps), charging
-// block-host visits. The walk's destination is known up front — the
+// childTerminal charges the walk left in parent from key's freshly
+// spliced range r to the nearest key present in child (expected O(1)
+// steps), visiting block hosts. That key is child floor cf's — the
 // first parent key present in the child is exactly the child's floor of
-// key, since the child's key set is a subset of the parent's — so one
-// child-level search replaces a child membership probe per step, and
-// the walk itself just compares parent keys against the destination.
-// The visited hosts (resolved through a block cursor, as in walk) are
-// identical to the probe-per-step formulation, so the charged messages
-// are unchanged.
-func (w *BlockedWeb) childTerminal(parent, child *bnode, key uint64, r RangeID, op *sim.Op) (RangeID, error) {
-	cf := child.lvl.Locate(key)
+// key, since the child's key set is a subset of the parent's — so the
+// walk just compares parent keys against it. The visited hosts (resolved
+// through a block cursor, as in walk) are identical to a child
+// membership probe per step, so the charged messages are unchanged.
+func (w *BlockedWeb) childTerminal(parent, child *bnode, cf, r RangeID, op *sim.Op) error {
 	stopAtHead := child.lvl.IsHead(cf)
 	var stopKey uint64
 	if !stopAtHead {
@@ -851,11 +869,8 @@ func (w *BlockedWeb) childTerminal(parent, child *bnode, key uint64, r RangeID, 
 	bn := parent.base
 	bi := -1
 	for {
-		if parent.lvl.IsHead(r) {
-			return child.lvl.Head(), nil
-		}
-		if !stopAtHead && parent.lvl.Key(r) == stopKey {
-			return cf, nil
+		if parent.lvl.IsHead(r) || (!stopAtHead && parent.lvl.Key(r) == stopKey) {
+			return nil
 		}
 		r = parent.lvl.Prev(r)
 		rk := w.rangeKey(parent, r)
@@ -865,7 +880,7 @@ func (w *BlockedWeb) childTerminal(parent, child *bnode, key uint64, r RangeID, 
 			bi = w.blockIndexNear(bn, rk, bi)
 		}
 		if err := w.visitBlock(bn, bi, op); err != nil {
-			return NoRange, err
+			return err
 		}
 	}
 }
@@ -1021,8 +1036,10 @@ func (w *BlockedWeb) spanRanges(n *bnode, lo, hi uint64, hasHi bool, visit func(
 	}
 }
 
-// Delete removes a key from every level on its bit path. Blocks are not
-// merged (deletions leave directory slack, as the paper amortizes).
+// Delete removes a key from every level on its bit path, deepest level
+// first, starting from the leaf range holding key and following each
+// range's hyperlink to the next level's. Blocks are not merged
+// (deletions leave directory slack, as the paper amortizes).
 func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 	op := w.net.NewOp(origin)
 	defer op.Free()
@@ -1034,25 +1051,19 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 		return op.Hops(), fmt.Errorf("core: key %d not found", key)
 	}
 	w.resetSeen()
-	node := w.root
-	path := w.pathScratch[:0]
-	defer func() { w.pathScratch = path[:0] }()
-	for node != nil {
-		path = append(path, node)
-		if node.kids[0] == nil {
-			break
-		}
-		node = node.kids[w.bitAt(key, node.depth)]
-	}
+	path, r := w.keyPath(key, false)
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		if err := w.removeAt(n, key); err != nil {
+		next := n.lvl.up(r)
+		bi, err := w.removeAt(n, key, r)
+		if err != nil {
 			return op.Hops(), err
 		}
-		w.chargeBlockOnce(n.base, w.blockIndex(n.base, key), op)
+		w.chargeBlockOnce(n.base, bi, op)
+		r = next
 	}
 	leaf := path[len(path)-1]
-	if leaf.kids[0] == nil && leaf.count == 0 {
+	if leaf.count == 0 {
 		w.removeLeaf(leaf)
 	}
 	for _, n := range path {
@@ -1065,32 +1076,42 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 	return op.Hops(), nil
 }
 
-// removeAt unsplices key from node n's level — the inverse of insertAt,
-// shared by Delete and by a failed Insert's unwind. It discharges before
-// the unsplice, while the dying range's key and neighbors are still
-// readable: its primary copy and straddle, plus the predecessor's
-// straddle for the old pair (pred, r) — the pair (pred, next-of-r) is
-// recharged after the delete. This keeps per-host storage exact (Leave
-// asserts exact drains).
-func (w *BlockedWeb) removeAt(n *bnode, key uint64) error {
-	r, ok := n.lvl.ByKey(key)
-	if !ok {
-		return fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
+// removeAt unsplices range r, which must hold key, from node n's level —
+// the inverse of insertAt, shared by Delete and by a failed Insert's
+// unwind — and returns the index of key's block. It discharges the
+// dying range's primary copy and straddle and the predecessor's straddle
+// for the old pair (pred, r), and recharges the pair (pred, next-of-r),
+// all resolved around key's block with one directory search (the
+// neighbours' blocks are found by cursor). This keeps per-host storage
+// exact (Leave asserts exact drains).
+func (w *BlockedWeb) removeAt(n *bnode, key uint64, r RangeID) (int, error) {
+	if n.lvl.IsHead(r) || !n.lvl.live(r) || n.lvl.Key(r) != key {
+		return 0, fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
 	}
+	bn := n.base
 	pred, nx := n.lvl.Prev(r), n.lvl.Next(r)
-	w.chargeRangeStorage(n, r, -1)
-	w.straddleCopy(n, pred, r, -1)
-	if _, _, err := n.lvl.deleteKeyAt(key, r); err != nil {
-		return err
+	biKey := w.blockIndex(bn, key)
+	biPred := w.blockIndexNear(bn, w.rangeKey(n, pred), biKey)
+	biNx := -1
+	if nx != NoRange {
+		biNx = w.blockIndexNear(bn, n.lvl.Key(nx), biKey)
 	}
-	w.straddleCopy(n, pred, nx, 1)
+	w.addBlockStorage(bn, biKey, -2)
+	if nx != NoRange && biNx != biKey {
+		w.addBlockStorage(bn, biNx, -1)
+	}
+	if biPred != biKey {
+		w.addBlockStorage(bn, biKey, -1)
+	}
+	if nx != NoRange && biNx != biPred {
+		w.addBlockStorage(bn, biNx, 1)
+	}
+	n.lvl.deleteKeyAt(key, r) // r holds key: cannot fail
 	n.count--
-	if n.base == n {
-		if bi := w.blockIndex(n, key); n.blockSizes[bi] > 0 {
-			n.blockSizes[bi]--
-		}
+	if n.base == n && n.blockSizes[biKey] > 0 {
+		n.blockSizes[biKey]--
 	}
-	return nil
+	return biKey, nil
 }
 
 // splitLeaf splits an overfull set-tree leaf into two halves, each key
