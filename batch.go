@@ -189,6 +189,12 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 	if len(xs) == 0 {
 		return hops, nil
 	}
+	// Each task writes result slots of its own, copied into hops and errs
+	// only once Do reports the task done: a task already executing when
+	// its deadline passes finishes after this call has returned, and must
+	// not write what the caller then owns.
+	slotHops := make([]int, len(xs))
+	slotErrs := make([]error, len(xs))
 	cl := c.cluster()
 	runStripe := func(stripe int, idx []int) {
 		for a := 0; a < len(idx); {
@@ -202,20 +208,21 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 			j0 := idx[b-1] + 1
 			var task func()
 			if j0-i0 > 1 {
-				task = func() { doRun(stripe, xs[i0:j0], origin, hops[i0:j0], errs[i0:j0]) }
+				task = func() { doRun(stripe, xs[i0:j0], origin, slotHops[i0:j0], slotErrs[i0:j0]) }
 			} else {
-				task = func() { hops[i0], errs[i0] = do(xs[i0], origin) }
+				task = func() { slotHops[i0], slotErrs[i0] = do(xs[i0], origin) }
 			}
 			if err := cl.Do(origin, task); err != nil {
 				// The origin died mid-rendezvous (a crash racing the
 				// batch) or stayed wedged past SetDoTimeout: the ops
 				// failed fast, typed. A task that had not started never
-				// will, so nothing else writes errs[i0:j0]; only a
-				// deadline that expires on a task already executing
-				// leaves it running behind this write.
+				// will; one already executing writes only its slots.
 				for k := i0; k < j0; k++ {
 					errs[k] = err
 				}
+			} else {
+				copy(hops[i0:j0], slotHops[i0:j0])
+				copy(errs[i0:j0], slotErrs[i0:j0])
 			}
 			a = b
 		}

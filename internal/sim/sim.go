@@ -110,7 +110,11 @@ func (e *TimeoutError) Timeout() bool { return true }
 //   - SetDoTimeout bounds every subsequent Do rendezvous: a wedged host
 //     yields a TimeoutError instead of blocking forever. A task whose Do
 //     timed out before it started never runs; one already executing when
-//     the deadline passes is not interrupted and completes unobserved.
+//     the deadline passes is not interrupted and completes unobserved,
+//     after Do has returned. A caller therefore gives fn result slots of
+//     its own and copies them out only when Do returns nil (the batch
+//     engine allocates one set per batch), so a late task never writes
+//     results the caller has already handed on.
 //   - RemoveHost drains already-enqueued tasks before the worker exits;
 //     Crash discards them; Stop drains every host then waits.
 //   - Restart revives a previously crashed host: a fresh worker (fresh
@@ -1314,6 +1318,8 @@ func (c *Cluster) Do(h HostID, fn func()) error {
 // one already executing is not interrupted — it finishes after the call
 // has returned, so only the caller's wait is bounded there, the
 // fail-fast a real client needs when a remote host stalls mid-request.
+// Such a task must write only slots the caller reads after a successful
+// Do (see the Transport contract).
 func (c *Cluster) SetDoTimeout(d time.Duration) { c.doTimeout.Store(int64(d)) }
 
 // Go enqueues fn on host h's goroutine and returns immediately without

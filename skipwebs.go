@@ -220,7 +220,10 @@ func NewWireCluster(h int, opts ...ClusterOption) (*Cluster, error) {
 // blocking the batch forever. Zero or negative restores the default of
 // waiting indefinitely. An operation still queued behind the wedged host
 // when its deadline passes is cancelled: it reports the timeout and is
-// never applied. One already executing is not interrupted.
+// never applied. One already executing is not interrupted: it may still
+// be applied after the batch has returned, but the batch reports the
+// timeout for it and its returned hop count stays 0 — a late operation
+// writes nothing the caller holds.
 func (c *Cluster) SetDoTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

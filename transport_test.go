@@ -2,9 +2,11 @@ package skipwebs
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/skipwebs/skipwebs/internal/sim"
 	"github.com/skipwebs/skipwebs/internal/xrand"
 )
 
@@ -140,6 +142,47 @@ func TestTimedOutWriteNeverRuns(t *testing.T) {
 			}
 			if found, _, err := w.Contains(key, 0); err != nil || found {
 				t.Fatalf("the timed-out insert was applied after its call returned (found %v, err %v)", found, err)
+			}
+		})
+	}
+}
+
+// TestStartedWriteTimeoutKeepsResults pins the other half of a write
+// deadline: an insert that had already started when its dispatch timed
+// out is not interrupted and finishes after InsertBatch has returned,
+// but it must not write the hop count or the error the batch returned.
+// The insert stalls inside the message-delivery tap, on its first
+// charged message; once the deadline has fired it is released and the
+// origin drained, and the batch's results must still read as a timeout.
+func TestStartedWriteTimeoutKeepsResults(t *testing.T) {
+	for name, newCluster := range bothTransports {
+		t.Run(name, func(t *testing.T) {
+			c := newCluster(t)
+			defer c.Close()
+			w, err := NewBlocked(c, distinctKeys(xrand.New(1), 64), Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetDoTimeout(50 * time.Millisecond)
+			tr := c.cluster()
+			stall := make(chan struct{})
+			var once sync.Once
+			c.net.SetDeliver(func(sim.HostID) { once.Do(func() { <-stall }) })
+
+			hops, err := w.InsertBatch([]uint64{12345}, []HostID{3})
+			var te *TimeoutError
+			if !errors.As(err, &te) || te.Host != 3 {
+				t.Fatalf("InsertBatch stalled mid-insert: got %v, want a TimeoutError for host 3", err)
+			}
+			close(stall)
+			c.SetDoTimeout(0)
+			// FIFO per sender: when this returns host 3 is past the insert.
+			if err := tr.Do(3, func() {}); err != nil {
+				t.Fatalf("Do after releasing the stall: %v", err)
+			}
+			c.net.SetDeliver(nil)
+			if hops[0] != 0 {
+				t.Fatalf("the late insert wrote hops[0] = %d after InsertBatch returned", hops[0])
 			}
 		})
 	}
