@@ -817,36 +817,12 @@ func (w *BlockedWeb) climb(key uint64, routed bool, op *sim.Op) (err error) {
 func (w *BlockedWeb) insertAt(n *bnode, key uint64, hint RangeID, op *sim.Op) RangeID {
 	id := n.lvl.spliceAfter(n.lvl.terminal(key, hint), key)
 	n.count++
-	// Storage deltas, all resolved around key's block with one directory
-	// search (the neighbors' blocks are found by cursor): the new range's
-	// primary copy and straddle, then the predecessor's boundary copy,
-	// which follows its successor — retire the copy induced by the old
-	// pair (pred, next-of-id) and charge the one induced by the new pair
-	// (pred, id), keeping per-host storage exact.
-	bn := n.base
-	biKey := w.blockIndex(bn, key)
-	w.addBlockStorage(bn, biKey, 2)
-	nx := n.lvl.Next(id)
-	biNx := -1
-	if nx != NoRange {
-		biNx = w.blockIndexNear(bn, n.lvl.Key(nx), biKey)
-		if biNx != biKey {
-			w.addBlockStorage(bn, biNx, 1)
-		}
-	}
-	pred := n.lvl.Prev(id)
-	biPred := w.blockIndexNear(bn, w.rangeKey(n, pred), biKey)
-	if nx != NoRange && biNx != biPred {
-		w.addBlockStorage(bn, biNx, -1)
-	}
-	if biKey != biPred {
-		w.addBlockStorage(bn, biKey, 1)
-	}
-	w.chargeBlockOnce(bn, biKey, op)
+	bi := w.spliceStorage(n, key, n.lvl.Prev(id), n.lvl.Next(id), 1)
+	w.chargeBlockOnce(n.base, bi, op)
 	if n.base == n {
-		n.blockSizes[biKey]++
-		if n.blockSizes[biKey] > 2*w.blockSz {
-			w.splitBlock(n, biKey, op)
+		n.blockSizes[bi]++
+		if n.blockSizes[bi] > 2*w.blockSz {
+			w.splitBlock(n, bi, op)
 		}
 	}
 	return id
@@ -1078,40 +1054,47 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 
 // removeAt unsplices range r, which must hold key, from node n's level —
 // the inverse of insertAt, shared by Delete and by a failed Insert's
-// unwind — and returns the index of key's block. It discharges the
-// dying range's primary copy and straddle and the predecessor's straddle
-// for the old pair (pred, r), and recharges the pair (pred, next-of-r),
-// all resolved around key's block with one directory search (the
-// neighbours' blocks are found by cursor). This keeps per-host storage
-// exact (Leave asserts exact drains).
+// unwind — and returns the index of key's block.
 func (w *BlockedWeb) removeAt(n *bnode, key uint64, r RangeID) (int, error) {
 	if n.lvl.IsHead(r) || !n.lvl.live(r) || n.lvl.Key(r) != key {
 		return 0, fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
 	}
+	bi := w.spliceStorage(n, key, n.lvl.Prev(r), n.lvl.Next(r), -1)
+	n.lvl.deleteKeyAt(key, r) // r holds key: cannot fail
+	n.count--
+	if n.base == n && n.blockSizes[bi] > 0 {
+		n.blockSizes[bi]--
+	}
+	return bi, nil
+}
+
+// spliceStorage charges (sign 1) or discharges (sign -1) the storage of
+// node n's range holding key between neighbours pred and nx, and returns
+// key's block index: the range's primary copy and straddle, and the
+// predecessor's boundary copy, which follows its successor — the copy
+// induced by the pair (pred, nx) gives way to the one induced by (pred,
+// key). One directory search resolves key's block; the neighbours'
+// blocks are found by cursor. This keeps per-host storage exact (Leave
+// asserts exact drains).
+func (w *BlockedWeb) spliceStorage(n *bnode, key uint64, pred, nx RangeID, sign int) int {
 	bn := n.base
-	pred, nx := n.lvl.Prev(r), n.lvl.Next(r)
 	biKey := w.blockIndex(bn, key)
-	biPred := w.blockIndexNear(bn, w.rangeKey(n, pred), biKey)
+	w.addBlockStorage(bn, biKey, 2*sign)
 	biNx := -1
 	if nx != NoRange {
 		biNx = w.blockIndexNear(bn, n.lvl.Key(nx), biKey)
+		if biNx != biKey {
+			w.addBlockStorage(bn, biNx, sign)
+		}
 	}
-	w.addBlockStorage(bn, biKey, -2)
-	if nx != NoRange && biNx != biKey {
-		w.addBlockStorage(bn, biNx, -1)
-	}
-	if biPred != biKey {
-		w.addBlockStorage(bn, biKey, -1)
-	}
+	biPred := w.blockIndexNear(bn, w.rangeKey(n, pred), biKey)
 	if nx != NoRange && biNx != biPred {
-		w.addBlockStorage(bn, biNx, 1)
+		w.addBlockStorage(bn, biNx, -sign)
 	}
-	n.lvl.deleteKeyAt(key, r) // r holds key: cannot fail
-	n.count--
-	if n.base == n && n.blockSizes[biKey] > 0 {
-		n.blockSizes[biKey]--
+	if biKey != biPred {
+		w.addBlockStorage(bn, biKey, sign)
 	}
-	return biKey, nil
+	return biKey
 }
 
 // splitLeaf splits an overfull set-tree leaf into two halves, each key
