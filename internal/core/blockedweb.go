@@ -834,8 +834,8 @@ func (w *BlockedWeb) insertAt(n *bnode, key uint64, hint RangeID, op *sim.Op) Ra
 // first parent key present in the child is exactly the child's floor of
 // key, since the child's key set is a subset of the parent's — so the
 // walk just compares parent keys against it. The visited hosts (resolved
-// through a block cursor, as in walk) are identical to a child
-// membership probe per step, so the charged messages are unchanged.
+// through a block cursor, as in walk) are those of a child membership
+// probe per step.
 func (w *BlockedWeb) childTerminal(parent, child *bnode, cf, r RangeID, op *sim.Op) error {
 	stopAtHead := child.lvl.IsHead(cf)
 	var stopKey uint64
@@ -1060,7 +1060,7 @@ func (w *BlockedWeb) removeAt(n *bnode, key uint64, r RangeID) (int, error) {
 		return 0, fmt.Errorf("core: key %d missing from level at depth %d", key, n.depth)
 	}
 	bi := w.spliceStorage(n, key, n.lvl.Prev(r), n.lvl.Next(r), -1)
-	n.lvl.deleteKeyAt(key, r) // r holds key: cannot fail
+	_, _, _ = n.lvl.deleteKeyAt(key, r) // r holds key: cannot fail
 	n.count--
 	if n.base == n && n.blockSizes[bi] > 0 {
 		n.blockSizes[bi]--

@@ -370,9 +370,10 @@ func (m *keyPathModel) restart(down []sim.HostID) {
 // every failed insert must leave storage and levels as they were.
 func TestKeyPathMatchesSearch(t *testing.T) {
 	for _, kind := range []string{"blocked", "bucket"} {
-		var leafSplits, leafMerges, blockSplits, chains, failed, reinserts int
+		var ran, leafSplits, leafMerges, blockSplits, chains, failed, reinserts int
 		for k := 1; k <= 3; k++ {
 			t.Run(fmt.Sprintf("%s/k%d", kind, k), func(t *testing.T) {
+				ran++
 				m := newKeyPathModel(t, kind, k)
 				m.checkPaths("bulk build")
 				m.run("healthy", 100, 10, false)
@@ -406,6 +407,9 @@ func TestKeyPathMatchesSearch(t *testing.T) {
 				failed += m.failed
 				reinserts += m.reinserts
 			})
+		}
+		if ran < 3 {
+			continue // a -run filter picked some factors: the path tally is partial
 		}
 		t.Logf("%s: %d leaf splits, %d leaf merges, %d block splits, %d delete chains, %d failed inserts, %d failed rekeys",
 			kind, leafSplits, leafMerges, blockSplits, chains, failed, reinserts)
