@@ -48,8 +48,8 @@ type BlockedWeb struct {
 	// reused across operations.
 	pathScratch  []*bnode
 	floorScratch []RangeID
-	// memberScratch is the stratum enumeration buffer of splitBlock and
-	// retargetBlocks, reused across operations.
+	// memberScratch is the stratum enumeration buffer (stratumMembers),
+	// reused across operations.
 	memberScratch []*bnode
 	// splitScratch lists the blocks the climb in progress has split
 	// (lower half's index), so a failed climb can merge them back.
@@ -71,11 +71,8 @@ type BlockedWeb struct {
 	lvlFree  []*ListLevel
 	lvlSlab  []ListLevel
 
-	// rep is the replica-layer state (replicas.go). footprints memoizes
-	// blockUnits per basic node for the churn pass in progress (eachBlock
-	// resets it).
-	rep        replication[blockName]
-	footprints map[*bnode][]int
+	// rep is the replica-layer state (replicas.go).
+	rep replication[blockName]
 }
 
 // blockName names a block in the miss log by its start key rather than
@@ -992,26 +989,6 @@ func (w *BlockedWeb) transferSpanStorage(n, bn *bnode, bi int, lo, hi uint64, ha
 	fresh.addStorage(w.net, sign)
 }
 
-// spanRanges visits, in member n, the ranges whose storage footprint
-// depends on the directory's treatment of the key span [lo, hi): the
-// predecessor of the first range with key >= lo (its boundary copy may
-// appear, vanish, or move host) followed by every range with key in
-// [lo, hi). hasHi=false means the span extends to +inf. retargetBlocks
-// uses it to keep churn's exact storage transfers O(span) instead of
-// O(stratum); splitBlock uses the fused transferSpanStorage instead.
-func (w *BlockedWeb) spanRanges(n *bnode, lo, hi uint64, hasHi bool, visit func(RangeID)) {
-	r := n.lvl.Locate(lo) // floor: the last range with key <= lo
-	if !n.lvl.IsHead(r) && n.lvl.Key(r) == lo {
-		r = n.lvl.Prev(r)
-	}
-	for ; r != NoRange; r = n.lvl.Next(r) {
-		if hasHi && !n.lvl.IsHead(r) && n.lvl.Key(r) >= hi {
-			return
-		}
-		visit(r)
-	}
-}
-
 // Delete removes a key from every level on its bit path, deepest level
 // first, starting from the leaf range holding key and following each
 // range's hyperlink to the next level's. Blocks are not merged
@@ -1170,120 +1147,13 @@ func (w *BlockedWeb) basicNodes() []*bnode {
 	return basics
 }
 
-// blockMove is the churn decision for one block (slot < 0: untouched).
-type blockMove struct {
-	slot int
-	to   sim.HostID
-	drop bool
-}
-
-// retargetBlocks applies a churn decision (replication.leaving or
-// joining) to every block of the hierarchy: at most one replica slot per
-// block moves or is dropped. What is block geometry rather than
-// replication is the storage transfer: every range's primary copy (2
-// units) and boundary-straddling copy (1 unit) is discharged under the
-// old replica sets and recharged under the new ones, so an unmoved
-// replica nets zero, a moved one transfers, and a dropped one discharges
-// — and one message per moved storage unit is charged to op.
-func (w *BlockedWeb) retargetBlocks(decide retarget, op *sim.Op) {
-	for _, bn := range w.basicNodes() {
-		plan := make([]blockMove, len(bn.blockHosts))
-		any := false
-		for bi := range plan {
-			slot, to, drop := decide(w.blockReplicas(bn, bi))
-			plan[bi] = blockMove{slot, to, drop}
-			any = any || slot >= 0
-		}
-		if !any {
-			continue
-		}
-		// Only blocks change hosts, never interval boundaries, so a
-		// range's footprint can move only when its own key — or its
-		// successor's, for the straddle copy — lies in a moved block.
-		// Visit exactly those: the maximal runs of consecutive moved
-		// blocks (merged so a shared boundary range is not transferred
-		// twice), each with its one predecessor range — O(moved blocks),
-		// not O(stratum).
-		type span struct {
-			lo, hi uint64
-			hasHi  bool
-		}
-		var runs []span
-		for bi := 0; bi < len(plan); bi++ {
-			if plan[bi].slot < 0 {
-				continue
-			}
-			end := bi
-			for end+1 < len(plan) && plan[end+1].slot >= 0 {
-				end++
-			}
-			s := span{lo: bn.blockStarts[bi], hasHi: end+1 < len(bn.blockStarts)}
-			if s.hasHi {
-				s.hi = bn.blockStarts[end+1]
-			}
-			runs = append(runs, s)
-			bi = end
-		}
-		// Visits ascend within a member, so a later run's predecessor can
-		// only repeat the member's most recent visit (when the member has
-		// no range in the gap between runs); the `last` cursor skips that
-		// one possible duplicate so no range transfers twice.
-		members := w.stratumMembers(bn)
-		forEachSpanRange := func(n *bnode, visit func(RangeID)) {
-			last := NoRange
-			for _, s := range runs {
-				w.spanRanges(n, s.lo, s.hi, s.hasHi, func(r RangeID) {
-					if r == last {
-						return
-					}
-					last = r
-					visit(r)
-				})
-			}
-		}
-		for _, n := range members {
-			forEachSpanRange(n, func(r RangeID) {
-				w.chargeRangeStorage(n, r, -1)
-			})
-		}
-		for bi, m := range plan {
-			if m.slot < 0 {
-				continue
-			}
-			if rs := w.blockReplicas(bn, bi); m.drop {
-				rs.drop(m.slot)
-			} else {
-				rs.set(m.slot, m.to)
-			}
-		}
-		// moved charges the copies a relocated replica of block bi received.
-		moved := func(bi, units int) {
-			if m := plan[bi]; m.slot >= 0 && !m.drop {
-				sendN(op, m.to, units)
-			}
-		}
-		for _, n := range members {
-			forEachSpanRange(n, func(r RangeID) {
-				w.chargeRangeStorage(n, r, 1)
-				bi := w.blockIndex(bn, w.rangeKey(n, r))
-				moved(bi, 2) // the range and its hyperlink
-				if nx := n.lvl.Next(r); nx != NoRange {
-					if bj := w.blockIndex(bn, n.lvl.Key(nx)); bj != bi {
-						moved(bj, 1) // the straddling copy
-					}
-				}
-			})
-		}
-	}
-}
-
 // Rehome migrates every block replica hosted on the departed host
 // `from` onto the next live hosts in round-robin order (distinct from
 // the block's surviving replicas), charging one message per moved
 // storage unit to op; a replica with no distinct live target is dropped
 // (replication.leaving).
 func (w *BlockedWeb) Rehome(from sim.HostID, op *sim.Op) {
-	w.retargetBlocks(w.rep.leaving(from), op)
+	retargetUnits(&w.rep, w.eachBlock, w.rep.leaving(from), op)
 }
 
 // Rebalance moves each block replica independently onto the freshly
@@ -1292,31 +1162,7 @@ func (w *BlockedWeb) Rehome(from sim.HostID, op *sim.Op) {
 // from-scratch build over the enlarged live set would assign it —
 // charging every migration hop to op.
 func (w *BlockedWeb) Rebalance(onto sim.HostID, op *sim.Op) {
-	w.retargetBlocks(w.rep.joining(onto), op)
-}
-
-// blockUnits computes, per block of basic node bn, the storage units
-// one replica of that block holds — 2 per range whose key lies in the
-// block plus 1 per boundary-straddling copy, summed over the stratum's
-// members. It recomputes exactly the footprint the update paths
-// maintain per replica, so Repair can charge a fresh replica without
-// replaying history.
-func (w *BlockedWeb) blockUnits(bn *bnode) []int {
-	units := make([]int, len(bn.blockHosts))
-	for _, n := range w.stratumMembers(bn) {
-		bi := 0
-		for r := n.lvl.Head(); r != NoRange; r = n.lvl.Next(r) {
-			units[bi] += 2
-			if next := n.lvl.Next(r); next != NoRange {
-				bj := w.blockIndexNear(bn, n.lvl.Key(next), bi)
-				if bj != bi {
-					units[bj]++
-				}
-				bi = bj
-			}
-		}
-	}
-	return units
+	retargetUnits(&w.rep, w.eachBlock, w.rep.joining(onto), op)
 }
 
 // blockUnit is one block of one basic node, as the replica layer sees it
@@ -1331,18 +1177,39 @@ func (u blockUnit) replicas() replicaSet { return u.w.blockReplicas(u.bn, u.bi) 
 func (u blockUnit) name() blockName      { return blockName{u.bn, u.bn.blockStarts[u.bi]} }
 func (u blockUnit) moved(*sim.Op)        {} // nobody dereferences a block by host
 
-// size is the block's footprint, memoized per basic node for the pass
-// (a footprint costs a stratum sweep, and repairs are rare).
+// size is the storage one replica of the block holds, summed over the
+// stratum's members: 2 units (range + hyperlink) per range whose key
+// lies in the block, plus, past block 0 (which holds the head
+// sentinel), the boundary copy of the first such range's predecessor,
+// which lies in an earlier block. It is exactly the footprint the update
+// paths maintain per replica, so a migration or repair charges it
+// without replaying history.
 func (u blockUnit) size() int {
-	units, ok := u.w.footprints[u.bn]
-	if !ok {
-		if u.w.footprints == nil {
-			u.w.footprints = make(map[*bnode][]int)
-		}
-		units = u.w.blockUnits(u.bn)
-		u.w.footprints[u.bn] = units
+	w, bn, bi := u.w, u.bn, u.bi
+	lo := bn.blockStarts[bi]
+	hasHi := bi+1 < len(bn.blockStarts)
+	var hi uint64
+	if hasHi {
+		hi = bn.blockStarts[bi+1]
 	}
-	return units[u.bi]
+	units := 0
+	for _, n := range w.stratumMembers(bn) {
+		r := n.lvl.Head()
+		if bi > 0 {
+			if r = n.lvl.Locate(lo); n.lvl.IsHead(r) || n.lvl.Key(r) < lo {
+				r = n.lvl.Next(r)
+			}
+		}
+		held := 0
+		for ; r != NoRange && (!hasHi || n.lvl.Key(r) < hi); r = n.lvl.Next(r) {
+			held++
+		}
+		units += 2 * held
+		if bi > 0 && held > 0 {
+			units++
+		}
+	}
+	return units
 }
 
 // reconcile runs an inner merkle walk over the block at key granularity:
@@ -1350,13 +1217,13 @@ func (u blockUnit) size() int {
 // bounds how many distinct positions diverged and the walk ships
 // O(misses · log block) rather than the whole block.
 func (u blockUnit) reconcile(m missRecord) merkleCost {
-	return merkleDiff(u.size(), spreadPositions(m.n, u.size()))
+	size := u.size()
+	return merkleDiff(size, spreadPositions(m.n, size))
 }
 
 // eachBlock visits every block: basic nodes in DFS order, blocks in
 // directory order.
 func (w *BlockedWeb) eachBlock(visit func(blockUnit)) {
-	w.footprints = nil
 	for _, bn := range w.basicNodes() {
 		for bi := range bn.blockHosts {
 			visit(blockUnit{w, bn, bi})

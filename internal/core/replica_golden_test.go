@@ -63,6 +63,9 @@ type goldenEngine struct {
 	repair                func(op *sim.Op) error
 	restart               func(h sim.HostID, op *sim.Op) int
 	check                 func() error
+	// units lists every replica unit's hosts, slot order, in the
+	// engine's churn order.
+	units func() [][]sim.HostID
 	// tearsOnHostDown marks the engines whose Insert could stop half-way
 	// through its climb on a host-down error (the torn-insert bug, fixed
 	// and pinned separately): while an unreplicated unit is unreachable
@@ -85,6 +88,7 @@ var goldenBuilders = map[string]func(net *sim.Network, keys []uint64, k int) (go
 			},
 			size: w.Len, rehome: w.Rehome, rebalance: w.Rebalance, repair: w.Repair,
 			restart: w.RestartHost, check: w.CheckInvariants,
+			units: func() [][]sim.HostID { return unitHosts(w.eachUnit) },
 		}, nil
 	},
 	"blocked": func(net *sim.Network, keys []uint64, k int) (goldenEngine, error) {
@@ -100,6 +104,7 @@ var goldenBuilders = map[string]func(net *sim.Network, keys []uint64, k int) (go
 			},
 			size: w.Len, rehome: w.Rehome, rebalance: w.Rebalance, repair: w.Repair,
 			restart: w.RestartHost, check: w.CheckInvariants, tearsOnHostDown: true,
+			units: func() [][]sim.HostID { return unitHosts(w.eachBlock) },
 		}, nil
 	},
 	"bucket": func(net *sim.Network, keys []uint64, k int) (goldenEngine, error) {
@@ -115,6 +120,9 @@ var goldenBuilders = map[string]func(net *sim.Network, keys []uint64, k int) (go
 			},
 			size: b.Len, rehome: b.Rehome, rebalance: b.Rebalance, repair: b.Repair,
 			restart: b.RestartHost, check: b.CheckInvariants, tearsOnHostDown: true,
+			units: func() [][]sim.HostID {
+				return append(unitHosts(b.web.eachBlock), unitHosts(b.eachBucket)...)
+			},
 		}, nil
 	},
 }
