@@ -150,31 +150,16 @@ func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 // runWriteBatch executes one update per element of xs — one dedicated
 // dispatcher goroutine per write stripe (none for an unsharded
 // structure), each applying its stripe's updates strictly in input order
-// on their origin hosts' workers, with the per-update stripe writer lock
+// on their origin hosts' workers, one Do rendezvous per update, with the
+// per-update stripe writer lock
 // taken inside do (the structures' insert/delete methods). Remaining
 // updates still run after one fails, and the returned error joins the
 // per-operation errors. The hop cost of each update is returned in input
 // order. codeOf maps an update to its stripe code; it must agree with
 // the routing the structure's synchronous path uses, and is a pure
 // function, so the stripe schedule of a batch is deterministic.
-//
-// A non-nil doRun engages the sorted-run fast path: maximal
-// input-consecutive stretches that share an origin and a stripe and
-// carry strictly ascending codes are dispatched to the origin's worker
-// as one run instead of one rendezvous per operation, and executed
-// through doRun under one stripe-lock acquisition; ascending keys also
-// make every level's sorted-order index splice an amortized O(1)
-// append. Because execution order and every charged visit are
-// unchanged, per-operation hop counts and the cluster's counters are
-// identical to per-op updates, counter for counter. Callers that want the fast path to engage should group a
-// batch by origin and sort each group's keys; the default round-robin
-// origins yield runs of length one, which fall back to per-op dispatch.
-// A sorted run whose keys straddle a stripe boundary splits at the
-// separator into one run per stripe — same accounting, now updating both
-// stripes in parallel.
 func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
-	codeOf func(X) uint64, do func(x X, origin HostID) (int, error),
-	doRun func(stripe int, xs []X, origin HostID, hops []int, errs []error)) ([]int, error) {
+	codeOf func(X) uint64, do func(x X, origin HostID) (int, error)) ([]int, error) {
 	hops := make([]int, len(xs))
 	errs := make([]error, len(xs))
 	// Validation must run under the lock; see runReadBatch. Writers hold
@@ -196,52 +181,36 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 	slotHops := make([]int, len(xs))
 	slotErrs := make([]error, len(xs))
 	cl := c.cluster()
-	runStripe := func(stripe int, idx []int) {
-		for a := 0; a < len(idx); {
-			i0 := idx[a]
-			origin := c.originAt(origins, i0)
-			b := a + 1
-			for doRun != nil && b < len(idx) && idx[b] == idx[b-1]+1 &&
-				codeOf(xs[idx[b]]) > codeOf(xs[idx[b]-1]) && c.originAt(origins, idx[b]) == origin {
-				b++
-			}
-			j0 := idx[b-1] + 1
-			var task func()
-			if j0-i0 > 1 {
-				task = func() { doRun(stripe, xs[i0:j0], origin, slotHops[i0:j0], slotErrs[i0:j0]) }
-			} else {
-				task = func() { slotHops[i0], slotErrs[i0] = do(xs[i0], origin) }
-			}
-			if err := cl.Do(origin, task); err != nil {
+	runStripe := func(idx []int) {
+		for a := range idx {
+			i := idx[a]
+			origin := c.originAt(origins, i)
+			if err := cl.Do(origin, func() { slotHops[i], slotErrs[i] = do(xs[i], origin) }); err != nil {
 				// The origin died mid-rendezvous (a crash racing the
-				// batch) or stayed wedged past SetDoTimeout: the ops
+				// batch) or stayed wedged past SetDoTimeout: the op
 				// failed fast, typed. A task that had not started never
 				// will; one already executing writes only its slots.
-				for k := i0; k < j0; k++ {
-					errs[k] = err
-				}
+				errs[i] = err
 			} else {
-				copy(hops[i0:j0], slotHops[i0:j0])
-				copy(errs[i0:j0], slotErrs[i0:j0])
+				hops[i], errs[i] = slotHops[i], slotErrs[i]
 			}
-			a = b
 		}
 	}
 	groups := stripeGroups(st, xs, codeOf)
 	if len(groups) == 1 {
-		runStripe(0, groups[0])
+		runStripe(groups[0])
 		return hops, errors.Join(errs...)
 	}
 	var wg sync.WaitGroup
-	for s, idx := range groups {
+	for _, idx := range groups {
 		if len(idx) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(s int, idx []int) {
+		go func(idx []int) {
 			defer wg.Done()
-			runStripe(s, idx)
-		}(s, idx)
+			runStripe(idx)
+		}(idx)
 	}
 	wg.Wait()
 	return hops, errors.Join(errs...)

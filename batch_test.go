@@ -2,6 +2,7 @@ package skipwebs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,13 +138,13 @@ func TestInsertDeleteBatchMatchesSync(t *testing.T) {
 	}
 }
 
-// TestInsertBatchSortedRunMatchesSync pins the sorted-run fast path's
-// acceptance property: a batch of strictly ascending keys from a single
-// pinned origin — the shape that engages run dispatch and descent-prefix
-// sharing — must charge exactly the same per-operation hops and cluster
-// counters as the same inserts issued one at a time, for every structure
-// with a run path (Blocked, OneDim, Bucketed). A mixed unsorted batch is
-// re-checked as the control.
+// TestInsertBatchSortedRunMatchesSync is a parity case for one batch
+// shape: strictly ascending keys from a single pinned origin, so every
+// insert queues behind the previous one on one worker. It must charge
+// exactly the same per-operation hops and cluster counters as the same
+// inserts issued one at a time, on every sorted-set structure (Blocked,
+// OneDim, Bucketed). A mixed unsorted batch is re-checked as the
+// control.
 func TestInsertBatchSortedRunMatchesSync(t *testing.T) {
 	const hosts, n, ups = 64, 512, 256
 	type twin struct {
@@ -221,7 +222,7 @@ func TestInsertBatchSortedRunMatchesSync(t *testing.T) {
 		}
 	}
 
-	// Sorted ascending run, single pinned origin: the fast-path shape.
+	// Sorted ascending keys, single pinned origin.
 	rng := xrand.New(99)
 	sorted := make([]uint64, 0, ups)
 	next := uint64(1) << 41
@@ -230,7 +231,7 @@ func TestInsertBatchSortedRunMatchesSync(t *testing.T) {
 		sorted = append(sorted, next)
 	}
 	for _, tw := range mk(31) {
-		check("sorted-run", tw, sorted, []HostID{3})
+		check("sorted", tw, sorted, []HostID{3})
 	}
 
 	// Unsorted keys over mixed origins: the per-op fallback control.
@@ -571,13 +572,12 @@ func TestBatchCongestionMatchesSyncAllStructures(t *testing.T) {
 // TestBatchThroughputScalesWithProcs proves write-stripe parallelism
 // without a stopwatch, so it runs (and means the same thing) on any
 // machine, any CPU count, any scheduler: it counts per-stripe
-// writer-lock acquisitions to show the batch fanned out across all
-// stripes, then uses a rendezvous gate installed in the stripe-lock hook
-// to show that writers of distinct stripes hold their writer locks at
-// the same instant — which is impossible under a single structure-wide
-// writer lock. Wall-clock ops/sec vs GOMAXPROCS stays measurable with
-// the skipweb-bench -mode=throughput tool, which records the numbers
-// this test used to sample (BENCH_WRITERS_PR8.json).
+// writer-lock acquisitions through the stripe-lock hook to show the
+// batch fanned out across all stripes, then uses a rendezvous gate in
+// the same hook to show that writers of distinct stripes hold their
+// writer locks at the same instant — which is impossible under a single
+// structure-wide writer lock. Wall-clock scaling is the benchmark's
+// batch.write_parallel_speedup.
 func TestBatchThroughputScalesWithProcs(t *testing.T) {
 	const hosts, n, stripes = 64, 4096, 4
 	keys := distinctKeys(xrand.New(3), n)
@@ -603,15 +603,13 @@ func TestBatchThroughputScalesWithProcs(t *testing.T) {
 		ins = append(ins, k)
 		perStripe[w.st.of(k)]++
 	}
-	before := make([]int64, stripes)
-	for i := range before {
-		before[i] = w.st.writeCount(i)
-	}
+	acquired := make([]atomic.Int64, stripes)
+	w.st.onWrite = func(stripe int) { acquired[stripe].Add(1) }
 	if _, err := w.InsertBatch(ins, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range perStripe {
-		if got := w.st.writeCount(i) - before[i]; got != perStripe[i] {
+		if got := acquired[i].Load(); got != perStripe[i] {
 			t.Fatalf("stripe %d writer-lock acquisitions = %d, want %d", i, got, perStripe[i])
 		}
 		if perStripe[i] == 0 {

@@ -46,7 +46,7 @@ import (
 //
 // The negative bloom is a per-stripe filter over the hashes of stored
 // keys with superset semantics: Insert adds (under the stripe writer
-// lock, including the batch fast paths), Delete removes nothing, and
+// lock, batched or not), Delete removes nothing, and
 // churn moves placement but not membership, so the filter is always a
 // superset of the stored set. "Definitely absent" answers are thus
 // always correct and cost zero messages; a stale "maybe" only forces the

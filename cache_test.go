@@ -799,10 +799,10 @@ func bloomCrashRow[T any](t *testing.T, present, absent []T,
 // they are compared with <=, not ==), and its update methods (nil for the
 // static Planar).
 type advTwin[T any] struct {
-	reads                []func(x T, origin HostID) (string, int, error)
-	insert, remove       func(x T, origin HostID) (int, error)
-	insertRun, removeRun func(xs []T, origins []HostID) ([]int, error)
-	check                func() error
+	reads                    []func(x T, origin HostID) (string, int, error)
+	insert, remove           func(x T, origin HostID) (int, error)
+	insertBatch, removeBatch func(xs []T, origins []HostID) ([]int, error)
+	check                    func() error
 }
 
 // render turns a query's answer into the string the twins are compared
@@ -821,7 +821,7 @@ func advSortedSet(w sortedSetAPI) advTwin[uint64] {
 			},
 			func(q uint64, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
 		},
-		insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+		insert: w.Insert, remove: w.Delete, insertBatch: w.InsertBatch, removeBatch: w.DeleteBatch,
 		check: w.CheckConsistent,
 	}
 }
@@ -839,7 +839,7 @@ func advStrings(w *Strings) advTwin[string] {
 			func(q string, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
 			prefix(0), prefix(2),
 		},
-		insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+		insert: w.Insert, remove: w.Delete, insertBatch: w.InsertBatch, removeBatch: w.DeleteBatch,
 		check: w.CheckConsistent,
 	}
 }
@@ -855,7 +855,7 @@ func advStrings(w *Strings) advTwin[string] {
 // top of the universe down to its lowest stored items in batches, with
 // the hot items re-read between batches (floors fall through one, two
 // and three stripes, tries and quadtrees prune up to the root); a refill
-// in sorted single-origin batches (the sorted sets' insertRun path); and
+// in sorted single-origin batches; and
 // the random phase again after a Join and a Leave. The first four items
 // of the universe are never stored: reads of them lie below the minimum.
 func advReplay[T any](t *testing.T, seed uint64, stripes int, universe []T,
@@ -924,9 +924,9 @@ func advReplay[T any](t *testing.T, seed uint64, stripes int, universe []T,
 	}
 	batch := func(idx []int, insert bool, o HostID) {
 		t.Helper()
-		op, ctlOp := cached.removeRun, control.removeRun
+		op, ctlOp := cached.removeBatch, control.removeBatch
 		if insert {
-			op, ctlOp = cached.insertRun, control.insertRun
+			op, ctlOp = cached.insertBatch, control.insertBatch
 		}
 		var xs []T
 		for _, i := range idx {
@@ -1105,7 +1105,7 @@ func TestCacheParityAdversarial(t *testing.T) {
 						func(q Point, o HostID) (string, int, error) { return render(w.Contains(q, o)) },
 						func(q Point, o HostID) (string, int, error) { return render(w.Nearest(q, o)) },
 					},
-					insert: w.Insert, remove: w.Delete, insertRun: w.InsertBatch, removeRun: w.DeleteBatch,
+					insert: w.Insert, remove: w.Delete, insertBatch: w.InsertBatch, removeBatch: w.DeleteBatch,
 					check: w.CheckConsistent,
 				}, nil
 			})

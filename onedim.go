@@ -216,9 +216,8 @@ func (d *OneDim) ContainsBatch(keys []uint64, origins []HostID) ([]ContainsResul
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
-// in input order. Sorted runs within an origin group are dispatched as
-// one unit (see the sorted-run notes in batch.go); accounting is
-// identical to per-op inserts.
+// in input order. Each insert is one dispatch to its origin's worker;
+// accounting is identical to per-op inserts.
 func (d *OneDim) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
 	return d.insertBatch(keys, origins)
 }
@@ -324,12 +323,9 @@ func (b *Blocked) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, er
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
-// in input order. Sorted runs within an origin group take the fast
-// path: one dispatch per run, with the ascending order making every
-// level's index splice an amortized O(1) append (see the sorted-run
-// notes in batch.go). A run straddling a stripe boundary splits at the
-// separator into one run per stripe. Message accounting is identical to
-// per-op inserts, counter for counter.
+// in input order. Each insert is one dispatch to its origin's worker.
+// Message accounting is identical to per-op inserts, counter for
+// counter.
 func (b *Blocked) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
 	return b.insertBatch(keys, origins)
 }
@@ -448,9 +444,8 @@ func (b *Bucketed) RangeBatch(rs []KeyRange, origins []HostID) ([]RangeResult, e
 
 // InsertBatch adds the keys — one parallel writer per stripe, strict
 // input order within each stripe — returning each update's message cost
-// in input order. Sorted runs within an origin group are dispatched as
-// one unit (see the sorted-run notes in batch.go); accounting is
-// identical to per-op inserts.
+// in input order. Each insert is one dispatch to its origin's worker;
+// accounting is identical to per-op inserts.
 func (b *Bucketed) InsertBatch(keys []uint64, origins []HostID) ([]int, error) {
 	return b.insertBatch(keys, origins)
 }

@@ -475,14 +475,14 @@ func (p *Points) NearestBatch(qs []Point, origins []HostID) ([]NearestResult, er
 // stripe, strict input order within each stripe — returning each
 // update's message cost in input order.
 func (p *Points) InsertBatch(qs []Point, origins []HostID) ([]int, error) {
-	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Insert, nil)
+	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Insert)
 }
 
 // DeleteBatch removes the points — one parallel writer per Morton-code
 // stripe, strict input order within each stripe — returning each
 // update's message cost in input order.
 func (p *Points) DeleteBatch(qs []Point, origins []HostID) ([]int, error) {
-	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Delete, nil)
+	return runWriteBatch(p.c, qs, origins, p.st, p.stripeCode, p.Delete)
 }
 
 // CheckConsistent verifies the point web's invariants: every cell on a

@@ -164,29 +164,6 @@ func (s *sortedSet[E]) remove(key uint64, origin HostID) (int, error) {
 	return wrapHops(s.ws[i].Delete(key, origin))
 }
 
-// insertRun applies one sorted run of a batch to its stripe, key by key,
-// under a single writer-lock acquisition.
-func (s *sortedSet[E]) insertRun(stripe int, keys []uint64, origin HostID, hops []int, errs []error) {
-	s.st.wlock(stripe)
-	defer s.st.wunlock(stripe)
-	for _, k := range keys {
-		s.st.bump(stripe, k)
-	}
-	if s.nb != nil {
-		for _, k := range keys {
-			s.nb.add(stripe, hashKey64(k))
-		}
-	}
-	for i, k := range keys {
-		hops[i], errs[i] = s.ws[stripe].Insert(k, origin)
-	}
-	for i, err := range errs {
-		if err != nil {
-			errs[i] = fmt.Errorf("skipwebs: %w", err)
-		}
-	}
-}
-
 func (s *sortedSet[E]) floorBatch(qs []uint64, origins []HostID) ([]FloorResult, error) {
 	return runReadBatch(s.c, qs, origins, s.floor)
 }
@@ -205,12 +182,10 @@ func rangeBatch[E rangeEngine](s *sortedSet[E], rs []KeyRange, origins []HostID)
 	})
 }
 
-// insertBatch dispatches sorted runs as one unit each (see the sorted-run
-// notes on runWriteBatch).
 func (s *sortedSet[E]) insertBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, keyCode, s.insert, s.insertRun)
+	return runWriteBatch(s.c, keys, origins, s.st, keyCode, s.insert)
 }
 
 func (s *sortedSet[E]) removeBatch(keys []uint64, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, keyCode, s.remove, nil)
+	return runWriteBatch(s.c, keys, origins, s.st, keyCode, s.remove)
 }

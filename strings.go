@@ -314,14 +314,14 @@ func (s *Strings) PrefixSearchBatch(prefixes []string, max int, origins []HostID
 // strict input order within each stripe — returning each update's
 // message cost in input order.
 func (s *Strings) InsertBatch(keys []string, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Insert, nil)
+	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Insert)
 }
 
 // DeleteBatch removes the keys — one parallel writer per code stripe,
 // strict input order within each stripe — returning each update's
 // message cost in input order.
 func (s *Strings) DeleteBatch(keys []string, origins []HostID) ([]int, error) {
-	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Delete, nil)
+	return runWriteBatch(s.c, keys, origins, s.st, stringCode, s.Delete)
 }
 
 // CheckConsistent verifies the string web's invariants: every locus on

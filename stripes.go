@@ -42,10 +42,6 @@ import (
 type stripeSet struct {
 	seps  []uint64
 	locks []sync.RWMutex
-	// writes counts writer-lock acquisitions per stripe — the
-	// observable the stripe-parallelism test asserts on instead of
-	// wall-clock speedup.
-	writes []atomic.Int64
 	// onWrite, when non-nil, is invoked after each writer-lock
 	// acquisition with the stripe index. Tests install it (before any
 	// concurrent use) to prove that distinct stripes hold their writer
@@ -130,9 +126,8 @@ func newStripeSet(sortedCodes []uint64, want int, epochs bool) *stripeSet {
 	seps := cutCodes(sortedCodes, want)
 	n := len(seps) + 1
 	ss := &stripeSet{
-		seps:   seps,
-		locks:  make([]sync.RWMutex, n),
-		writes: make([]atomic.Int64, n),
+		seps:  seps,
+		locks: make([]sync.RWMutex, n),
 	}
 	if epochs {
 		ep := &epochTable{subs: make([][]uint64, n), first: make([]int, n+1)}
@@ -173,15 +168,11 @@ func (ss *stripeSet) runlock(i int) { ss.locks[i].RUnlock() }
 // per stripe, excluding that stripe's readers and nothing else.
 func (ss *stripeSet) wlock(i int) {
 	ss.locks[i].Lock()
-	ss.writes[i].Add(1)
 	if ss.onWrite != nil {
 		ss.onWrite(i)
 	}
 }
 func (ss *stripeSet) wunlock(i int) { ss.locks[i].Unlock() }
-
-// writeCount returns the writer-lock acquisitions stripe i has seen.
-func (ss *stripeSet) writeCount(i int) int64 { return ss.writes[i].Load() }
 
 // bucket routes a code to its epoch bucket within stripe i, clipping a
 // code outside the stripe's range to the stripe's first or last bucket.

@@ -210,8 +210,7 @@ func TestStripedBatchMatchesSerialOneDim(t *testing.T) {
 	}
 }
 
-// TestStripedBatchMatchesSerialBlocked is the blocked-web variant, with
-// round-robin origins so singleton dispatch and the run fast path mix.
+// TestStripedBatchMatchesSerialBlocked is the blocked-web variant.
 func TestStripedBatchMatchesSerialBlocked(t *testing.T) {
 	const hosts, build, updates, S = 32, 512, 256, 4
 	buildKeys, ins, origins := stripedWorkload(22, hosts, build, updates)
@@ -238,15 +237,16 @@ func TestStripedBatchMatchesSerialBlocked(t *testing.T) {
 	}
 }
 
-// TestStripedSortedRunAcrossBoundary pins the cross-stripe-boundary run
-// split: a single-origin strictly ascending insert batch spanning every
-// stripe engages the sorted-run fast path, splits at each separator, and
-// still charges exactly the serial per-op messages.
+// TestStripedSortedRunAcrossBoundary is a parity case for a
+// single-origin strictly ascending insert batch spanning every stripe:
+// each stripe's dispatcher takes its contiguous slice of the ascending
+// keys, all queued on one origin's worker, and the batch must still
+// charge exactly the serial per-op messages.
 func TestStripedSortedRunAcrossBoundary(t *testing.T) {
 	const hosts, build, updates, S = 32, 512, 256, 4
 	buildKeys, ins, _ := stripedWorkload(23, hosts, build, updates)
 	sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-	origins := []HostID{3} // one origin: the whole batch is one ascending run
+	origins := []HostID{3} // one origin for the whole ascending batch
 	cb := NewCluster(hosts)
 	defer cb.Close()
 	wb, err := NewBlocked(cb, buildKeys, Options{Seed: 7, WriteStripes: S})
@@ -258,8 +258,8 @@ func TestStripedSortedRunAcrossBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ascending batch must span all stripes so runs straddle
-	// separators.
+	// The ascending batch must span all stripes, so it crosses every
+	// separator.
 	stripesHit := map[int]bool{}
 	for _, k := range ins {
 		stripesHit[wb.st.of(k)] = true
@@ -277,7 +277,7 @@ func TestStripedSortedRunAcrossBoundary(t *testing.T) {
 	for _, k := range ins {
 		r, err := wb.Floor(k, 0)
 		if err != nil || !r.Found || r.Key != k {
-			t.Fatalf("run-inserted key %d missing (res=%+v err=%v)", k, r, err)
+			t.Fatalf("batch-inserted key %d missing (res=%+v err=%v)", k, r, err)
 		}
 	}
 }
