@@ -34,7 +34,6 @@ import (
 
 	"github.com/skipwebs/skipwebs/internal/core"
 	"github.com/skipwebs/skipwebs/internal/sim"
-	"github.com/skipwebs/skipwebs/internal/wire"
 )
 
 // HostID identifies a host in a Cluster. IDs are never reused: a host
@@ -68,18 +67,6 @@ var ErrTimeout = sim.ErrTimeout
 // caller's wait is bounded. No messages beyond those already charged are
 // spent.
 type TimeoutError = sim.TimeoutError
-
-// Transport is the host-execution contract batch dispatch runs on: run
-// a closure on a host's worker (synchronously or send-and-continue), fan
-// a batch out, and manage worker lifecycle across churn. Two
-// implementations exist — the in-process simulator (NewCluster) and a
-// loopback TCP transport whose dispatch rides length-prefixed frames
-// (NewWireCluster) — with identical semantics and identical message
-// accounting, pinned by the conformance suite in internal/wire. Cost
-// model note: dispatch itself is never charged as messages in either
-// implementation; only the hops a routed operation makes (Op.Visit/Send)
-// count, so msgs/op is transport-invariant.
-type Transport = sim.Transport
 
 // migrator is the churn and fault-tolerance contract every structure
 // registers with its Cluster at construction: migrate everything off a
@@ -131,8 +118,8 @@ type Cluster struct {
 	structs []migrator
 
 	workersOnce sync.Once
-	workers     Transport
-	// doTimeout is applied to the transport at creation and on
+	workers     *sim.Cluster
+	// doTimeout is applied to the workers at creation and on
 	// SetDoTimeout (0 = wait forever).
 	doTimeout time.Duration
 }
@@ -191,27 +178,6 @@ func NewCluster(h int, opts ...ClusterOption) *Cluster {
 		opt(c)
 	}
 	return c
-}
-
-// NewWireCluster creates a cluster of h hosts whose batch dispatch rides
-// a real loopback TCP transport: every Do/Go dispatch crosses a
-// length-prefixed frame to the target host's listener instead of an
-// in-process mailbox. Queries, updates, accounting, and results are
-// bit-identical to NewCluster — the Transport contract guarantees it —
-// so this is the drop-in way to exercise the public API over real
-// sockets. It returns an error when the loopback listeners cannot be
-// opened. Call Close to release the sockets.
-func NewWireCluster(h int, opts ...ClusterOption) (*Cluster, error) {
-	c := NewCluster(h, opts...)
-	// Open the transport eagerly so listener failures surface here as an
-	// error rather than as a panic at first batch, and so Close always
-	// releases the sockets even if no batch ever runs.
-	t, err := wire.NewLoopback(h)
-	if err != nil {
-		return nil, fmt.Errorf("skipwebs: wire transport: %w", err)
-	}
-	c.workersOnce.Do(func() { c.workers = t })
-	return c, nil
 }
 
 // SetDoTimeout bounds every dispatched operation (batch queries and
@@ -650,12 +616,8 @@ func (c *Cluster) Close() {
 	}
 }
 
-// cluster returns the per-host worker transport, starting it on first
-// use: the in-process simulator by default, or the loopback TCP
-// transport for a NewWireCluster. Everything above this point — batch
-// dispatch, churn, crash semantics — speaks only to the Transport
-// interface.
-func (c *Cluster) cluster() Transport {
+// cluster returns the per-host worker pool, starting it on first use.
+func (c *Cluster) cluster() *sim.Cluster {
 	c.workersOnce.Do(func() {
 		c.workers = sim.NewCluster(c.net)
 		if c.doTimeout > 0 {
