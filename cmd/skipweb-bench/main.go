@@ -5,9 +5,8 @@
 // Message counts repeat exactly per seed, so the records it writes with
 // -json (BENCH_*.json at the repo root) are regenerated and byte-compared
 // in CI. Wall-clock timing is `bash benchmark/run.sh`'s job, not this
-// tool's; the timing columns that remain (-mode bench ns/op, -mode
-// throughput, -mode scale ops/sec, -mode wire latency) are context for
-// the counts beside them.
+// tool's; the timing columns that remain (-mode bench ns/op, -mode scale
+// ops/sec, -mode wire latency) are context for the counts beside them.
 //
 // Usage:
 //
@@ -25,11 +24,6 @@
 //     row; -baseline enforces the allocs/op and msgs/op ceilings of
 //     bench_baseline.json. Update rows hold the structure in [keys, 2 keys)
 //     by rebuilding outside the timer.
-//   - throughput: FloorBatch on a Blocked web and InsertBatch/DeleteBatch
-//     on its -stripes twin at each GOMAXPROCS in -procs; batched execution
-//     must charge exactly the synchronous path's messages (the two parity
-//     lines), and on >= 4 CPUs striped inserts must scale >= 2x from 1 to 4
-//     procs (BENCH_WRITERS_PR8.json).
 //   - churn: a mixed query workload over all six structures interleaved
 //     with alternating Leave/Join events at each rate in -churn-rates;
 //     Cluster.CheckConsistent after every event, a zero-lost-keys sweep at
@@ -96,8 +90,7 @@ type config struct {
 	quick, restart        bool
 	seed                  uint64
 	hosts, keys, queries  int
-	procs                 string
-	stripes, crashes      int
+	crashes               int
 	churnRates, replicas  string
 	json, baseline        string
 	serveBin              string
@@ -134,8 +127,6 @@ var modes = []modeSpec{
 		flags: "experiment quick", run: runExperiments},
 	{name: "bench", doc: "hot-path micro-benchmarks; -baseline enforces the allocs/op and msgs/op ceilings",
 		flags: "hosts keys quick json baseline", hosts: 1, keys: 64, run: runBench},
-	{name: "throughput", doc: "batch ops/sec per GOMAXPROCS, batch-vs-sync accounting parity",
-		flags: "hosts keys queries procs stripes json", hosts: 1, keys: 1, queries: 1, run: runThroughput},
 	{name: "churn", doc: "join/leave storm over all six structures, consistency-checked",
 		flags: "hosts keys queries churn-rates quick json", hosts: 4, keys: 64, queries: 1, run: runChurn},
 	{name: "failover", restart: true, doc: "durable crash -> Restart (WAL replay + merkle diff) vs full re-replication",
@@ -183,8 +174,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&cfg.hosts, "hosts", 256, "number of hosts")
 	fs.IntVar(&cfg.keys, "keys", 4096, "stored keys per structure")
 	fs.IntVar(&cfg.queries, "queries", 20000, "operations in the measured workload")
-	fs.StringVar(&cfg.procs, "procs", "1,2,4", "comma-separated GOMAXPROCS values")
-	fs.IntVar(&cfg.stripes, "stripes", 4, "write stripes of the insert/delete section")
 	fs.StringVar(&cfg.churnRates, "churn-rates", "0,0.002,0.01,0.04", "comma-separated churn events per operation")
 	fs.StringVar(&cfg.replicas, "replicas", "1,2,3", "comma-separated replication factors k (failover -restart needs k >= 2)")
 	fs.IntVar(&cfg.crashes, "crashes", 4, "host crashes per trial")

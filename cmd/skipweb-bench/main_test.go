@@ -118,49 +118,6 @@ func TestRunFiguresSmoke(t *testing.T) {
 	}
 }
 
-func TestRunThroughputSmoke(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "writers.json")
-	var out strings.Builder
-	err := run([]string{
-		"-mode", "throughput",
-		"-hosts", "32", "-keys", "512", "-queries", "800", "-procs", "1,2",
-		"-stripes", "4", "-json", path,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"read parity:", "write parity:"} {
-		if !strings.Contains(got, want) || !strings.Contains(got, "OK") {
-			t.Fatalf("missing %q accounting line in output:\n%s", want, got)
-		}
-	}
-	if !strings.Contains(got, "GOMAXPROCS=1") || !strings.Contains(got, "GOMAXPROCS=2") {
-		t.Fatalf("missing per-proc throughput lines in output:\n%s", got)
-	}
-	for _, want := range []string{"read", "insert", "delete", "ops/sec"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q metric in output:\n%s", want, got)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc throughputDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Mode != "throughput" || doc.Stripes != 4 || !doc.ParityOK || len(doc.Rows) != 2 {
-		t.Fatalf("unexpected throughput JSON: %+v", doc)
-	}
-	for _, r := range doc.Rows {
-		if r.ReadOpsSec <= 0 || r.InsertOpsSec <= 0 || r.DeleteOpsSec <= 0 {
-			t.Fatalf("non-positive throughput in row %+v", r)
-		}
-	}
-}
-
 func TestRunChurnSmoke(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "churn.json")
 	var out strings.Builder
@@ -290,7 +247,6 @@ func TestRunFailoverValidatesFlags(t *testing.T) {
 		{"-mode churn -hosts 2", "-hosts must be >= 4"},
 		{"-mode bench -keys 32", "-keys must be >= 64"},
 		{"-mode wire -hosts 1", "-hosts must be >= 2"},
-		{"-mode throughput -queries 0", "-queries must be >= 1"},
 
 		{"-mode churn -replicas 3", "does not read -replicas"},
 		{"-mode experiments -json f.json", "does not read -json"},
@@ -303,7 +259,6 @@ func TestRunFailoverValidatesFlags(t *testing.T) {
 		{"-mode failover -restart -crashes 2", "-mode failover -restart does not read -crashes"},
 		{"-mode churn -restart", "does not read -restart"},
 		{"-mode scale -hosts 64 -keys 128", "does not read -hosts, -keys"},
-		{"-mode throughput -quick", "does not read -quick"},
 		{"-mode bench -queries 10", "does not read -queries"},
 	} {
 		var out strings.Builder
