@@ -151,13 +151,13 @@ func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 // dispatcher goroutine per write stripe (none for an unsharded
 // structure), each applying its stripe's updates strictly in input order
 // on their origin hosts' workers, one Do rendezvous per update, with the
-// per-update stripe writer lock
-// taken inside do (the structures' insert/delete methods). Remaining
-// updates still run after one fails, and the returned error joins the
-// per-operation errors. The hop cost of each update is returned in input
-// order. codeOf maps an update to its stripe code; it must agree with
-// the routing the structure's synchronous path uses, and is a pure
-// function, so the stripe schedule of a batch is deterministic.
+// per-update stripe writer lock taken inside do (the structures'
+// insert/delete methods). Remaining updates still run after one fails,
+// and the returned error joins the per-operation errors. The hop cost of
+// each update is returned in input order. codeOf maps an update to its
+// stripe code; it must agree with the routing the structure's
+// synchronous path uses, and is a pure function, so the stripe schedule
+// of a batch is deterministic.
 func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 	codeOf func(X) uint64, do func(x X, origin HostID) (int, error)) ([]int, error) {
 	hops := make([]int, len(xs))

@@ -42,12 +42,15 @@ type Options struct {
 	// Update batches then run S writers in parallel — one per stripe —
 	// while updates within a stripe keep strict input order and message
 	// accounting stays deterministic: stripe assignment is a pure
-	// function of the key, striping adds no charged messages, and a
+	// function of the key, picking a stripe charges no message, and a
 	// concurrent striped batch charges exactly what a serial replay of
 	// the same operations on the same striped structure charges.
 	// Queries route to the stripe owning their key (a floor query falls
 	// back across lower stripes when its own is empty below the query;
-	// range and prefix queries visit every overlapping stripe). The
+	// range and prefix queries visit every overlapping stripe). Each
+	// stripe is a skip-web of about n/S keys, so S also shortens every
+	// descent: a query costs about Q(n/S) plus its fallbacks, not Q(n).
+	// The
 	// realized stripe count is at most min(S, build keys) and may be
 	// further reduced by duplicate stripe codes. 0 or 1 (the default)
 	// keeps one engine — placement and accounting bit-identical to

@@ -44,8 +44,8 @@ type stripeSet struct {
 	locks []sync.RWMutex
 	// onWrite, when non-nil, is invoked after each writer-lock
 	// acquisition with the stripe index. Tests install it (before any
-	// concurrent use) to prove that distinct stripes hold their writer
-	// locks simultaneously.
+	// concurrent use) to count acquisitions per stripe and to prove that
+	// distinct stripes hold their writer locks simultaneously.
 	onWrite func(stripe int)
 	// ep is the write-epoch table the finger cache validates against;
 	// nil unless the structure was built with Options.CacheFingers.
