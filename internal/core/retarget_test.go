@@ -73,11 +73,12 @@ func TestChurnChargesOnlyMovedHosts(t *testing.T) {
 						before[i] = hostMessages(g.net)
 						churn(g)
 					}
-					moved := movedHosts(units, plain.e.units())
+					after := plain.e.units()
+					moved := movedHosts(units, after)
 					if len(moved) == 0 {
 						t.Fatalf("step %d moved no replica", step)
 					}
-					if !slices.EqualFunc(plain.e.units(), durable.e.units(), slices.Equal[[]sim.HostID]) {
+					if !slices.EqualFunc(after, durable.e.units(), slices.Equal[[]sim.HostID]) {
 						t.Fatalf("step %d: the durable twin placed replicas differently", step)
 					}
 					afterPlain, afterDurable := hostMessages(plain.net), hostMessages(durable.net)
