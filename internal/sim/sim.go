@@ -14,9 +14,12 @@
 //
 //   - Network alone: synchronous, deterministic accounting. All experiment
 //     numbers in EXPERIMENTS.md come from this mode.
-//   - Cluster: runs one goroutine per host and executes work on the owning
-//     host's goroutine, serializing per-host state access the way a real
-//     message-passing node would. Do is the blocking rendezvous; Go is the
+//   - Cluster: runs one goroutine per host and executes work as the
+//     owning host, one task per host at a time, serializing per-host state
+//     access the way a real message-passing node would. Do is the
+//     blocking rendezvous on the host's goroutine; RunAs is Do run on the
+//     caller's goroutine whenever the host is idle, the host's mailbox
+//     serving as its lock (the batch write path); Go is the
 //     send-and-continue variant backing the batch query engine, and
 //     RunBatch fans a whole batch out over the per-host workers.
 //     Integration tests use it (with -race) to demonstrate the structures
@@ -921,10 +924,12 @@ func (n *Network) ResetTraffic() {
 // Cluster executes work on per-host goroutines. Each host runs a single
 // worker goroutine draining an unbounded mailbox; Do(h, fn) runs fn on
 // host h's goroutine and waits for it, so all state owned by a host is
-// accessed from exactly one goroutine at a time — the actor discipline of
-// a message-passing node. Go(h, fn) is the asynchronous variant: it
-// enqueues fn and returns immediately (send-and-continue message passing),
-// which is what the batch query engine uses to keep every host busy.
+// accessed by one task at a time — the actor discipline of a
+// message-passing node. RunAs(h, fn) keeps that discipline without the
+// hand-off when h is idle: it claims h and runs fn on the caller's
+// goroutine. Go(h, fn) is the asynchronous variant: it enqueues fn and
+// returns immediately (send-and-continue message passing), which is what
+// the batch query engine uses to keep every host busy.
 type Cluster struct {
 	net     *Network
 	mailMu  sync.RWMutex // guards the mail slice header across host churn
@@ -950,9 +955,10 @@ type task struct {
 // channel to the worker that may still send on it.
 var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-// mailbox is an unbounded FIFO task queue with a single consumer. An
-// unbounded queue models a node's inbound message buffer: senders never
-// block, exactly as a send-and-continue message leaves the sender free.
+// mailbox is an unbounded FIFO task queue with a single consumer, and
+// its host's lock (busy). An unbounded queue models a node's inbound
+// message buffer: senders never block, exactly as a send-and-continue
+// message leaves the sender free.
 type mailbox struct {
 	mu      sync.Mutex
 	queue   []task        // pending tasks are queue[head:]
@@ -965,17 +971,49 @@ type mailbox struct {
 	// hundred origin hosts runs a few hundred goroutines, not 10k idle
 	// ones. Checked lock-free on the send fast path.
 	started atomic.Bool
-	// busy is raised by the worker around each task and gid is the
-	// worker's goroutine id, written once before the first task: together
-	// they are the host's identity. A caller is this host's worker iff the
-	// worker is mid-task and the ids match, so an idle target settles it
-	// without the stack parse goid costs.
+	// busy is raised while some goroutine executes as this host: the
+	// worker around each task, or a RunAs caller around its inline fn.
+	// It is the host's lock, claimed only under mu (see claim and take)
+	// and released by its holder. gid is the worker's goroutine id,
+	// written once before the first task; a RunAs caller records none. A
+	// caller is this host's worker iff the host is busy and the ids
+	// match, so an idle target settles it without the stack parse goid
+	// costs. gid is atomic because busy no longer orders it: a RunAs
+	// caller can raise busy while a lazily started worker writes gid.
 	busy atomic.Bool
-	gid  uint64
+	gid  atomic.Uint64
 }
 
 // onWorker reports whether the calling goroutine is this mailbox's worker.
-func (m *mailbox) onWorker() bool { return m.busy.Load() && m.gid == goid() }
+func (m *mailbox) onWorker() bool { return m.busy.Load() && m.gid.Load() == goid() }
+
+// claim raises busy for an inline RunAs when the host is idle: open, no
+// task executing and none queued. The queue check keeps per-sender FIFO:
+// a task sent earlier and not yet popped runs first.
+func (m *mailbox) claim() bool {
+	m.mu.Lock()
+	ok := !m.closed && !m.busy.Load() && m.head == len(m.queue)
+	if ok {
+		m.busy.Store(true)
+	}
+	m.mu.Unlock()
+	return ok
+}
+
+// release ends an inline claim, waking the worker when tasks queued
+// behind it (take parks while another goroutine holds the host).
+func (m *mailbox) release() {
+	m.mu.Lock()
+	m.busy.Store(false)
+	pending := m.head < len(m.queue)
+	m.mu.Unlock()
+	if pending {
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // put enqueues t, reporting false when the mailbox is closed.
 func (m *mailbox) put(t task) bool {
@@ -1000,23 +1038,30 @@ func (m *mailbox) put(t task) bool {
 	return true
 }
 
-// take pops the next task, blocking until one arrives. It returns ok=false
+// take pops the next task and claims the host for it in the same step,
+// blocking until a task is queued and no RunAs caller holds the host. A
+// task whose Do timed out while it queued is discarded here, unclaimed.
+// The caller runs the task and then lowers busy. take returns ok=false
 // once the mailbox is closed and fully drained.
 func (m *mailbox) take() (task, bool) {
 	for {
 		m.mu.Lock()
-		if m.head < len(m.queue) {
+		for m.head < len(m.queue) && !m.busy.Load() {
 			t := m.queue[m.head]
 			m.queue[m.head] = task{}
 			if m.head++; m.head == len(m.queue) {
 				m.queue, m.head = m.queue[:0], 0
 			}
+			if t.cancelled != nil && t.cancelled.Load() {
+				continue // its Do timed out while it queued
+			}
+			m.busy.Store(true)
 			m.mu.Unlock()
 			return t, true
 		}
-		closed := m.closed
+		drained := m.closed && m.head == len(m.queue)
 		m.mu.Unlock()
-		if closed {
+		if drained {
 			return task{}, false
 		}
 		<-m.wake
@@ -1133,16 +1178,12 @@ func (c *Cluster) start(m *mailbox) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		m.gid = goid()
+		m.gid.Store(goid())
 		for {
 			t, ok := m.take()
 			if !ok {
 				return
 			}
-			if t.cancelled != nil && t.cancelled.Load() {
-				continue // its Do timed out while it queued
-			}
-			m.busy.Store(true)
 			t.fn()
 			m.busy.Store(false)
 			if t.done != nil {
@@ -1310,6 +1351,31 @@ func (c *Cluster) Do(h HostID, fn func()) error {
 	}
 }
 
+// RunAs runs fn as host h and blocks until it completes, like Do, but on
+// the calling goroutine when it can: when h is idle — no task executing,
+// none queued — RunAs claims h under its mailbox lock, runs fn inline and
+// releases h, so fn still excludes every other task of h and follows
+// every task a sender queued for h earlier. When h is busy, crashed or
+// departed, or a SetDoTimeout deadline is set (an inline fn cannot be
+// abandoned), RunAs is Do. h's worker starts on the first call either
+// way, as it does for Do.
+//
+// fn must not call Do or RunAs for host h itself: an inline caller has
+// no goroutine id on record, so such a re-entry queues behind the claim
+// it is running under and deadlocks. Calls to other hosts are fine.
+func (c *Cluster) RunAs(h HostID, fn func()) error {
+	if c.stopped.Load() {
+		panic("sim: Cluster.RunAs after Stop")
+	}
+	box := c.boxStart(h)
+	if c.doTimeout.Load() > 0 || !box.claim() {
+		return c.Do(h, fn)
+	}
+	defer box.release()
+	fn()
+	return nil
+}
+
 // SetDoTimeout bounds every subsequent Do rendezvous to d: a Do whose
 // task has not completed within d returns a TimeoutError (matching
 // ErrTimeout via errors.Is) instead of blocking forever on a wedged
@@ -1400,7 +1466,9 @@ func (c *Cluster) RunBatch(n int, origin func(i int) HostID, run func(i int)) {
 var groupPool = sync.Pool{New: func() any { return new([][]int) }}
 
 // Stop shuts down all host goroutines, draining already-enqueued tasks,
-// and waits for the workers to exit. The snapshot takes the write lock:
+// and waits for the workers to exit. It does not wait for a RunAs caller
+// running its fn inline; the caller must order Stop after such calls.
+// The snapshot takes the write lock:
 // it orders Stop after every in-flight lazy worker start (boxStart holds
 // the read lock across wg.Add), so the final Wait races no Add.
 func (c *Cluster) Stop() {

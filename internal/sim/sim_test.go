@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -616,6 +618,8 @@ func TestClusterDoTimeout(t *testing.T) {
 // array: a mailbox that always holds a small backlog — so the drained
 // reset never happens — must slide its pending tasks down, not grow by
 // one slot per task ever sent, and must still hand tasks out in order.
+// take claims the host for the task it pops, so the loop lowers busy
+// after each task, as the worker does.
 func TestMailboxBacklogStaysBounded(t *testing.T) {
 	m := &mailbox{wake: make(chan struct{}, 1)}
 	next, got := 0, -1
@@ -637,8 +641,195 @@ func TestMailboxBacklogStaysBounded(t *testing.T) {
 		if tk.fn(); got != want {
 			t.Fatalf("took task %d, want %d", got, want)
 		}
+		m.busy.Store(false)
 	}
 	if c := cap(m.queue); c > 16 {
 		t.Fatalf("a backlog of 2 grew the queue to %d slots", c)
+	}
+}
+
+// TestClusterRunAsFollowsQueuedTask pins per-sender FIFO across Go and
+// RunAs: a task the sender queued for h earlier runs before the sender's
+// RunAs(h, fn), even though no task is executing on h. h's worker is held
+// before it can pop — marked started but not yet launched — which holds
+// open the window between one task's release and the worker's next pop.
+func TestClusterRunAsFollowsQueuedTask(t *testing.T) {
+	c := NewCluster(NewNetwork(2))
+	defer c.Stop()
+	m := c.mail[1]
+	m.started.Store(true)
+	var order []string
+	done := make(chan error, 1)
+	go func() {
+		c.Go(1, func() { order = append(order, "T") })
+		done <- c.RunAs(1, func() { order = append(order, "fn") })
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m.mu.Lock()
+		queued := len(m.queue) - m.head
+		m.mu.Unlock()
+		if queued == 2 {
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("RunAs returned (%v) while T was still queued; ran %v", err, order)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tasks queued, want T and the RunAs fallback", queued)
+		}
+		runtime.Gosched()
+	}
+	c.mailMu.RLock()
+	c.start(m)
+	c.mailMu.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "T" || order[1] != "fn" {
+		t.Fatalf("ran %v, want [T fn]", order)
+	}
+}
+
+// TestClusterRunAsExcludesDoAndGo mixes RunAs, Do and Go from many
+// senders over 4 hosts, each bumping an unguarded per-host counter: the
+// mailbox lock must serialize inline and worker-run tasks alike, so every
+// total is exact (and -race sees no conflicting access).
+func TestClusterRunAsExcludesDoAndGo(t *testing.T) {
+	const hosts, senders, each = 4, 8, 400
+	c := NewCluster(NewNetwork(hosts))
+	defer c.Stop()
+	counts := make([]int, hosts)
+	want := make([]int, hosts)
+	var wg, async sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		for i := 0; i < each; i++ {
+			want[(s+i)%hosts]++
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h := HostID((s + i) % hosts)
+				bump := func() { counts[h]++ }
+				switch (s*each + i) % 3 {
+				case 0:
+					if err := c.RunAs(h, bump); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					if err := c.Do(h, bump); err != nil {
+						t.Error(err)
+					}
+				default:
+					async.Add(1)
+					c.Go(h, func() { bump(); async.Done() })
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	async.Wait()
+	for h := range counts {
+		if counts[h] != want[h] {
+			t.Errorf("host %d counted %d, want %d", h, counts[h], want[h])
+		}
+	}
+}
+
+// TestClusterRunAsWaitsOrTimesOut pins RunAs on a busy host: with no
+// deadline it waits for the running task, and with one it is Do — a
+// TimeoutError, and its fn never runs.
+func TestClusterRunAsWaitsOrTimesOut(t *testing.T) {
+	c := NewCluster(NewNetwork(2))
+	defer c.Stop()
+	wedge := func() (release func()) {
+		block, entered := make(chan struct{}), make(chan struct{})
+		c.Go(1, func() { close(entered); <-block })
+		<-entered
+		return func() { close(block) }
+	}
+
+	release := wedge()
+	ran := false
+	returned := make(chan error, 1)
+	go func() { returned <- c.RunAs(1, func() { ran = true }) }()
+	select {
+	case err := <-returned:
+		t.Fatalf("RunAs on a busy host returned (%v) before the running task finished", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-returned; err != nil || !ran {
+		t.Fatalf("RunAs after the host freed: err %v, ran %v", err, ran)
+	}
+
+	release = wedge()
+	c.SetDoTimeout(50 * time.Millisecond)
+	var late atomic.Bool
+	err := c.RunAs(1, func() { late.Store(true) })
+	var te *TimeoutError
+	if !errors.As(err, &te) || te.Host != 1 {
+		t.Fatalf("RunAs on a wedged host under a deadline returned %v, want TimeoutError{1}", err)
+	}
+	// Under a deadline an idle host runs fn on its worker, not inline.
+	if err := c.RunAs(0, func() {
+		if !c.mail[0].onWorker() {
+			t.Error("RunAs under a deadline ran inline")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	c.SetDoTimeout(0)
+	if err := c.Do(1, func() {}); err != nil { // queued behind the cancelled task
+		t.Fatal(err)
+	}
+	if late.Load() {
+		t.Fatal("a timed-out RunAs ran its fn")
+	}
+}
+
+// TestClusterRunAsCrashedHost: RunAs to a crashed host fails fast with
+// the typed error and never runs fn.
+func TestClusterRunAsCrashedHost(t *testing.T) {
+	n := NewNetwork(2)
+	c := NewCluster(n)
+	defer c.Stop()
+	if err := c.RunAs(1, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	n.Crash(1)
+	c.Crash(1)
+	err := c.RunAs(1, func() { t.Error("fn ran on a crashed host") })
+	var down *HostDownError
+	if !errors.As(err, &down) || down.Host != 1 {
+		t.Fatalf("RunAs to a crashed host returned %v, want HostDownError{1}", err)
+	}
+}
+
+// TestClusterRunAsStartsWorkersLazily: RunAs to an idle host runs fn on
+// the calling goroutine, and still starts the host's worker, so k hosts
+// reached by RunAs alone start exactly k workers.
+func TestClusterRunAsStartsWorkersLazily(t *testing.T) {
+	c := NewCluster(NewNetwork(64))
+	defer c.Stop()
+	const k = 5
+	caller := goid()
+	for round := 0; round < 2; round++ {
+		for h := 0; h < k; h++ {
+			if err := c.RunAs(HostID(h*7), func() {
+				if goid() != caller {
+					t.Error("RunAs to an idle host left the calling goroutine")
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := c.WorkersStarted(); got != k {
+		t.Fatalf("WorkersStarted = %d after RunAs to %d hosts, want %d", got, k, k)
 	}
 }
