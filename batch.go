@@ -33,7 +33,10 @@ import (
 // A write batch dispatches each stripe's operations on a dedicated
 // goroutine, preserving input order within the stripe; operations of
 // different stripes interleave arbitrarily, which is invisible to both
-// answers and accounting because stripes share no structure state.
+// answers and accounting because stripes share no structure state. Each
+// write still executes as its origin host, one task per host at a time
+// (sim.Cluster.RunAs): on the stripe's goroutine when the origin is
+// idle, handed to the origin's worker only when it is busy.
 //
 // Accounting is identical to the synchronous path: each batched operation
 // opens its own sim.Op from its origin host and follows the same
@@ -150,9 +153,12 @@ func stripeGroups[X any](st *stripeSet, xs []X, codeOf func(X) uint64) [][]int {
 // runWriteBatch executes one update per element of xs — one dedicated
 // dispatcher goroutine per write stripe (none for an unsharded
 // structure), each applying its stripe's updates strictly in input order
-// on their origin hosts' workers, one Do rendezvous per update, with the
-// per-update stripe writer lock taken inside do (the structures'
-// insert/delete methods). Remaining updates still run after one fails,
+// as their origin hosts, one RunAs per update: inline while the origin
+// is idle, a rendezvous on its worker while it is busy or under a
+// SetDoTimeout deadline. The per-update stripe writer lock is taken
+// inside do (the structures' insert/delete methods), which calls only
+// the engine, never back into the transport, as RunAs requires.
+// Remaining updates still run after one fails,
 // and the returned error joins the per-operation errors. The hop cost of
 // each update is returned in input order. codeOf maps an update to its
 // stripe code; it must agree with the routing the structure's
@@ -175,9 +181,9 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 		return hops, nil
 	}
 	// Each task writes result slots of its own, copied into hops and errs
-	// only once Do reports the task done: a task already executing when
-	// its deadline passes finishes after this call has returned, and must
-	// not write what the caller then owns.
+	// only once RunAs reports the task done: a task already executing on
+	// the worker when its deadline passes finishes after this call has
+	// returned, and must not write what the caller then owns.
 	slotHops := make([]int, len(xs))
 	slotErrs := make([]error, len(xs))
 	cl := c.cluster()
@@ -185,7 +191,7 @@ func runWriteBatch[X any](c *Cluster, xs []X, origins []HostID, st *stripeSet,
 		for a := range idx {
 			i := idx[a]
 			origin := c.originAt(origins, i)
-			if err := cl.Do(origin, func() { slotHops[i], slotErrs[i] = do(xs[i], origin) }); err != nil {
+			if err := cl.RunAs(origin, func() { slotHops[i], slotErrs[i] = do(xs[i], origin) }); err != nil {
 				// The origin died mid-rendezvous (a crash racing the
 				// batch) or stayed wedged past SetDoTimeout: the op
 				// failed fast, typed. A task that had not started never

@@ -257,9 +257,10 @@ func TestWireAllocCeilings(t *testing.T) {
 }
 
 // TestTransportAllocCeilings holds the in-process transport's dispatch to
-// the transport_ceilings of bench_baseline.json: one Do rendezvous (every
-// write-batch op pays one), and one RunBatch over eight origins (what a
-// read batch pays per call, worker side included).
+// the transport_ceilings of bench_baseline.json: one Do rendezvous, one
+// RunAs to an idle host (what a write-batch op pays when its origin is
+// free; a busy origin pays the Do), and one RunBatch over eight origins
+// (what a read batch pays per call, worker side included).
 func TestTransportAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; the ceilings are for the plain build")
@@ -275,6 +276,10 @@ func TestTransportAllocCeilings(t *testing.T) {
 		"sim/do": func() error {
 			next++
 			return cl.Do(sim.HostID(next%hosts), noop)
+		},
+		"sim/runas": func() error {
+			next++
+			return cl.RunAs(sim.HostID(next%hosts), noop)
 		},
 		"sim/runbatch-per-host": func() error {
 			cl.RunBatch(hosts, everyHost, func(int) {})

@@ -376,6 +376,48 @@ func BenchmarkBatchFloorThroughput(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
 }
 
+// BenchmarkWriteBatchDispatch is the write-batch dispatch profile: 256
+// hosts, Blocked and Bucketed with four write stripes over 65,536 keys,
+// and per iteration an InsertBatch then a DeleteBatch of 256 fresh keys
+// on each, one origin per host — the shape of the benchmark module's
+// update-batch workload. Run it with -cpuprofile to see where a write
+// batch spends its CPU: the engine's descent and update versus the
+// hand-off of each op to its origin host (sim.Cluster.RunAs).
+func BenchmarkWriteBatchDispatch(b *testing.B) {
+	const hosts, items, batch, batches = 256, 65536, 256, 64
+	all := experiments.Keys(xrand.New(11), items+batch*batches, 1<<40)
+	cluster := NewCluster(hosts)
+	defer cluster.Close()
+	opts := Options{Seed: 12, WriteStripes: 4}
+	bl, err := NewBlocked(cluster, all[:items], opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bu, err := NewBucketed(cluster, all[:items], opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type writer interface {
+		InsertBatch(keys []uint64, origins []HostID) ([]int, error)
+		DeleteBatch(keys []uint64, origins []HostID) ([]int, error)
+	}
+	webs := []writer{bl, bu}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := all[items+batch*(i%batches):][:batch]
+		for _, w := range webs {
+			if _, err := w.InsertBatch(fresh, nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := w.DeleteBatch(fresh, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(4*batch)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
+}
+
 // --- Figures: structure regeneration cost (and smoke coverage).
 
 func BenchmarkFigure2Census(b *testing.B) {

@@ -17,7 +17,10 @@ import (
 // reader/writer lock — single writer per stripe, many readers. Write
 // batches dispatch each stripe's operations on a dedicated goroutine
 // (batch.go), so updates to different key ranges proceed in parallel
-// while updates within one range keep their strict input order.
+// while updates within one range keep their strict input order. The
+// stripe's goroutine runs each update itself as its origin host when
+// that host is idle (sim.Cluster.RunAs), so a stripe's updates stay on
+// one goroutine unless their origins are busy.
 //
 // Stripe assignment is a pure function of the key: at construction the
 // build keys are sorted by their 64-bit stripe code (the key itself for
