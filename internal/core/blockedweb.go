@@ -24,17 +24,12 @@ import (
 // O(log n / log M) expected messages, which is O(log n / log log n) at
 // M = Θ(log n) (Theorem 2).
 type BlockedWeb struct {
+	setTree[*bnode]
 	net     Fabric
-	seed    uint64
 	m       int // host memory parameter M
 	strat   int // stratum height L = max(1, ceil(log2 M))
 	blockSz int // ranges per block B = max(1, M/4)
-	leafMax int
-	merge   int
-	maxDep  int
 	rng     *xrand.Rand
-	root    *bnode
-	leaves  []*bnode
 	hostSeq int
 	n       int
 
@@ -54,18 +49,23 @@ type BlockedWeb struct {
 	// splitScratch lists the blocks the climb in progress has split
 	// (lower half's index), so a failed climb can merge them back.
 	splitScratch []blockUnit
-	// halfScratch and upScratch are splitLeaf's bit-partition buffers —
-	// each half's keys and the leaf ranges holding them, the kids'
-	// hyperlinks — reused across operations.
+	// leafKeys and leafRanges list a splitting leaf's keys and the ranges
+	// holding them; halfScratch and upScratch are their bit partition —
+	// each half's keys beside the kids' hyperlinks. All four are reused
+	// across operations.
+	leafKeys    []uint64
+	leafRanges  []RangeID
 	halfScratch [2][]uint64
 	upScratch   [2][]RangeID
+	// rankBuf backs ranks.
+	rankBuf []RangeID
 
 	// Set-tree nodes and their levels are recycled: mergeSubtree releases
-	// into the free lists, splitLeaf and buildSubtree draw from them, and
-	// fresh objects come from bump-allocated slabs so a split charges at
-	// most a fraction of one allocation for its two new structures. Slabs
-	// are never shrunk or moved (pointers into them stay valid); pooled
-	// levels keep their slot and index capacity across reuse.
+	// into the free lists, level draws from them, and fresh objects come
+	// from bump-allocated slabs so a split charges at most a fraction of
+	// one allocation for its two new structures. Slabs are never shrunk
+	// or moved (pointers into them stay valid); pooled levels keep their
+	// slot and index capacity across reuse.
 	nodeFree []*bnode
 	nodeSlab []bnode
 	lvlFree  []*ListLevel
@@ -89,14 +89,9 @@ func (w *BlockedWeb) resetSeen() { w.seenScratch = w.seenScratch[:0] }
 // bnode is one set-tree node: a sorted-list level plus, when basic, its
 // block directory.
 type bnode struct {
-	lvl      *ListLevel
-	parent   *bnode
-	kids     [2]*bnode
-	base     *bnode // the basic node this node's ranges are co-located with
-	depth    int
-	count    int
-	inLeaves bool
-	leafIdx  int // position in w.leaves while inLeaves (O(1) removal)
+	lvl  *ListLevel
+	base *bnode // the basic node this node's ranges are co-located with
+	treeNode[*bnode]
 
 	// Block directory (basic nodes only). Block 0 covers keys below
 	// blockStarts[1]; block i covers [blockStarts[i], blockStarts[i+1]).
@@ -130,10 +125,9 @@ type BlockedConfig struct {
 	// through to all of them. 0 or 1 means unreplicated — the
 	// seed-compatible default.
 	Replicas int
-	// LeafMax / MergeMin / MaxDepth as in Config.
+	// LeafMax / MergeMin as in Config.
 	LeafMax  int
 	MergeMin int
-	MaxDepth int
 }
 
 // NewBlockedWeb builds the blocked skip-web over keys via the O(n)-per-
@@ -148,18 +142,6 @@ func NewBlockedWeb(net Fabric, keys []uint64, cfg BlockedConfig) (*BlockedWeb, e
 	if cfg.M <= 0 {
 		cfg.M = int(math.Ceil(math.Log2(float64(len(keys)+2)))) + 1
 	}
-	if cfg.LeafMax <= 0 {
-		cfg.LeafMax = 4
-	}
-	if cfg.MergeMin <= 0 {
-		cfg.MergeMin = 2
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 60
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
 	strat := int(math.Ceil(math.Log2(float64(cfg.M))))
 	if strat < 1 {
 		strat = 1
@@ -169,17 +151,14 @@ func NewBlockedWeb(net Fabric, keys []uint64, cfg BlockedConfig) (*BlockedWeb, e
 		blockSz = 1
 	}
 	w := &BlockedWeb{
+		setTree: setTree[*bnode]{treeConfig: newTreeConfig(cfg.Seed, cfg.LeafMax, cfg.MergeMin)},
 		net:     net,
-		seed:    cfg.Seed,
 		m:       cfg.M,
 		strat:   strat,
 		blockSz: blockSz,
-		leafMax: cfg.LeafMax,
-		merge:   cfg.MergeMin,
-		maxDep:  cfg.MaxDepth,
 		rng:     xrand.New(cfg.Seed ^ 0xb10c),
 	}
-	w.rep = replication[blockName]{net: net, k: cfg.Replicas, draw: w.nextHost, rng: w.rng}
+	w.rep = replication[blockName]{net: net, k: max(cfg.Replicas, 1), draw: w.nextHost, rng: w.rng}
 	sorted := append([]uint64(nil), keys...)
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
@@ -187,7 +166,8 @@ func NewBlockedWeb(net Fabric, keys []uint64, cfg BlockedConfig) (*BlockedWeb, e
 			return nil, fmt.Errorf("core: duplicate key %d", sorted[i])
 		}
 	}
-	w.root = w.buildSubtree(sorted, nil, 0, nil)
+	w.root, _ = subtree(&w.setTree, w.level, treeNode[*bnode]{count: len(sorted)}, sorted, nil)
+	w.rankBuf = nil // sized for the root; a later split needs a leaf's worth
 	w.n = len(keys)
 	return w, nil
 }
@@ -246,8 +226,8 @@ func (w *BlockedWeb) releaseNode(n *bnode) {
 		}
 	}
 	w.lvlFree = append(w.lvlFree, n.lvl)
-	n.lvl, n.parent, n.base = nil, nil, nil
-	n.kids[0], n.kids[1] = nil, nil
+	n.lvl, n.base = nil, nil
+	n.treeNode = treeNode[*bnode]{}
 	w.nodeFree = append(w.nodeFree, n)
 }
 
@@ -262,17 +242,6 @@ func (w *BlockedWeb) StratumHeight() int { return w.strat }
 
 // Ground returns the level-0 list D(S).
 func (w *BlockedWeb) Ground() *ListLevel { return w.root.lvl }
-
-func (w *BlockedWeb) mix(k uint64) uint64 {
-	z := k ^ w.seed ^ 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (w *BlockedWeb) bitAt(k uint64, depth int) int {
-	return int(w.mix(k) >> uint(depth) & 1)
-}
 
 // nextHost draws the next live host round-robin. With no churn the live
 // set is 0..H-1, so the sequence matches the pre-churn hostSeq % Hosts()
@@ -332,57 +301,47 @@ func (w *BlockedWeb) drawBlockMirrors(primary sim.HostID) []sim.HostID {
 	return drawMirrors(w.net, w.rep.k, w.rep.draw, primary)
 }
 
-// buildSubtree constructs the set node over keys, which must be strictly
-// ascending: the single sort in NewBlockedWeb propagates through every
-// bit partition, so each level builds in O(level size). ups[j] is the
-// parent range holding keys[j] — the hyperlink of the fresh level's
-// range j+1 — and nil at the root.
-func (w *BlockedWeb) buildSubtree(keys []uint64, ups []RangeID, depth int, parent *bnode) *bnode {
-	n := w.newNode()
+// level is the levelFunc that builds one set node over keys, which must
+// be strictly ascending: the single sort in NewBlockedWeb propagates
+// through every bit partition, so each level builds in O(level size).
+// ups[j] is the parent range holding keys[j] — the hyperlink of the fresh
+// level's range j+1 — and nil at the root. A splitting node partitions
+// each key beside its fresh range (ranks), the kid's hyperlink, into
+// halves that share one buffer per array: the kids' levels copy them.
+func (w *BlockedWeb) level(links treeNode[*bnode], keys []uint64, ups []RangeID) (n *bnode, halves [2][]uint64, kidUps [2][]RangeID, err error) {
+	n = w.newNode()
+	n.treeNode = links
 	n.lvl = w.newLevel(keys, ups)
-	n.parent, n.depth, n.count = parent, depth, len(keys)
-	if depth%w.strat == 0 {
+	if n.depth%w.strat == 0 {
 		n.base = n
 		w.buildBlocks(n, keys)
 	} else {
-		n.base = parent.base
+		n.base = n.parent.base
 	}
 	// Storage: one unit per range plus one for its hyperlink, at the
 	// range's primary block host; boundary-straddling copies add one.
 	// The freshly built level is iterated in key order, so a block
 	// cursor charges each range in O(1) amortized.
 	w.chargeBuildStorage(n)
-	if len(keys) > w.leafMax && depth < w.maxDep {
-		halves, kidUps := w.partition(keys, depth)
-		for b := 0; b < 2; b++ {
-			n.kids[b] = w.buildSubtree(halves[b], kidUps[b], depth+1, n)
-		}
+	if w.splits(n.count, n.depth) {
+		zeros := len(keys) - w.ones(keys, n.depth)
+		kbuf, ubuf := make([]uint64, 0, len(keys)), make([]RangeID, 0, len(keys))
+		halves, kidUps = partition(w.treeConfig, n.depth, keys, w.ranks(len(keys)),
+			[2][]uint64{kbuf[:0:zeros], kbuf[zeros:zeros]}, [2][]RangeID{ubuf[:0:zeros], ubuf[zeros:zeros]})
 	}
-	if n.kids[0] == nil && n.count > 0 {
-		w.addLeaf(n)
-	}
-	return n
+	return n, halves, kidUps, nil
 }
 
-// partition splits a fresh level's keys by the depth bit into exactly
-// sized halves, in order, each key beside its hyperlink: the fresh level
-// holds keys[i] at range i+1. Counting the ones first sizes one buffer
-// per array, which the halves share.
-func (w *BlockedWeb) partition(keys []uint64, depth int) (halves [2][]uint64, ups [2][]RangeID) {
-	ones := 0
-	for _, k := range keys {
-		ones += w.bitAt(k, depth)
+// ranks returns 1..n: the ranges a fresh level over n keys holds them
+// at, in key order.
+func (w *BlockedWeb) ranks(n int) []RangeID {
+	if k := len(w.rankBuf); k < n {
+		w.rankBuf = slices.Grow(w.rankBuf, n-k)
+		for i := k; i < n; i++ {
+			w.rankBuf = append(w.rankBuf, RangeID(i+1))
+		}
 	}
-	zeros := len(keys) - ones
-	kbuf := make([]uint64, len(keys))
-	ubuf := make([]RangeID, len(keys))
-	at := [2]int{0, zeros}
-	for i, k := range keys {
-		b := w.bitAt(k, depth)
-		kbuf[at[b]], ubuf[at[b]] = k, RangeID(i+1)
-		at[b]++
-	}
-	return [2][]uint64{kbuf[:zeros], kbuf[zeros:]}, [2][]RangeID{ubuf[:zeros], ubuf[zeros:]}
+	return w.rankBuf[:n]
 }
 
 // buildBlocks cuts a basic node's key sequence (passed in ascending
@@ -502,46 +461,16 @@ func (w *BlockedWeb) chargeRangeStorage(n *bnode, r RangeID, sign int) {
 // w.memberScratch (single-writer update path) and is valid until the
 // next stratumMembers call.
 func (w *BlockedWeb) stratumMembers(bn *bnode) []*bnode {
-	out := w.appendStratum(bn, bn, w.memberScratch[:0])
+	out := w.memberScratch[:0]
+	w.dfs(bn, func(n *bnode) bool {
+		if n.base != bn {
+			return false
+		}
+		out = append(out, n)
+		return true
+	}, nil)
 	w.memberScratch = out[:0]
 	return out
-}
-
-func (w *BlockedWeb) appendStratum(bn, n *bnode, out []*bnode) []*bnode {
-	if n == nil || n.base != bn {
-		return out
-	}
-	out = append(out, n)
-	out = w.appendStratum(bn, n.kids[0], out)
-	return w.appendStratum(bn, n.kids[1], out)
-}
-
-func (w *BlockedWeb) addLeaf(n *bnode) {
-	if n.inLeaves {
-		return
-	}
-	n.inLeaves = true
-	n.leafIdx = len(w.leaves)
-	w.leaves = append(w.leaves, n)
-}
-
-func (w *BlockedWeb) removeLeaf(n *bnode) {
-	if !n.inLeaves {
-		return
-	}
-	n.inLeaves = false
-	last := len(w.leaves) - 1
-	moved := w.leaves[last]
-	w.leaves[n.leafIdx] = moved
-	moved.leafIdx = n.leafIdx
-	w.leaves = w.leaves[:last]
-}
-
-func (w *BlockedWeb) entryLeaf(origin sim.HostID) *bnode {
-	if len(w.leaves) == 0 {
-		return w.root
-	}
-	return w.leaves[int(origin)%len(w.leaves)]
 }
 
 // Query routes a floor query to the terminal range of D(S), returning
@@ -730,10 +659,10 @@ func (w *BlockedWeb) reinsert(key uint64, origin sim.HostID) int {
 // nearest key <= key that the child also holds. Only keys the other
 // child holds lie between it and the parent's floor, so each level costs
 // an expected O(1) walk instead of a search. A leaf holds O(1) keys (at
-// most LeafMax+1 unless it sits at MaxDepth), so its Locate is a short
+// most LeafMax+1 unless it sits at maxDepth), so its Locate is a short
 // walk too. The pass is local: it visits no block and charges nothing.
 func (w *BlockedWeb) keyPath(key uint64, floors bool) ([]*bnode, RangeID) {
-	bits := w.mix(key)
+	bits := mix(w.seed, key)
 	path := w.pathScratch[:0]
 	n := w.root
 	for n.kids[0] != nil {
@@ -795,10 +724,8 @@ func (w *BlockedWeb) climb(key uint64, routed bool, op *sim.Op) (err error) {
 		}
 	}
 	leaf := path[len(path)-1]
-	if leaf.count > 0 {
-		w.addLeaf(leaf)
-	}
-	if leaf.count > w.leafMax && leaf.depth < w.maxDep {
+	w.addLeaf(leaf)
+	if w.splits(leaf.count, leaf.depth) {
 		w.splitLeaf(leaf, op)
 	}
 	w.n++
@@ -1020,7 +947,7 @@ func (w *BlockedWeb) Delete(key uint64, origin sim.HostID) (int, error) {
 		w.removeLeaf(leaf)
 	}
 	for _, n := range path {
-		if n.kids[0] != nil && n.count <= w.merge {
+		if w.underfull(&n.treeNode) {
 			w.mergeSubtree(n, op)
 			break
 		}
@@ -1080,71 +1007,34 @@ func (w *BlockedWeb) spliceStorage(n *bnode, key uint64, pred, nx RangeID, sign 
 // structures come from the node/level pools, so a steady-state split
 // allocates (at most) fractions of slab chunks.
 func (w *BlockedWeb) splitLeaf(n *bnode, op *sim.Op) {
-	halves := [2][]uint64{w.halfScratch[0][:0], w.halfScratch[1][:0]}
-	ups := [2][]RangeID{w.upScratch[0][:0], w.upScratch[1][:0]}
+	keys, ranges := w.leafKeys[:0], w.leafRanges[:0]
 	for r := n.lvl.Next(n.lvl.Head()); r != NoRange; r = n.lvl.Next(r) {
-		k := n.lvl.Key(r)
-		b := w.bitAt(k, n.depth)
-		halves[b] = append(halves[b], k)
-		ups[b] = append(ups[b], r)
+		keys, ranges = append(keys, n.lvl.Key(r)), append(ranges, r)
 	}
-	for b := 0; b < 2; b++ {
-		w.halfScratch[b], w.upScratch[b] = halves[b][:0], ups[b][:0]
-	}
-	for b := 0; b < 2; b++ {
-		kid := w.buildSubtree(halves[b], ups[b], n.depth+1, n)
-		n.kids[b] = kid
+	w.leafKeys, w.leafRanges = keys, ranges
+	halves, ups := partition(w.treeConfig, n.depth, keys, ranges,
+		[2][]uint64{w.halfScratch[0][:0], w.halfScratch[1][:0]},
+		[2][]RangeID{w.upScratch[0][:0], w.upScratch[1][:0]})
+	w.halfScratch, w.upScratch = halves, ups
+	_ = split(&w.setTree, w.level, n, halves, ups) // level cannot fail
+	for b, kid := range n.kids {
 		for _, k := range halves[b] {
 			w.sendBlock(kid.base, w.blockIndex(kid.base, k), op)
 		}
 	}
-	w.removeLeaf(n)
 }
 
 // mergeSubtree re-absorbs all descendants of n, releasing their nodes
 // and levels to the pools splitLeaf draws from.
 func (w *BlockedWeb) mergeSubtree(n *bnode, op *sim.Op) {
-	w.releaseSubtree(n.kids[0], op)
-	w.releaseSubtree(n.kids[1], op)
-	n.kids[0], n.kids[1] = nil, nil
-	if n.count > 0 {
-		w.addLeaf(n)
-	}
-}
-
-func (w *BlockedWeb) releaseSubtree(k *bnode, op *sim.Op) {
-	if k == nil {
-		return
-	}
-	w.releaseSubtree(k.kids[0], op)
-	w.releaseSubtree(k.kids[1], op)
-	k.lvl.VisitRanges(func(r RangeID) bool {
-		w.chargeRangeStorage(k, r, -1)
-		w.sendBlock(k.base, w.blockIndex(k.base, w.rangeKey(k, r)), op)
-		return true
+	w.merge(n, func(k *bnode) {
+		k.lvl.VisitRanges(func(r RangeID) bool {
+			w.chargeRangeStorage(k, r, -1)
+			w.sendBlock(k.base, w.blockIndex(k.base, w.rangeKey(k, r)), op)
+			return true
+		})
+		w.releaseNode(k)
 	})
-	w.removeLeaf(k)
-	w.releaseNode(k)
-}
-
-// basicNodes returns the basic nodes in DFS order; each one's blocks
-// co-locate the ranges of its whole stratum. Iteration is deterministic,
-// so a fixed seed yields a fixed migration transcript.
-func (w *BlockedWeb) basicNodes() []*bnode {
-	var basics []*bnode
-	var rec func(n *bnode)
-	rec = func(n *bnode) {
-		if n == nil {
-			return
-		}
-		if n.base == n {
-			basics = append(basics, n)
-		}
-		rec(n.kids[0])
-		rec(n.kids[1])
-	}
-	rec(w.root)
-	return basics
 }
 
 // Rehome migrates every block replica hosted on the departed host
@@ -1222,13 +1112,16 @@ func (u blockUnit) reconcile(m missRecord) merkleCost {
 }
 
 // eachBlock visits every block: basic nodes in DFS order, blocks in
-// directory order.
+// directory order. Each basic node's blocks co-locate the ranges of its
+// whole stratum.
 func (w *BlockedWeb) eachBlock(visit func(blockUnit)) {
-	for _, bn := range w.basicNodes() {
-		for bi := range bn.blockHosts {
-			visit(blockUnit{w, bn, bi})
+	w.eachNode(func(bn *bnode) {
+		if bn.base == bn {
+			for bi := range bn.blockHosts {
+				visit(blockUnit{w, bn, bi})
+			}
 		}
-	}
+	})
 }
 
 // Repair re-replicates every under-replicated block (repairUnits): a
@@ -1264,62 +1157,58 @@ func spreadPositions(d, n int) []int {
 	return pos
 }
 
-// CheckInvariants verifies that every level's list is sound, child key
-// sets partition their parent's, every hyperlink names the parent range
+// CheckInvariants verifies the set tree's links and leaf list
+// (setTree.check), that every level's list is sound, child key sets
+// partition their parent's, every hyperlink names the parent range
 // holding the same key (the head sentinel's names the parent's head),
 // counts match, block directories are ordered, and every block lives on
 // a live host.
 func (w *BlockedWeb) CheckInvariants() error {
-	var rec func(n *bnode) error
-	rec = func(n *bnode) error {
-		if err := n.lvl.CheckInvariants(); err != nil {
-			return fmt.Errorf("depth %d: %w", n.depth, err)
-		}
-		if n.lvl.Len() != n.count {
-			return fmt.Errorf("depth %d: level len %d, count %d", n.depth, n.lvl.Len(), n.count)
-		}
-		if n.base == n {
-			for i := 1; i < len(n.blockStarts); i++ {
-				if n.blockStarts[i] <= n.blockStarts[i-1] && i > 1 {
-					return fmt.Errorf("depth %d: block starts out of order", n.depth)
-				}
-			}
-			if w.rep.k > 1 && len(n.blockMirrors) != len(n.blockHosts) {
-				return fmt.Errorf("depth %d: %d mirror sets for %d blocks", n.depth, len(n.blockMirrors), len(n.blockHosts))
-			}
-			for bi := range n.blockHosts {
-				if err := w.blockReplicas(n, bi).check(w.net, w.rep.k); err != nil {
-					return fmt.Errorf("depth %d: block %d: %w", n.depth, bi, err)
-				}
+	return w.check(w.checkNode)
+}
+
+// checkNode is CheckInvariants for one set node.
+func (w *BlockedWeb) checkNode(n *bnode) error {
+	if err := n.lvl.CheckInvariants(); err != nil {
+		return fmt.Errorf("depth %d: %w", n.depth, err)
+	}
+	if n.lvl.Len() != n.count {
+		return fmt.Errorf("depth %d: level len %d, count %d", n.depth, n.lvl.Len(), n.count)
+	}
+	if n.base == n {
+		for i := 1; i < len(n.blockStarts); i++ {
+			if n.blockStarts[i] <= n.blockStarts[i-1] && i > 1 {
+				return fmt.Errorf("depth %d: block starts out of order", n.depth)
 			}
 		}
-		if n.kids[0] != nil {
-			if n.kids[0].count+n.kids[1].count != n.count {
-				return fmt.Errorf("depth %d: kid counts %d+%d != %d", n.depth, n.kids[0].count, n.kids[1].count, n.count)
-			}
-			seen := make(map[uint64]bool, n.count)
-			for b := 0; b < 2; b++ {
-				kid := n.kids[b].lvl
-				if up := kid.up(kid.Head()); up != n.lvl.Head() {
-					return fmt.Errorf("depth %d: head hyperlink is range %d, not the parent's head", n.depth+1, up)
-				}
-				for r := kid.Next(kid.Head()); r != NoRange; r = kid.Next(r) {
-					k := kid.Key(r)
-					if seen[k] {
-						return fmt.Errorf("depth %d: key %d in both halves", n.depth, k)
-					}
-					seen[k] = true
-					if up := kid.up(r); !n.lvl.live(up) || n.lvl.IsHead(up) || n.lvl.Key(up) != k {
-						return fmt.Errorf("depth %d: hyperlink of key %d is range %d, not the parent range holding it", n.depth+1, k, up)
-					}
-				}
-			}
-			if err := rec(n.kids[0]); err != nil {
-				return err
-			}
-			return rec(n.kids[1])
+		if w.rep.k > 1 && len(n.blockMirrors) != len(n.blockHosts) {
+			return fmt.Errorf("depth %d: %d mirror sets for %d blocks", n.depth, len(n.blockMirrors), len(n.blockHosts))
 		}
+		for bi := range n.blockHosts {
+			if err := w.blockReplicas(n, bi).check(w.net, w.rep.k); err != nil {
+				return fmt.Errorf("depth %d: block %d: %w", n.depth, bi, err)
+			}
+		}
+	}
+	if n.kids[0] == nil {
 		return nil
 	}
-	return rec(w.root)
+	seen := make(map[uint64]bool, n.count)
+	for b := 0; b < 2; b++ {
+		kid := n.kids[b].lvl
+		if up := kid.up(kid.Head()); up != n.lvl.Head() {
+			return fmt.Errorf("depth %d: head hyperlink is range %d, not the parent's head", n.depth+1, up)
+		}
+		for r := kid.Next(kid.Head()); r != NoRange; r = kid.Next(r) {
+			k := kid.Key(r)
+			if seen[k] {
+				return fmt.Errorf("depth %d: key %d in both halves", n.depth, k)
+			}
+			seen[k] = true
+			if up := kid.up(r); !n.lvl.live(up) || n.lvl.IsHead(up) || n.lvl.Key(up) != k {
+				return fmt.Errorf("depth %d: hyperlink of key %d is range %d, not the parent range holding it", n.depth+1, k, up)
+			}
+		}
+	}
+	return nil
 }

@@ -35,7 +35,7 @@ func webSignature[L, T, Q any](w *Web[L, T, Q]) []string {
 		return gather(n.kids[1], gather(n.kids[0], codes))
 	}
 	var out []string
-	w.walkNodes(func(n *setNode[L, T]) {
+	w.eachNode(func(n *setNode[L, T]) {
 		codes := gather(n, nil)
 		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 		out = append(out, fmt.Sprintf("d%d n%d %v", n.depth, n.count, codes))
@@ -190,16 +190,9 @@ func TestBulkEqualsSequentialStrings(t *testing.T) {
 // construction, and both are valid placements of the same level).
 func blockedSignature(w *BlockedWeb) []string {
 	var out []string
-	var rec func(n *bnode)
-	rec = func(n *bnode) {
-		if n == nil {
-			return
-		}
+	w.eachNode(func(n *bnode) {
 		out = append(out, fmt.Sprintf("d%d n%d %v", n.depth, n.count, n.lvl.Keys()))
-		rec(n.kids[0])
-		rec(n.kids[1])
-	}
-	rec(w.root)
+	})
 	return out
 }
 

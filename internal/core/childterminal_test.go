@@ -61,7 +61,7 @@ func trieClimb(child, parent *trie.Trie, tp RangeID) (RangeID, int, error) {
 func checkChildTerminals[L, T, Q any](w *Web[L, T, Q], ref refClimb[L]) (int, error) {
 	total := 0
 	var err error
-	w.walkNodes(func(n *setNode[L, T]) {
+	w.eachNode(func(n *setNode[L, T]) {
 		if err != nil || n.kids[0] == nil {
 			return
 		}

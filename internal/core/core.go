@@ -266,11 +266,9 @@ type Config struct {
 	Seed uint64
 	// LeafMax is the size above which a level-tree leaf set is split.
 	LeafMax int
-	// MergeMin is the size below which an internal set node re-absorbs
-	// its children.
+	// MergeMin is the size at or below which an internal set node
+	// re-absorbs its children.
 	MergeMin int
-	// MaxDepth caps the number of levels.
-	MaxDepth int
 	// Replicas is the replication factor k: every range is mirrored on k
 	// distinct live hosts, queries fail over to the next live replica,
 	// and updates write through to all of them. 0 or 1 means unreplicated
@@ -279,38 +277,16 @@ type Config struct {
 	Replicas int
 }
 
-func (c Config) withDefaults() Config {
-	if c.LeafMax <= 0 {
-		c.LeafMax = 4
-	}
-	if c.MergeMin <= 0 {
-		c.MergeMin = 2
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 60
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
-	}
-	return c
-}
-
 // setNode is one node of the binary subset tree: a link structure over
 // S_b together with its hyperlinks into the parent structure.
 type setNode[L, T any] struct {
-	depth int
-	count int
-	// side is this node's index in parent.kids; backrefs store it in
-	// place of a node pointer (packBackref).
-	side uint8
+	// treeNode's side is what backrefs store in place of a node pointer
+	// (packBackref).
+	treeNode[*setNode[L, T]]
 	// slab is the RangeID-indexed table of placement, hyperlinks and
 	// backrefs (slab.go).
-	slab     rangeSlab
-	parent   *setNode[L, T]
-	kids     [2]*setNode[L, T]
-	inLeaves bool // member of the query-entry list
-	leafIdx  int  // position in w.leaves while inLeaves (O(1) removal)
-	s        L
+	slab rangeSlab
+	s    L
 
 	// items is the node's item set and codes its parallel code slice
 	// (codes[i] == ops.CodeOf(items[i])), kept on set-tree leaves only: a
@@ -339,14 +315,12 @@ func (n *setNode[L, T]) backref(b RangeID) (*setNode[L, T], RangeID) {
 // Web is a distributed skip-web over items of type T with queries of type
 // Q, built on link structures of type L.
 type Web[L, T, Q any] struct {
-	ops    Ops[L, T, Q]
-	bulk   BulkOps[L, T] // non-nil when ops supports sorted bulk loads
-	net    Fabric
-	cfg    Config
-	rng    *xrand.Rand
-	root   *setNode[L, T]
-	leaves []*setNode[L, T] // nonempty leaf structures, query entry points
-	n      int
+	setTree[*setNode[L, T]]
+	ops  Ops[L, T, Q]
+	bulk BulkOps[L, T] // non-nil when ops supports sorted bulk loads
+	net  Fabric
+	rng  *xrand.Rand
+	n    int
 
 	scratch updateScratch[*setNode[L, T]]
 
@@ -363,14 +337,14 @@ type Web[L, T, Q any] struct {
 // and BuildSorted per level, with placement and accounting identical to
 // the plain path.
 func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*Web[L, T, Q], error) {
-	cfg = cfg.withDefaults()
 	w := &Web[L, T, Q]{
-		ops: ops,
-		net: net,
-		cfg: cfg,
-		rng: xrand.New(cfg.Seed ^ 0x5eb5eb),
+		setTree: setTree[*setNode[L, T]]{treeConfig: newTreeConfig(cfg.Seed, cfg.LeafMax, cfg.MergeMin)},
+		ops:     ops,
+		net:     net,
+		rng:     xrand.New(cfg.Seed ^ 0x5eb5eb),
 	}
-	w.rep = replication[nodeRange[*setNode[L, T]]]{net: net, k: cfg.Replicas, draw: w.pickHost, rng: w.rng}
+	w.onLeaf = w.refreshRangeCache
+	w.rep = replication[nodeRange[*setNode[L, T]]]{net: net, k: max(cfg.Replicas, 1), draw: w.pickHost, rng: w.rng}
 	all := append([]T(nil), items...)
 	sorted := false
 	if b, ok := any(ops).(BulkOps[L, T]); ok {
@@ -379,10 +353,10 @@ func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*
 			sorted = true
 		}
 	}
-	// Codes are computed lazily inside the root buildSubtree, after the
-	// level-0 Build has validated every item: CodeOf may panic on items
-	// Build would reject with an error (invalid quadtree points).
-	root, err := w.buildSubtree(all, nil, 0, nil, 0, sorted)
+	// Codes are computed lazily by the root's level, after the level-0
+	// Build has validated every item: CodeOf may panic on items Build
+	// would reject with an error (invalid quadtree points).
+	root, err := subtree(&w.setTree, w.levelOf(sorted), treeNode[*setNode[L, T]]{count: len(all)}, nil, all)
 	if err != nil {
 		return nil, err
 	}
@@ -391,116 +365,62 @@ func NewWeb[L, T, Q any](ops Ops[L, T, Q], net Fabric, items []T, cfg Config) (*
 	return w, nil
 }
 
-// mix decorrelates an item code from any structure in the key space; bit
-// i of the result is the element's level-i membership bit.
-func (w *Web[L, T, Q]) mix(code uint64) uint64 {
-	z := code ^ w.cfg.Seed ^ 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// bitFromCode is the level-depth membership bit of a precomputed code.
-func (w *Web[L, T, Q]) bitFromCode(code uint64, depth int) int {
-	return int(w.mix(code) >> uint(depth) & 1)
-}
-
-// partition splits items (and their parallel codes) by the level-depth
-// membership bit into exactly sized halves, preserving order.
-func (w *Web[L, T, Q]) partition(items []T, codes []uint64, depth int) (halves [2][]T, codeHalves [2][]uint64) {
-	ones := 0
-	for _, c := range codes {
-		ones += w.bitFromCode(c, depth)
-	}
-	sizes := [2]int{len(items) - ones, ones}
-	for b, size := range sizes {
-		halves[b] = make([]T, 0, size)
-		codeHalves[b] = make([]uint64, 0, size)
-	}
-	for i, x := range items {
-		b := w.bitFromCode(codes[i], depth)
-		halves[b] = append(halves[b], x)
-		codeHalves[b] = append(codeHalves[b], codes[i])
-	}
-	return halves, codeHalves
-}
-
-// buildSubtree constructs the set node for items at the given depth as
-// kids[side] of parent, recursing into halves while the set is large
-// enough. With sorted set (items in canonical build order, bulk path),
-// each level builds via BuildSorted; partitions preserve the order, so
-// sortedness propagates. codes must parallel items (codes[i] ==
-// CodeOf(items[i])); the root call passes nil and the codes are filled in
-// once Build has accepted the full item set (CodeOf may panic on items
-// Build rejects). Only a node that stays a leaf keeps its items.
-func (w *Web[L, T, Q]) buildSubtree(items []T, codes []uint64, depth int, parent *setNode[L, T], side int, sorted bool) (*setNode[L, T], error) {
-	var s L
-	var err error
-	if sorted && w.bulk != nil {
-		s, err = w.bulk.BuildSorted(items)
-	} else {
-		s, err = w.ops.Build(items)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if codes == nil {
-		codes = make([]uint64, len(items))
-		for i, x := range items {
-			codes[i] = w.ops.CodeOf(x)
+// levelOf returns the levelFunc that builds one set node: D(items) —
+// through BuildSorted when sorted (items in canonical build order, bulk
+// path; partitions preserve the order, so sortedness propagates) — its
+// ranges placed and, below the root, hyperlinked into the parent. codes
+// must parallel items (codes[i] == CodeOf(items[i])); the root passes nil
+// and the codes are filled in once Build has accepted the full item set
+// (CodeOf may panic on items Build rejects). Only a node that stays a
+// leaf keeps its items; a node that splits hands them to exactly sized
+// halves (halve).
+func (w *Web[L, T, Q]) levelOf(sorted bool) levelFunc[*setNode[L, T], T] {
+	return func(links treeNode[*setNode[L, T]], codes []uint64, items []T) (n *setNode[L, T], ch [2][]uint64, ih [2][]T, err error) {
+		var s L
+		if sorted && w.bulk != nil {
+			s, err = w.bulk.BuildSorted(items)
+		} else {
+			s, err = w.ops.Build(items)
 		}
-	}
-	n := &setNode[L, T]{depth: depth, count: len(items), side: uint8(side), parent: parent, s: s}
-	// The slot table is sized once, to the largest RangeID Build handed out.
-	size := 0
-	w.ops.VisitRanges(s, func(r RangeID) bool {
-		size = max(size, int(r)+1)
-		return true
-	})
-	n.slab.init(size, w.cfg.Replicas > 1)
-	w.ops.VisitRanges(s, func(r RangeID) bool {
-		w.placeRange(n, r)
-		return true
-	})
-	if parent != nil {
-		if err := w.rewireAll(n); err != nil {
-			return nil, err
+		if err != nil {
+			return nil, ch, ih, err
 		}
-	}
-	if len(items) > w.cfg.LeafMax && depth < w.cfg.MaxDepth {
-		halves, codeHalves := w.partition(items, codes, depth)
-		for b := 0; b < 2; b++ {
-			kid, err := w.buildSubtree(halves[b], codeHalves[b], depth+1, n, b, sorted)
-			if err != nil {
-				return nil, err
+		if codes == nil {
+			codes = make([]uint64, len(items))
+			for i, x := range items {
+				codes[i] = w.ops.CodeOf(x)
 			}
-			n.kids[b] = kid
 		}
-		return n, nil
+		n = &setNode[L, T]{treeNode: links, s: s}
+		// The slot table is sized once, to the largest RangeID Build handed out.
+		size := 0
+		w.ops.VisitRanges(s, func(r RangeID) bool {
+			size = max(size, int(r)+1)
+			return true
+		})
+		n.slab.init(size, w.rep.k > 1)
+		w.ops.VisitRanges(s, func(r RangeID) bool {
+			w.placeRange(n, r)
+			return true
+		})
+		if n.parent != nil {
+			if err := w.rewireAll(n); err != nil {
+				return nil, ch, ih, err
+			}
+		}
+		if w.splits(n.count, n.depth) {
+			ch, ih = halve(w.treeConfig, n.depth, codes, items)
+		} else {
+			n.items, n.codes = items, codes
+		}
+		return n, ch, ih, nil
 	}
-	n.items, n.codes = items, codes
-	if len(items) > 0 {
-		w.addLeaf(n)
-	}
-	return n, nil
-}
-
-// addLeaf registers n as a query entry point (a nonempty leaf structure)
-// and builds its range cache. Nodes already registered keep their cache
-// current via the applyInsert/applyDelete refresh, so re-adding is free.
-func (w *Web[L, T, Q]) addLeaf(n *setNode[L, T]) {
-	if n.inLeaves {
-		return
-	}
-	n.inLeaves = true
-	n.leafIdx = len(w.leaves)
-	w.leaves = append(w.leaves, n)
-	w.refreshRangeCache(n)
 }
 
 // refreshRangeCache rematerializes n's cached range enumeration in
 // VisitRanges (slot) order, preserving the exact host-visit order of the
-// entry scan.
+// entry scan. It runs as n joins the leaf list (setTree.onLeaf) and after
+// every structural change while n is there.
 func (w *Web[L, T, Q]) refreshRangeCache(n *setNode[L, T]) {
 	buf := n.rangeCache[:0]
 	w.ops.VisitRanges(n.s, func(r RangeID) bool {
@@ -551,8 +471,8 @@ func (w *Web[L, T, Q]) placeRange(n *setNode[L, T], r RangeID) {
 	n.slab.grow(r)
 	h := w.pickHost()
 	n.slab.slots[r].host = h
-	if w.cfg.Replicas > 1 {
-		n.slab.mirrors[r] = append(n.slab.mirrors[r][:0], drawMirrors(w.net, w.cfg.Replicas, w.rep.draw, h)...)
+	if w.rep.k > 1 {
+		n.slab.mirrors[r] = append(n.slab.mirrors[r][:0], drawMirrors(w.net, w.rep.k, w.rep.draw, h)...)
 	}
 	n.slab.replicas(r).addStorage(w.net, w.ops.Payload(n.s, r))
 }
@@ -621,50 +541,6 @@ func (w *Web[L, T, Q]) rewireAll(n *setNode[L, T]) error {
 
 // Len returns the number of items stored.
 func (w *Web[L, T, Q]) Len() int { return w.n }
-
-// Levels returns the depth of the deepest set-tree leaf.
-func (w *Web[L, T, Q]) Levels() int {
-	max := 0
-	var rec func(*setNode[L, T])
-	rec = func(n *setNode[L, T]) {
-		if n == nil {
-			return
-		}
-		if n.depth > max {
-			max = n.depth
-		}
-		rec(n.kids[0])
-		rec(n.kids[1])
-	}
-	rec(w.root)
-	return max + 1
-}
-
-// NumStructures returns the number of live level structures (set-tree
-// nodes).
-func (w *Web[L, T, Q]) NumStructures() int {
-	n := 0
-	var rec func(*setNode[L, T])
-	rec = func(sn *setNode[L, T]) {
-		if sn == nil {
-			return
-		}
-		n++
-		rec(sn.kids[0])
-		rec(sn.kids[1])
-	}
-	rec(w.root)
-	return n
-}
-
-// entryLeaf picks the query entry structure for an originating host: its
-// "root" in the paper's terminology.
-func (w *Web[L, T, Q]) entryLeaf(origin sim.HostID) *setNode[L, T] {
-	if len(w.leaves) == 0 {
-		return w.root
-	}
-	return w.leaves[int(origin)%len(w.leaves)]
-}
 
 // Cost is the per-operation cost pair the tuple-returning engines
 // (BlockedWeb, BucketWeb) report from their *Cost query variants: the
@@ -864,7 +740,7 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 		tp = w.reterminal(node, t0, q)
 	}
 	for node.kids[0] != nil {
-		side := w.bitFromCode(code, node.depth)
+		side := w.bit(code, node.depth)
 		child := node.kids[side]
 		ct := NoRange
 		if child.count > 0 {
@@ -882,12 +758,10 @@ func (w *Web[L, T, Q]) Insert(x T, origin sim.HostID) (int, error) {
 			tp = w.reterminal(node, ct, q)
 		}
 	}
-	// The final leaf may have just become nonempty.
-	if node.kids[0] == nil && node.count > 0 {
-		w.addLeaf(node)
-	}
-	// Split the leaf set if it outgrew the threshold.
-	if node.count > w.cfg.LeafMax && node.depth < w.cfg.MaxDepth {
+	// The final leaf may have just become nonempty, and may have outgrown
+	// a leaf.
+	w.addLeaf(node)
+	if w.splits(node.count, node.depth) {
 		if err := w.splitLeaf(node, op); err != nil {
 			return op.Hops(), err
 		}
@@ -1061,7 +935,7 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 	defer func() { w.scratch.frames = frames[:0] }()
 	node, tp := w.root, t0
 	for node.kids[0] != nil {
-		side := w.bitFromCode(code, node.depth)
+		side := w.bit(code, node.depth)
 		ct, err := w.climbToChild(op, node, side, tp)
 		if err != nil {
 			return op.Hops(), err
@@ -1086,7 +960,7 @@ func (w *Web[L, T, Q]) Delete(x T, origin sim.HostID) (int, error) {
 	// Re-absorb the shallowest underpopulated subtree along the path
 	// (hysteresis: merge at MergeMin, split at LeafMax, MergeMin < LeafMax).
 	for _, f := range frames {
-		if f.node.kids[0] != nil && f.node.count <= w.cfg.MergeMin {
+		if w.underfull(&f.node.treeNode) {
 			w.mergeSubtree(f.node, op)
 			break
 		}
@@ -1204,37 +1078,27 @@ func (w *Web[L, T, Q]) redirectAnchor(parent, child *setNode[L, T], r RangeID, d
 // splitLeaf turns a leaf set node into an internal node with two halves,
 // handing its item set down to them.
 func (w *Web[L, T, Q]) splitLeaf(n *setNode[L, T], op *sim.Op) error {
-	halves, codeHalves := w.partition(n.items, n.codes, n.depth)
-	for b := 0; b < 2; b++ {
-		kid, err := w.buildSubtree(halves[b], codeHalves[b], n.depth+1, n, b, false)
-		if err != nil {
-			return fmt.Errorf("core: split leaf at depth %d: %w", n.depth, err)
-		}
-		n.kids[b] = kid
-		// Creating a structure of k ranges costs O(k) messages — one per
-		// replica placed — amortized against the inserts that grew the
-		// leaf.
+	codes, items := halve(w.treeConfig, n.depth, n.codes, n.items)
+	if err := split(&w.setTree, w.levelOf(false), n, codes, items); err != nil {
+		return fmt.Errorf("core: split leaf at depth %d: %w", n.depth, err)
+	}
+	// Creating a structure of k ranges costs O(k) messages — one per
+	// replica placed — amortized against the inserts that grew the leaf.
+	for _, kid := range n.kids {
 		w.ops.VisitRanges(kid.s, func(r RangeID) bool {
 			kid.slab.replicas(r).sendAll(op)
 			return true
 		})
 	}
 	n.items, n.codes = nil, nil
-	w.removeLeaf(n)
 	return nil
 }
 
 // mergeSubtree re-absorbs all descendants of n, making it a leaf again.
-// Its item set is regathered from the released leaves in DFS order; the
-// order is free because every dynamic Ops.Build is order-independent.
+// Its item set is regathered from the released leaves in release order;
+// the order is free because every dynamic Ops.Build is order-independent.
 func (w *Web[L, T, Q]) mergeSubtree(n *setNode[L, T], op *sim.Op) {
-	var release func(k *setNode[L, T])
-	release = func(k *setNode[L, T]) {
-		if k == nil {
-			return
-		}
-		release(k.kids[0])
-		release(k.kids[1])
+	w.merge(n, func(k *setNode[L, T]) {
 		w.ops.VisitRanges(k.s, func(r RangeID) bool {
 			if k.slab.placed(r) {
 				w.sendReplicas(op, k, r)
@@ -1242,44 +1106,9 @@ func (w *Web[L, T, Q]) mergeSubtree(n *setNode[L, T], op *sim.Op) {
 			w.dropRange(k, r)
 			return true
 		})
-		w.removeLeaf(k)
 		n.items = append(n.items, k.items...)
 		n.codes = append(n.codes, k.codes...)
-	}
-	release(n.kids[0])
-	release(n.kids[1])
-	n.kids[0], n.kids[1] = nil, nil
-	if n.count > 0 {
-		w.addLeaf(n)
-	}
-}
-
-func (w *Web[L, T, Q]) removeLeaf(n *setNode[L, T]) {
-	if !n.inLeaves {
-		return
-	}
-	n.inLeaves = false
-	last := len(w.leaves) - 1
-	moved := w.leaves[last]
-	w.leaves[n.leafIdx] = moved
-	moved.leafIdx = n.leafIdx
-	w.leaves = w.leaves[:last]
-}
-
-// walkNodes visits every set-tree node in deterministic DFS order
-// (node, kids[0], kids[1]) — the iteration order all churn migration
-// uses, so a fixed seed yields a fixed migration transcript.
-func (w *Web[L, T, Q]) walkNodes(visit func(*setNode[L, T])) {
-	var rec func(*setNode[L, T])
-	rec = func(n *setNode[L, T]) {
-		if n == nil {
-			return
-		}
-		visit(n)
-		rec(n.kids[0])
-		rec(n.kids[1])
-	}
-	rec(w.root)
+	})
 }
 
 // rangeUnits is the storage footprint one replica of range r carries:
@@ -1310,10 +1139,10 @@ func (u webUnit[L, T, Q]) reconcile(missRecord) merkleCost {
 	return merkleCost{leaves: u.size(), keys: u.size()}
 }
 
-// eachUnit visits every range of every level structure: walkNodes order,
-// then VisitRanges order within a node.
+// eachUnit visits every range of every level structure: DFS order, then
+// VisitRanges order within a node.
 func (w *Web[L, T, Q]) eachUnit(visit func(webUnit[L, T, Q])) {
-	w.walkNodes(func(n *setNode[L, T]) {
+	w.eachNode(func(n *setNode[L, T]) {
 		w.ops.VisitRanges(n.s, func(r RangeID) bool {
 			visit(webUnit[L, T, Q]{w, n, r})
 			return true
@@ -1382,124 +1211,90 @@ type LevelCensus struct {
 
 // Census returns per-depth statistics of the level hierarchy.
 func (w *Web[L, T, Q]) Census() []LevelCensus {
-	byDepth := map[int]*LevelCensus{}
-	var rec func(*setNode[L, T])
-	rec = func(n *setNode[L, T]) {
-		if n == nil {
-			return
+	var out []LevelCensus
+	w.eachNode(func(n *setNode[L, T]) {
+		for len(out) <= n.depth {
+			out = append(out, LevelCensus{Depth: len(out)})
 		}
-		c := byDepth[n.depth]
-		if c == nil {
-			c = &LevelCensus{Depth: n.depth}
-			byDepth[n.depth] = c
-		}
+		c := &out[n.depth]
 		c.Structures++
 		c.Items += n.count
-		w.ops.VisitRanges(n.s, func(RangeID) bool {
-			c.Ranges++
-			return true
-		})
-		rec(n.kids[0])
-		rec(n.kids[1])
-	}
-	rec(w.root)
-	out := make([]LevelCensus, 0, len(byDepth))
-	for d := 0; ; d++ {
-		c, ok := byDepth[d]
-		if !ok {
-			break
-		}
-		out = append(out, *c)
-	}
+		c.Ranges += len(RangesOf(w.ops, n.s))
+	})
 	return out
 }
 
-// CheckInvariants verifies the full web: every slot table is a bijection
-// with its structure's live ranges (a slot outside VisitRanges is empty),
+// CheckInvariants verifies the full web: the set tree's links and leaf
+// list (setTree.check), every slot table is a bijection with its
+// structure's live ranges (a slot outside VisitRanges is empty),
 // hyperlinks exactly match recomputation, anchors and backrefs mirror each
-// other in both directions, per-level item counts add up, only leaves
-// hold item sets, and every level structure's ranges are placed on live
-// hosts — the consistency contract host churn must preserve.
+// other in both directions, only leaves hold item sets, and every level
+// structure's ranges are placed on live hosts — the consistency contract
+// host churn must preserve.
 func (w *Web[L, T, Q]) CheckInvariants() error {
-	var rec func(n *setNode[L, T]) error
-	rec = func(n *setNode[L, T]) error {
-		if n == nil {
-			return nil
+	return w.check(w.checkNode)
+}
+
+// checkNode is CheckInvariants for one set node.
+func (w *Web[L, T, Q]) checkNode(n *setNode[L, T]) error {
+	s := n.s
+	ranges := RangesOf(w.ops, s)
+	live := make([]bool, len(n.slab.slots))
+	for _, r := range ranges {
+		if !n.slab.placed(r) {
+			return fmt.Errorf("core: depth %d: range %d unplaced", n.depth, r)
 		}
-		s := n.s
-		ranges := RangesOf(w.ops, s)
-		live := make([]bool, len(n.slab.slots))
-		for _, r := range ranges {
-			if !n.slab.placed(r) {
-				return fmt.Errorf("core: depth %d: range %d unplaced", n.depth, r)
-			}
-			live[r] = true
-		}
-		for i, sl := range n.slab.slots {
-			if !live[i] && (sl != emptySlot || n.slab.mirrors != nil && len(n.slab.mirrors[i]) > 0) {
-				return fmt.Errorf("core: depth %d: slot %d is not a live range but holds %+v", n.depth, i, sl)
-			}
-		}
-		if n.inLeaves {
-			if len(n.rangeCache) != len(ranges) {
-				return fmt.Errorf("core: depth %d: range cache holds %d ranges, want %d", n.depth, len(n.rangeCache), len(ranges))
-			}
-			for i, r := range ranges {
-				if n.rangeCache[i] != r {
-					return fmt.Errorf("core: depth %d: range cache stale at position %d", n.depth, i)
-				}
-			}
-		}
-		for _, r := range ranges {
-			if err := n.slab.replicas(r).check(w.net, w.cfg.Replicas); err != nil {
-				return fmt.Errorf("core: depth %d: range %d: %w", n.depth, r, err)
-			}
-			got := n.slab.anchorsOf(r)
-			if n.parent != nil {
-				want, err := w.ops.Anchors(s, n.parent.s, r)
-				if err != nil {
-					return err
-				}
-				if !anchorsEqual(got, want) {
-					return fmt.Errorf("core: depth %d range %d: anchors %v, want %v", n.depth, r, got, want)
-				}
-				for _, a := range got {
-					if !slices.Contains(n.parent.slab.backsOf(a), packBackref(n.side, r)) {
-						return fmt.Errorf("core: depth %d range %d: missing backref at parent range %d", n.depth, r, a)
-					}
-				}
-			} else if len(got) != 0 {
-				return fmt.Errorf("core: root range %d has anchors %v", r, got)
-			}
-			for _, b := range n.slab.backsOf(r) {
-				kid, cr := n.backref(b)
-				if kid == nil || !kid.slab.placed(cr) ||
-					!slices.Contains(kid.slab.anchorsOf(cr), r) {
-					return fmt.Errorf("core: depth %d range %d: backref %d names a child range not anchored here", n.depth, r, b)
-				}
-			}
-		}
-		if n.kids[0] != nil {
-			if n.kids[0].count+n.kids[1].count != n.count {
-				return fmt.Errorf("core: depth %d: child counts %d+%d != %d",
-					n.depth, n.kids[0].count, n.kids[1].count, n.count)
-			}
-			if n.items != nil || n.codes != nil {
-				return fmt.Errorf("core: depth %d: internal node holds an item set", n.depth)
-			}
-		} else if len(n.items) != n.count || len(n.codes) != n.count {
-			return fmt.Errorf("core: depth %d: leaf holds %d items and %d codes for count %d",
-				n.depth, len(n.items), len(n.codes), n.count)
-		}
-		for i, x := range n.items {
-			if n.codes[i] != w.ops.CodeOf(x) {
-				return fmt.Errorf("core: depth %d: leaf code %d does not match its item", n.depth, i)
-			}
-		}
-		if err := rec(n.kids[0]); err != nil {
-			return err
-		}
-		return rec(n.kids[1])
+		live[r] = true
 	}
-	return rec(w.root)
+	for i, sl := range n.slab.slots {
+		if !live[i] && (sl != emptySlot || n.slab.mirrors != nil && len(n.slab.mirrors[i]) > 0) {
+			return fmt.Errorf("core: depth %d: slot %d is not a live range but holds %+v", n.depth, i, sl)
+		}
+	}
+	if n.inLeaves && !slices.Equal(n.rangeCache, ranges) {
+		return fmt.Errorf("core: depth %d: range cache %v is stale, want %v", n.depth, n.rangeCache, ranges)
+	}
+	for _, r := range ranges {
+		if err := n.slab.replicas(r).check(w.net, w.rep.k); err != nil {
+			return fmt.Errorf("core: depth %d: range %d: %w", n.depth, r, err)
+		}
+		got := n.slab.anchorsOf(r)
+		if n.parent != nil {
+			want, err := w.ops.Anchors(s, n.parent.s, r)
+			if err != nil {
+				return err
+			}
+			if !anchorsEqual(got, want) {
+				return fmt.Errorf("core: depth %d range %d: anchors %v, want %v", n.depth, r, got, want)
+			}
+			for _, a := range got {
+				if !slices.Contains(n.parent.slab.backsOf(a), packBackref(n.side, r)) {
+					return fmt.Errorf("core: depth %d range %d: missing backref at parent range %d", n.depth, r, a)
+				}
+			}
+		} else if len(got) != 0 {
+			return fmt.Errorf("core: root range %d has anchors %v", r, got)
+		}
+		for _, b := range n.slab.backsOf(r) {
+			kid, cr := n.backref(b)
+			if kid == nil || !kid.slab.placed(cr) ||
+				!slices.Contains(kid.slab.anchorsOf(cr), r) {
+				return fmt.Errorf("core: depth %d range %d: backref %d names a child range not anchored here", n.depth, r, b)
+			}
+		}
+	}
+	if n.kids[0] != nil {
+		if n.items != nil || n.codes != nil {
+			return fmt.Errorf("core: depth %d: internal node holds an item set", n.depth)
+		}
+	} else if len(n.items) != n.count || len(n.codes) != n.count {
+		return fmt.Errorf("core: depth %d: leaf holds %d items and %d codes for count %d",
+			n.depth, len(n.items), len(n.codes), n.count)
+	}
+	for i, x := range n.items {
+		if n.codes[i] != w.ops.CodeOf(x) {
+			return fmt.Errorf("core: depth %d: leaf code %d does not match its item", n.depth, i)
+		}
+	}
+	return nil
 }

@@ -81,9 +81,11 @@ func (m *linkModel) delete(k uint64) {
 // blockCount is the number of blocks over every basic node.
 func (w *BlockedWeb) blockCount() int {
 	n := 0
-	for _, bn := range w.basicNodes() {
-		n += len(bn.blockStarts)
-	}
+	w.eachNode(func(bn *bnode) {
+		if bn.base == bn {
+			n += len(bn.blockStarts)
+		}
+	})
 	return n
 }
 

@@ -90,7 +90,7 @@ func (m *keyPathModel) checkPaths(stage string) {
 				m.t.Fatalf("%s: keyPath(%d) floor at depth %d is range %d, Locate says %d", stage, q, i, floors[i], want)
 			}
 			if n.kids[0] != nil {
-				n = n.kids[w.bitAt(q, n.depth)]
+				n = n.kids[w.bit(q, n.depth)]
 			}
 		}
 		if n.kids[0] != nil || path[len(path)-1] != n {
@@ -111,7 +111,7 @@ func (m *keyPathModel) searchChain(key uint64) ([]*bnode, []RangeID) {
 	m.t.Helper()
 	var nodes []*bnode
 	var ranges []RangeID
-	for n := m.w.root; ; n = n.kids[m.w.bitAt(key, n.depth)] {
+	for n := m.w.root; ; n = n.kids[m.w.bit(key, n.depth)] {
 		r, ok := n.lvl.ByKey(key)
 		if !ok {
 			m.t.Fatalf("key %d missing at depth %d before its delete", key, n.depth)
@@ -148,8 +148,7 @@ func (m *keyPathModel) checkChain(key uint64, nodes []*bnode, ranges []RangeID) 
 func levelDigest(w *BlockedWeb) uint64 {
 	h := uint64(14695981039346656037)
 	add := func(v uint64) { h = (h ^ v) * 1099511628211 }
-	var rec func(n *bnode)
-	rec = func(n *bnode) {
+	w.eachNode(func(n *bnode) {
 		add(uint64(n.depth))
 		add(uint64(n.count))
 		for r := n.lvl.Head(); r != NoRange; r = n.lvl.Next(r) {
@@ -169,12 +168,7 @@ func levelDigest(w *BlockedWeb) uint64 {
 				}
 			}
 		}
-		if n.kids[0] != nil {
-			rec(n.kids[0])
-			rec(n.kids[1])
-		}
-	}
-	rec(w.root)
+	})
 	return h
 }
 

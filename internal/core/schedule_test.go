@@ -42,7 +42,7 @@ func newWebSchedule[L, T, Q any](ops Ops[L, T, Q], hosts int, universe []T, init
 		return nil, err
 	}
 	s := &webSchedule[L, T, Q]{ops: ops, net: net, w: w, universe: universe,
-		present: make([]bool, len(universe)), size: initial, replicas: cfg.withDefaults().Replicas, describe: describe}
+		present: make([]bool, len(universe)), size: initial, replicas: w.rep.k, describe: describe}
 	for i := 0; i < initial; i++ {
 		s.present[i] = true
 	}
