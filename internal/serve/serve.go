@@ -291,7 +291,7 @@ func Start(cfg Config) (*Daemon, error) {
 // exact: seeds + the ordered update log reproduce the replica bit for
 // bit.
 func (d *Daemon) recover() error {
-	wal, recs, err := openWAL(d.cfg.WALDir, d.cfg.Host, d.cfg.CheckpointEvery)
+	wal, recs, err := openWAL(d.cfg.WALDir, d.cfg.Host, d.cfg.Hosts, d.cfg.CheckpointEvery)
 	if err != nil {
 		return err
 	}
@@ -468,9 +468,21 @@ func (d *Daemon) flush() error {
 	return first
 }
 
+// checkOrigin refuses an RPC's origin outside the cluster: the engines
+// index per-host state by it.
+func (d *Daemon) checkOrigin(origin int) error {
+	if origin < 0 || origin >= d.cfg.Hosts {
+		return fmt.Errorf("serve: origin %d outside [0,%d)", origin, d.cfg.Hosts)
+	}
+	return nil
+}
+
 func (d *Daemon) floor(args json.RawMessage) (any, error) {
 	var in FloorArgs
 	if err := json.Unmarshal(args, &in); err != nil {
+		return nil, err
+	}
+	if err := d.checkOrigin(in.Origin); err != nil {
 		return nil, err
 	}
 	var out FloorReply
@@ -485,6 +497,9 @@ func (d *Daemon) floor(args json.RawMessage) (any, error) {
 func (d *Daemon) update(args json.RawMessage) (any, error) {
 	var in UpdateArgs
 	if err := json.Unmarshal(args, &in); err != nil {
+		return nil, err
+	}
+	if err := d.checkOrigin(in.Origin); err != nil {
 		return nil, err
 	}
 	apply := func() (int, error) {

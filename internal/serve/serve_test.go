@@ -422,4 +422,84 @@ func TestWALRecoveryVerification(t *testing.T) {
 	if _, err := Start(cfg); err == nil {
 		t.Fatal("daemon started from a corrupt log")
 	}
+
+	// So must a fourth record that is not one whole line in append's
+	// format with an origin in [0, Hosts), after three that replay
+	// cleanly: torn, a stray field, an origin out of range either way, a
+	// zero-padded origin, an empty line.
+	var valid strings.Builder
+	for _, k := range []uint64{1 << 50, 1<<50 + 1, 1<<50 + 2} {
+		valid.WriteString(walRecord{Op: OpInsert, Key: k, Origin: 0}.line())
+	}
+	for _, bad := range []string{"i 5 1", "i 5 1 junk\n", "i 5 -7\n", "d 9 99999999\n", "i 5 01\n", "\n"} {
+		if err := os.WriteFile(walPath, []byte(valid.String()+bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Start(cfg)
+		if err == nil {
+			d.Close()
+			t.Fatalf("daemon started from a log ending in %q", bad)
+		}
+		if !strings.Contains(err.Error(), "wal record 3") {
+			t.Fatalf("log ending in %q refused with %v, want an error naming record 3", bad, err)
+		}
+	}
+}
+
+// FuzzReadWAL checks the log parser on arbitrary bytes: it never panics,
+// and every log it accepts is exactly its records' lines in append's
+// format, with every origin in range.
+func FuzzReadWAL(f *testing.F) {
+	for _, seed := range []string{
+		"", "i 5 0\n", "i 5 0\nd 5 3\n", "i 5 1", "i 5 1 junk\n", "i 5 -7\n",
+		"d 9 99999999\n", "i 18446744073709551615 2\n", "i +5 0\n", "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	const hosts = 4
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		recs, err := parseWAL(buf, hosts)
+		if err != nil {
+			return
+		}
+		var again strings.Builder
+		for _, rec := range recs {
+			if rec.Origin < 0 || rec.Origin >= hosts {
+				t.Fatalf("accepted origin %d outside [0,%d)", rec.Origin, hosts)
+			}
+			again.WriteString(rec.line())
+		}
+		if again.String() != string(buf) {
+			t.Fatalf("accepted %q, which re-serializes to %q", buf, again.String())
+		}
+	})
+}
+
+// TestRejectsOutOfRangeOrigin pins the RPC boundary: a floor or update
+// whose origin names no host is refused with an error, and the daemon
+// keeps serving.
+func TestRejectsOutOfRangeOrigin(t *testing.T) {
+	cfg := Config{Hosts: 2, Structure: "blocked", Keys: 64, KeySeed: 1, Seed: 2}
+	daemons, clients, err := BootLocal(cfg)
+	if err != nil {
+		t.Fatalf("BootLocal: %v", err)
+	}
+	defer func() { CloseLocal(daemons, clients) }()
+	for _, origin := range []int{1 << 20, 2, -1} {
+		var fr FloorReply
+		if err := clients[0].Call("floor", FloorArgs{Q: 1 << 39, Origin: origin}, &fr); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("floor from origin %d: got %v, want an out-of-range error", origin, err)
+		}
+		for _, emit := range []bool{true, false} {
+			var ur UpdateReply
+			err := clients[0].Call("update", UpdateArgs{Op: "insert", Key: 5, Origin: origin, Emit: emit}, &ur)
+			if err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("update from origin %d (emit %v): got %v, want an out-of-range error", origin, emit, err)
+			}
+		}
+	}
+	var fr FloorReply
+	if err := clients[0].Call("floor", FloorArgs{Q: 1 << 39, Origin: 1}, &fr); err != nil {
+		t.Fatalf("floor after the refused calls: %v", err)
+	}
 }

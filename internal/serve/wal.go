@@ -1,11 +1,13 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"github.com/skipwebs/skipwebs/internal/sim"
 )
@@ -52,10 +54,17 @@ type walLog struct {
 	since    int // records since the last checkpoint
 }
 
+// line is the record's one log line, newline included: the only form
+// append writes and parseWAL accepts.
+func (rec walRecord) line() string {
+	return fmt.Sprintf("%c %d %d\n", rec.Op, rec.Key, rec.Origin)
+}
+
 // openWAL opens (creating if absent) host h's log under dir and returns
 // it along with any records a previous process life left behind, in
-// append order. every <= 0 selects the simulator's default cadence.
-func openWAL(dir string, h sim.HostID, every int) (*walLog, []walRecord, error) {
+// append order; every record's origin must lie in [0, hosts). every <= 0
+// selects the simulator's default cadence.
+func openWAL(dir string, h sim.HostID, hosts, every int) (*walLog, []walRecord, error) {
 	if every <= 0 {
 		every = sim.DefaultCheckpointEvery
 	}
@@ -67,7 +76,7 @@ func openWAL(dir string, h sim.HostID, every int) (*walLog, []walRecord, error) 
 		ckptPath: filepath.Join(dir, fmt.Sprintf("host-%d.ckpt", h)),
 		every:    every,
 	}
-	recs, err := readWAL(l.path)
+	recs, err := readWAL(l.path, hosts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,36 +90,55 @@ func openWAL(dir string, h sim.HostID, every int) (*walLog, []walRecord, error) 
 	return l, recs, nil
 }
 
-// readWAL parses a log file; a missing file is an empty log.
-func readWAL(path string) ([]walRecord, error) {
-	f, err := os.Open(path)
+// readWAL parses a log file (parseWAL); a missing file is an empty log.
+func readWAL(path string, hosts int) ([]walRecord, error) {
+	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal read: %w", err)
 	}
-	defer f.Close()
+	return parseWAL(buf, hosts)
+}
+
+// parseWAL parses a log: whole "\n"-terminated lines, each exactly a
+// record's line() with an origin in [0, hosts). Anything else — a torn
+// last line, a stray field, a signed or zero-padded number, an empty
+// line — is refused with an error naming the record, never truncated: a
+// replay that skipped it would serve a diverged replica.
+func parseWAL(buf []byte, hosts int) ([]walRecord, error) {
 	var out []walRecord
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
+	for len(buf) > 0 {
+		i := bytes.IndexByte(buf, '\n')
+		if i < 0 {
+			return nil, fmt.Errorf("serve: wal record %d is torn (no newline): %q", len(out), buf)
 		}
-		var op string
-		var key uint64
-		var origin int
-		if _, err := fmt.Sscanf(line, "%s %d %d", &op, &key, &origin); err != nil ||
-			len(op) != 1 || (op[0] != OpInsert && op[0] != OpDelete) {
+		line := string(buf[:i+1])
+		buf = buf[i+1:]
+		rec, ok := parseRecord(line)
+		if !ok {
 			return nil, fmt.Errorf("serve: wal record %d is corrupt: %q", len(out), line)
 		}
-		out = append(out, walRecord{Op: op[0], Key: key, Origin: origin})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve: wal read: %w", err)
+		if rec.Origin < 0 || rec.Origin >= hosts {
+			return nil, fmt.Errorf("serve: wal record %d: origin %d outside [0,%d)", len(out), rec.Origin, hosts)
+		}
+		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// parseRecord parses one line, reporting false unless the line is
+// exactly the parsed record's line().
+func parseRecord(line string) (walRecord, bool) {
+	f := strings.Split(strings.TrimSuffix(line, "\n"), " ")
+	if len(f) != 3 || len(f[0]) != 1 || (f[0][0] != OpInsert && f[0][0] != OpDelete) {
+		return walRecord{}, false
+	}
+	key, kerr := strconv.ParseUint(f[1], 10, 64)
+	origin, oerr := strconv.Atoi(f[2])
+	rec := walRecord{Op: f[0][0], Key: key, Origin: origin}
+	return rec, kerr == nil && oerr == nil && rec.line() == line
 }
 
 // readCheckpoint returns the last checkpoint, or ok=false when none was
@@ -133,7 +161,7 @@ func (l *walLog) readCheckpoint() (walCheckpoint, bool, error) {
 // append logs one applied update and fsyncs it — the write-ahead
 // guarantee: once the RPC acks, the update survives a process kill.
 func (l *walLog) append(rec walRecord) error {
-	if _, err := fmt.Fprintf(l.f, "%c %d %d\n", rec.Op, rec.Key, rec.Origin); err != nil {
+	if _, err := l.f.WriteString(rec.line()); err != nil {
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
